@@ -60,6 +60,17 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_frames(raw: str) -> list[int]:
     try:
         frames = [int(part) for part in raw.split(",") if part]
@@ -388,8 +399,15 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="featmod", description=__doc__)
+    parser = _Parser(prog="featmod", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, with_weights=True):
@@ -402,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="run a paradigm on synthetic inputs")
     common(p)
     p.add_argument("--out", default="out")
-    p.add_argument("--tokens", type=int, default=16)
+    p.add_argument("--tokens", type=_positive_int, default=16)
     p.add_argument("--image-size", type=int, default=336, dest="image_size")
     p.add_argument("--patch", type=int, default=14)
     p.add_argument("--tile", type=int, default=0)
@@ -414,15 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equivalence", help="zero-init forward equality check")
     common(p)
-    p.add_argument("--tokens", type=int, default=16)
-    p.add_argument("--visual-tokens", type=int, default=8, dest="visual_tokens")
+    p.add_argument("--tokens", type=_positive_int, default=16)
+    p.add_argument("--visual-tokens", type=_positive_int, default=8, dest="visual_tokens")
     p.add_argument("--frequency", type=float, default=None)
     p.add_argument("--location", choices=["shallow", "middle", "deep", "uniform"])
     p.set_defaults(func=cmd_equivalence)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=_positive_int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("cost", help="analytic cost sweep to CSV")
@@ -431,14 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paradigm", choices=["fmi", "incontext", "crossattn"])
     p.add_argument("--frames", default="8,16,32,64,128")
     p.add_argument("--frequency", type=float, default=None)
-    p.add_argument("--tokens", type=int, default=None)
+    p.add_argument("--tokens", type=_positive_int, default=None)
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("diagnose", help="modulation influence and drift to CSV")
     common(p)
     p.add_argument("--out", default="out")
-    p.add_argument("--tokens", type=int, default=16)
-    p.add_argument("--visual-tokens", type=int, default=8, dest="visual_tokens")
+    p.add_argument("--tokens", type=_positive_int, default=16)
+    p.add_argument("--visual-tokens", type=_positive_int, default=8, dest="visual_tokens")
     p.add_argument("--frequency", type=float, default=None)
     p.add_argument("--location", choices=["shallow", "middle", "deep", "uniform"])
     p.set_defaults(func=cmd_diagnose)

@@ -12,9 +12,20 @@ are provided:
 * attn - multi-head cross-attention, text token as the single query, visual
          tokens as keys and values
 
-All three run batched over text tokens; naive per-token loop oracles are kept
-alongside for verification. Analytic backward passes support the shared
-finite-difference gradient check.
+The mlp and conv mixers compute only what position 0 depends on:
+
+* mlp: the token-mix pre-activation of row (i, c) is
+  t[i, c] * token_w1[0] + (v.T @ token_w1[1:])[c] + token_b1. The visual
+  term is one (C, L*token_exp) product shared by all text tokens; after GELU
+  only column 0 of token_w2 is applied, so channel mixing runs on T rows
+  instead of T * L.
+* conv: position 0 sees [t_i; v] up to position min(K // 2, V) only, so the
+  depthwise conv runs on that cut signal, accumulating the same taps in the
+  same order (bit-identical); SiLU and the pointwise map then act on T rows.
+
+All three run batched over text tokens; naive per-token loop oracles that
+mix the full sequence are kept alongside for verification. Analytic
+backward passes support the shared finite-difference gradient check.
 """
 
 from __future__ import annotations
@@ -157,22 +168,17 @@ class AttnCondParams:
         )
 
 
-def _stack_sequences(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(T, L, C) array whose i-th slice is [t_i; v]."""
+def _check_tokens(t: np.ndarray, v: np.ndarray) -> None:
     if t.ndim != 2 or v.ndim != 2 or t.shape[1] != v.shape[1]:
         raise ShapeError(f"incompatible token shapes {t.shape} / {v.shape}")
-    tokens, channels = t.shape
-    seqs = np.empty((tokens, v.shape[0] + 1, channels), dtype=t.dtype)
-    seqs[:, 0, :] = t
-    seqs[:, 1:, :] = v
-    return seqs
 
 
 # ---------------------------------------------------------------------------
 # MLP conditioner
 
 def cond_mlp(t: np.ndarray, visual: VisualContext, p: MlpCondParams) -> np.ndarray:
-    """Batched mixer over all text tokens; equals the per-token loop."""
+    """Slot 0 of the mixer over [t_i; v] for every text token; equals the
+    per-token loop."""
     if visual.count != p.vis_tokens:
         raise ConfigError(
             f"params built for {p.vis_tokens} visual tokens, got {visual.count}"
@@ -182,22 +188,20 @@ def cond_mlp(t: np.ndarray, visual: VisualContext, p: MlpCondParams) -> np.ndarr
 
 
 def _cond_mlp_forward(t: np.ndarray, v: np.ndarray, p: MlpCondParams):
+    _check_tokens(t, v)
     tokens, channels = t.shape
-    seq = p.seq_len
-    seqs = _stack_sequences(t, v)
-    # token mixing: act over the position axis for every (token, channel) row
-    rows = np.ascontiguousarray(seqs.transpose(0, 2, 1)).reshape(tokens * channels, seq)
-    z1 = matmul(rows, p.token_w1) + p.token_b1
-    a1 = gelu(z1)
-    mixed_rows = matmul(a1, p.token_w2) + p.token_b2
-    mixed = mixed_rows.reshape(tokens, channels, seq).transpose(0, 2, 1)
-    # channel mixing: act over the channel axis for every (token, position) row
-    flat = np.ascontiguousarray(mixed).reshape(tokens * seq, channels)
-    z2 = matmul(flat, p.channel_w1) + p.channel_b1
+    # token mixing of row (i, c), output position 0 only:
+    # z1 = t[i, c] * token_w1[0] + (v.T @ token_w1[1:])[c] + token_b1, visual term shared by all i
+    visual_term = matmul(v.T, p.token_w1[1:]) + p.token_b1
+    z1 = matmul(t.reshape(-1, 1), p.token_w1[:1]).reshape(tokens, channels, -1)
+    z1 += visual_term
+    a1 = gelu(z1).reshape(tokens * channels, -1)
+    mixed = (matmul(a1, p.token_w2[:, :1]) + p.token_b2[0]).reshape(tokens, channels)
+    # channel mixing of the T slot-0 rows
+    z2 = matmul(mixed, p.channel_w1) + p.channel_b1
     a2 = gelu(z2)
-    full = (matmul(a2, p.channel_w2) + p.channel_b2).reshape(tokens, seq, channels)
-    cache = (seqs, rows, z1, a1, mixed, flat, z2, a2)
-    return full[:, 0, :], cache
+    out = matmul(a2, p.channel_w2) + p.channel_b2
+    return out, (z1, a1, mixed, z2, a2)
 
 
 def cond_mlp_pertoken(t: np.ndarray, visual: VisualContext, p: MlpCondParams) -> np.ndarray:
@@ -216,34 +220,31 @@ def cond_mlp_pertoken(t: np.ndarray, visual: VisualContext, p: MlpCondParams) ->
 def cond_mlp_backward(
     t: np.ndarray, v: np.ndarray, p: MlpCondParams, g_out: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients of sum(g_out * cond_mlp) w.r.t. t, v and every parameter."""
+    """Gradients of sum(g_out * cond_mlp) w.r.t. t, v and every parameter.
+
+    Only column 0 of token_w2 and entry 0 of token_b2 reach the output; the
+    other entries get zero gradient.
+    """
     tokens, channels = t.shape
-    seq = p.seq_len
-    _, (seqs, rows, z1, a1, mixed, flat, z2, a2) = _cond_mlp_forward(t, v, p)
-    g_full = np.zeros((tokens, seq, channels))
-    g_full[:, 0, :] = g_out
-    g_flat_out = g_full.reshape(tokens * seq, channels)
+    _, (z1, a1, mixed, z2, a2) = _cond_mlp_forward(t, v, p)
     grads: dict[str, np.ndarray] = {}
-    grads["channel_w2"] = a2.T @ g_flat_out
-    grads["channel_b2"] = g_flat_out.sum(axis=0)
-    g_a2 = g_flat_out @ p.channel_w2.T
-    g_z2 = g_a2 * gelu_grad(z2)
-    grads["channel_w1"] = flat.T @ g_z2
+    grads["channel_w2"] = a2.T @ g_out
+    grads["channel_b2"] = g_out.sum(axis=0)
+    g_z2 = (g_out @ p.channel_w2.T) * gelu_grad(z2)
+    grads["channel_w1"] = mixed.T @ g_z2
     grads["channel_b1"] = g_z2.sum(axis=0)
-    g_mixed = (g_z2 @ p.channel_w1.T).reshape(tokens, seq, channels)
-    g_mixed_rows = np.ascontiguousarray(g_mixed.transpose(0, 2, 1)).reshape(
-        tokens * channels, seq
-    )
-    grads["token_w2"] = a1.T @ g_mixed_rows
-    grads["token_b2"] = g_mixed_rows.sum(axis=0)
-    g_a1 = g_mixed_rows @ p.token_w2.T
-    g_z1 = g_a1 * gelu_grad(z1)
-    grads["token_w1"] = rows.T @ g_z1
-    grads["token_b1"] = g_z1.sum(axis=0)
-    g_rows = g_z1 @ p.token_w1.T
-    g_seqs = g_rows.reshape(tokens, channels, seq).transpose(0, 2, 1)
-    grads["t"] = g_seqs[:, 0, :].copy()
-    grads["v"] = g_seqs[:, 1:, :].sum(axis=0)
+    g_mixed = (g_z2 @ p.channel_w1.T).reshape(-1)
+    grads["token_w2"] = np.zeros_like(p.token_w2)
+    grads["token_w2"][:, 0] = a1.T @ g_mixed
+    grads["token_b2"] = np.zeros_like(p.token_b2)
+    grads["token_b2"][0] = g_mixed.sum()
+    g_z1 = np.multiply.outer(g_mixed, p.token_w2[:, 0]).reshape(z1.shape) * gelu_grad(z1)
+    g_visual_term = g_z1.sum(axis=0)  # (C, L*token_exp)
+    g_text_row = t.reshape(1, -1) @ g_z1.reshape(tokens * channels, -1)
+    grads["token_w1"] = np.vstack([g_text_row, v @ g_visual_term])
+    grads["token_b1"] = g_visual_term.sum(axis=0)
+    grads["t"] = g_z1 @ p.token_w1[0]
+    grads["v"] = p.token_w1[1:] @ g_visual_term.T
     return grads
 
 
@@ -257,18 +258,18 @@ def cond_conv(t: np.ndarray, visual: VisualContext, p: ConvCondParams) -> np.nda
 
 
 def _cond_conv_forward(t: np.ndarray, v: np.ndarray, p: ConvCondParams):
+    _check_tokens(t, v)
     tokens, channels = t.shape
-    seq = v.shape[0] + 1
-    seqs = _stack_sequences(t, v)
-    signals = np.ascontiguousarray(seqs.transpose(0, 2, 1)).reshape(tokens * channels, seq)
+    reach = min(p.depthwise.shape[1] // 2, v.shape[0])
+    # slot 0 sees positions 0..reach of [t_i; v] only; the conv of that cut
+    # signal accumulates the same taps in the same order at position 0
+    signals = np.empty((tokens, channels, reach + 1), dtype=t.dtype)
+    signals[:, :, 0] = t
+    signals[:, :, 1:] = v[:reach].T
     kernels = np.tile(p.depthwise, (tokens, 1))
-    z = depthwise_conv1d(signals, kernels)
+    z = depthwise_conv1d(signals.reshape(tokens * channels, -1), kernels)[:, 0].reshape(tokens, channels)
     a = silu(z)
-    acts = a.reshape(tokens, channels, seq).transpose(0, 2, 1)
-    flat = np.ascontiguousarray(acts).reshape(tokens * seq, channels)
-    full = matmul(flat, p.pointwise).reshape(tokens, seq, channels)
-    cache = (signals, z, flat)
-    return full[:, 0, :], cache
+    return matmul(a, p.pointwise), (z, a)
 
 
 def cond_conv_pertoken(t: np.ndarray, visual: VisualContext, p: ConvCondParams) -> np.ndarray:
@@ -297,33 +298,20 @@ def cond_conv_pertoken(t: np.ndarray, visual: VisualContext, p: ConvCondParams) 
 def cond_conv_backward(
     t: np.ndarray, v: np.ndarray, p: ConvCondParams, g_out: np.ndarray
 ) -> dict[str, np.ndarray]:
-    tokens, channels = t.shape
-    seq = v.shape[0] + 1
-    k = p.depthwise.shape[1]
-    pad = k // 2
-    _, (signals, z, flat) = _cond_conv_forward(t, v, p)
-    g_full = np.zeros((tokens, seq, channels))
-    g_full[:, 0, :] = g_out
-    g_flat = g_full.reshape(tokens * seq, channels)
-    grads: dict[str, np.ndarray] = {"pointwise": flat.T @ g_flat}
-    g_acts = (g_flat @ p.pointwise.T).reshape(tokens, seq, channels)
-    g_a = np.ascontiguousarray(g_acts.transpose(0, 2, 1)).reshape(tokens * channels, seq)
-    g_z = g_a * swish_grad(z)
-    # cross-correlation backward: dx[m] += g[m - j + pad] * k[j], dk[j] += g[i] * x[i + j - pad]
-    g_signals = np.zeros_like(signals)
-    g_kernel_rows = np.zeros((tokens * channels, k))
-    padded = np.zeros((tokens * channels, seq + 2 * pad))
-    padded[:, pad:pad + seq] = signals
-    g_padded = np.zeros_like(padded)
-    kernels = np.tile(p.depthwise, (tokens, 1))
-    for j in range(k):
-        g_padded[:, j:j + seq] += kernels[:, j:j + 1] * g_z
-        g_kernel_rows[:, j] = np.sum(g_z * padded[:, j:j + seq], axis=1)
-    g_signals = g_padded[:, pad:pad + seq]
-    grads["depthwise"] = g_kernel_rows.reshape(tokens, channels, k).sum(axis=0)
-    g_seqs = g_signals.reshape(tokens, channels, seq).transpose(0, 2, 1)
-    grads["t"] = g_seqs[:, 0, :].copy()
-    grads["v"] = g_seqs[:, 1:, :].sum(axis=0)
+    """Gradients of sum(g_out * cond_conv); only the depthwise taps
+    pad..pad+min(pad, V) reach slot 0, the others get zero gradient."""
+    pad = p.depthwise.shape[1] // 2
+    reach = min(pad, v.shape[0])
+    _, (z, a) = _cond_conv_forward(t, v, p)
+    grads: dict[str, np.ndarray] = {"pointwise": a.T @ g_out}
+    g_z = (g_out @ p.pointwise.T) * swish_grad(z)
+    g_z_sum = g_z.sum(axis=0)
+    grads["depthwise"] = np.zeros_like(p.depthwise)
+    grads["depthwise"][:, pad] = np.sum(g_z * t, axis=0)
+    grads["depthwise"][:, pad + 1:pad + 1 + reach] = (v[:reach] * g_z_sum).T
+    grads["t"] = g_z * p.depthwise[:, pad]
+    grads["v"] = np.zeros_like(v)
+    grads["v"][:reach] = g_z_sum * p.depthwise[:, pad + 1:pad + 1 + reach].T
     return grads
 
 

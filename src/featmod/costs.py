@@ -21,14 +21,17 @@ model runs under the MAC counter and must agree within 1 percent
 Per-block costs at sequence length S: QKV and output projections 8*S*C^2,
 attention scores and mixing 4*S^2*C, and the FFN 4*S*C*d_ff.
 
-Per-modulated-layer conditioner costs (L = V_total + 1 where it appears,
-delta projection 8*T*C^2 included):
+Per-modulated-layer conditioner costs (V = V_total, L = V + 1, delta
+projection 8*T*C^2 included). The mlp and conv conditioners compute output
+position 0 only, and these are the MACs they run:
 
 * attn: 4*T*C^2 (query + output) + 4*V*C^2 (keys + values) + 4*T*V*C (scores
   + mixing) + 8*T*C^2
-* mlp: 4*T*C*L^2*token_exp (token mixing) + 4*T*L*C^2*channel_exp (channel
-  mixing) + 8*T*C^2
-* conv: 2*T*C*L*K (depthwise) + 2*T*L*C^2 (pointwise) + 8*T*C^2
+* mlp: 2*C*V*L*token_exp (visual term, shared by all text tokens)
+  + 2*T*C*L*token_exp (text term) + 2*T*C*L*token_exp (token_w2 column 0)
+  + 4*T*C^2*channel_exp (channel mixing) + 8*T*C^2
+* conv: 2*T*C*K*(min(K//2, V) + 1) (depthwise over the positions slot 0
+  reaches) + 2*T*C^2 (pointwise) + 8*T*C^2
 
 The inserted cross-attention module of the architectural baseline is priced
 as its executable counterpart: a full cross-attention (4*T*C^2 + 4*V*C^2 +
@@ -147,11 +150,11 @@ def flops_cond(
     projection = 8 * t * c * c
     if cond_kind == "attn":
         return 4 * t * c * c + 4 * v * c * c + 4 * t * v * c + projection
-    seq = v + 1
     if cond_kind == "mlp":
-        return 4 * t * c * seq * seq * token_exp + 4 * t * seq * c * c * channel_exp + projection
+        mix = (v + 1) * token_exp
+        return 2 * c * v * mix + 4 * t * c * mix + 4 * t * c * c * channel_exp + projection
     if cond_kind == "conv":
-        return 2 * t * c * seq * kernel + 2 * t * seq * c * c + projection
+        return 2 * t * c * kernel * (min(kernel // 2, v) + 1) + 2 * t * c * c + projection
     raise ConfigError(f"unknown conditioner kind {cond_kind!r}")
 
 
@@ -191,10 +194,9 @@ def _peak_activation_elems(cfg: CostConfig) -> int:
         if cfg.cond_kind == "attn":
             candidates += [default_heads(c) * t * vt, vt * c]
         elif cfg.cond_kind == "mlp":
-            seq = vt + 1
-            candidates += [t * c * seq * cfg.cond_token_exp, t * seq * c * cfg.cond_channel_exp]
+            candidates += [t * c * (vt + 1) * cfg.cond_token_exp, t * c * cfg.cond_channel_exp]
         else:
-            candidates.append(t * c * (vt + 1))
+            candidates.append(t * c)
     elif cfg.paradigm == "incontext":
         candidates.append(vt * c)
     elif cfg.paradigm == "crossattn":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import ConfigError, NumericError, ShapeError, make_rng, matmul, swish, swish_grad
+from .tensors import ConfigError, NumericError, ShapeError, matmul, swish, swish_grad
 
 NormMode = str  # "ln" (mean subtracted) or "rms" (mean kept at zero)
 
@@ -355,13 +355,4 @@ def gradcheck_viln(point: VilnPoint, eps_fd: float = 1e-5) -> float:
     worst = max(worst, relative_gradient_error(analytic["deltas"], numeric))
     if not np.isfinite(worst):
         raise NumericError("gradient check produced a non-finite error")
-    return worst
-
-
-def gradcheck_viln_suite(points: int = 100, seed: int = 0, eps_fd: float = 1e-5) -> float:
-    """Worst gradcheck error over a batch of random points."""
-    rng = make_rng(seed)
-    worst = 0.0
-    for _ in range(points):
-        worst = max(worst, gradcheck_viln(random_viln_point(rng), eps_fd))
     return worst

@@ -110,13 +110,13 @@ def pool_adaptive_2x2(tokens: np.ndarray) -> np.ndarray:
         raise ShapeError(f"expected square (g, g, C) grid, got {tokens.shape}")
     g = tokens.shape[0]
     target = (g + 1) // 2
-    bounds = [int(np.floor(i * g / target)) for i in range(target + 1)]
-    out = np.empty((target, target, tokens.shape[2]), dtype=tokens.dtype)
-    for i in range(target):
-        for j in range(target):
-            block = tokens[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]]
-            out[i, j] = block.mean(axis=(0, 1))
-    return out
+    if g % 2 == 0:
+        return tokens.reshape(target, 2, target, 2, -1).mean(axis=(1, 3))
+    starts = np.arange(target) * g // target
+    sums = np.add.reduceat(np.add.reduceat(tokens, starts, axis=0), starts, axis=1)
+    sizes = np.diff(starts, append=g)
+    sums /= np.multiply.outer(sizes, sizes)[:, :, None]
+    return sums
 
 
 def temporal_encode(frame_tokens: list[np.ndarray]) -> np.ndarray:

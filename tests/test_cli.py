@@ -149,6 +149,22 @@ class TestErrors:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--tokens", "0"],
+        ["forward", "--tokens", "-1"],
+        ["equivalence", "--visual-tokens", "0"],
+        ["diagnose", "--visual-tokens", "-2"],
+        ["cost", "--tokens", "0"],
+        ["gradcheck", "--points", "0"],
+        ["gradcheck", "--points", "-3"],
+    ])
+    def test_non_positive_count_exits_two_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be >= 1" in err
+
     def test_weights_without_config_exits_two(self, tmp_path):
         assert main([
             "forward", "--weights", str(tmp_path / "missing.manifest"), "--out", str(tmp_path)

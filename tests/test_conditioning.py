@@ -16,6 +16,8 @@ from featmod.conditioning import (
     default_heads,
     gradcheck_conditioner,
 )
+from featmod.costs import CostConfig, cost_paradigm, measured_flops
+from featmod.model import ModelConfig, cast_model, init_model
 from featmod.tensors import ConfigError, make_rng, silu
 
 
@@ -74,6 +76,18 @@ class TestConvConditioner:
             p = ConvCondParams.init(rng, 6, 5, std=0.3)
             diff = np.abs(cond_conv(t, visual, p) - cond_conv_pertoken(t, visual, p))
             assert np.max(diff) < 1e-12
+
+    def test_matches_loop_when_kernel_reaches_past_visual_tokens(self):
+        # K=5 reaches two positions beyond slot 0, but V=1 has only one
+        rng, t, visual = random_case(19, tokens=3, vis=1, channels=6)
+        p = ConvCondParams.init(rng, 6, 5, std=0.3)
+        assert np.max(np.abs(cond_conv(t, visual, p) - cond_conv_pertoken(t, visual, p))) < 1e-12
+        assert gradcheck_conditioner("conv", t, visual, p) <= 1e-4
+
+    def test_matches_loop_for_single_text_token(self):
+        rng, t, visual = random_case(20, tokens=1, vis=5, channels=6)
+        p = ConvCondParams.init(rng, 6, 5, std=0.3)
+        assert np.max(np.abs(cond_conv(t, visual, p) - cond_conv_pertoken(t, visual, p))) < 1e-12
 
     def test_even_kernel_rejected(self):
         rng = make_rng(6)
@@ -154,6 +168,30 @@ class TestSharedContracts:
             full = apply_conditioner(kind, t, visual, params)
             shuffled = apply_conditioner(kind, t[perm], visual, params)
             assert np.allclose(shuffled, full[perm], atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["mlp", "conv"])
+    def test_float32_model_keeps_dtype(self, kind):
+        cfg = ModelConfig(L=2, C=8, h=2, d_ff=16, paradigm="fmi", cond_kind=kind,
+                          frequency=0.5, cond_visual_tokens=4 if kind == "mlp" else None)
+        model = init_model(cfg)
+        params = next(b.cond_params for b in model.blocks if b.cond_params is not None)
+        params32 = next(b.cond_params for b in cast_model(model, np.float32).blocks
+                        if b.cond_params is not None)
+        _, t, visual = random_case(22, tokens=3, vis=4, channels=8)
+        visual32 = VisualContext(visual.v.astype(np.float32), "synthetic")
+        out32 = apply_conditioner(kind, t.astype(np.float32), visual32, params32)
+        assert out32.dtype == np.float32
+        ref = apply_conditioner(kind, t, visual, params)
+        assert np.max(np.abs(out32 - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("cfg", [
+        CostConfig(L=3, C=12, h=3, d_ff=24, T=4, V=2, k=2, paradigm="fmi",
+                   cond_kind="mlp", frequency=0.34, cond_token_exp=2, cond_channel_exp=2),
+        CostConfig(L=4, C=8, h=2, d_ff=32, T=6, V=5, paradigm="fmi",
+                   cond_kind="conv", frequency=0.25, cond_kernel=5),
+    ], ids=["mlp", "conv"])
+    def test_cost_model_counts_exactly_what_runs(self, cfg):
+        assert cost_paradigm(cfg).total_flops == measured_flops(cfg)
 
     def test_unknown_kind_rejected(self):
         rng, t, visual = random_case(15)

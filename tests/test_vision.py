@@ -75,6 +75,19 @@ class TestTiling:
         assert np.all(rebuilt[50:] == 0.0) and np.all(rebuilt[:, 70:] == 0.0)
 
 
+def pool_loop(tokens):
+    """Reference: one mean per bin, bin i spanning rows floor(i*g/t)..floor((i+1)*g/t)-1."""
+    g = tokens.shape[0]
+    target = (g + 1) // 2
+    bounds = [int(np.floor(i * g / target)) for i in range(target + 1)]
+    out = np.empty((target, target, tokens.shape[2]), dtype=tokens.dtype)
+    for i in range(target):
+        for j in range(target):
+            block = tokens[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]]
+            out[i, j] = block.mean(axis=(0, 1))
+    return out
+
+
 class TestAdaptivePooling:
     def test_single_bin(self):
         grid = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
@@ -94,6 +107,15 @@ class TestAdaptivePooling:
         grid = rng.normal(size=(6, 6, 3))
         out = pool_adaptive_2x2(grid)
         assert np.allclose(out.mean(axis=(0, 1)), grid.mean(axis=(0, 1)), atol=1e-12)
+
+    def test_matches_loop_reference(self):
+        rng = make_rng(4)
+        even = rng.normal(size=(24, 24, 8))
+        assert np.array_equal(pool_adaptive_2x2(even), pool_loop(even))
+        # odd grids sum each bin in another order: allow a few ulps of the inputs
+        odd = rng.normal(size=(5, 5, 8))
+        atol = 4 * np.finfo(np.float64).eps * np.max(np.abs(odd))
+        np.testing.assert_allclose(pool_adaptive_2x2(odd), pool_loop(odd), rtol=0, atol=atol)
 
     def test_odd_grid_target_side(self):
         rng = make_rng(2)
