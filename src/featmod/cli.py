@@ -60,15 +60,23 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _positive_int(raw: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for integers that must be at least `minimum`."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _parse_frames(raw: str) -> list[int]:
@@ -414,18 +422,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="model descriptor (key=value lines)")
         if with_weights:
             p.add_argument("--weights", help="tensor manifest with model weights")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_non_negative_int, default=None)
         p.add_argument("--paradigm", choices=["fmi", "incontext", "crossattn", "base"])
 
     p = sub.add_parser("forward", help="run a paradigm on synthetic inputs")
     common(p)
     p.add_argument("--out", default="out")
     p.add_argument("--tokens", type=_positive_int, default=16)
-    p.add_argument("--image-size", type=int, default=336, dest="image_size")
-    p.add_argument("--patch", type=int, default=14)
-    p.add_argument("--tile", type=int, default=0)
-    p.add_argument("--frames", type=int, default=0)
-    p.add_argument("--video-len", type=int, default=64, dest="video_len")
+    p.add_argument("--image-size", type=_positive_int, default=336, dest="image_size")
+    p.add_argument("--patch", type=_positive_int, default=14)
+    p.add_argument("--tile", type=_non_negative_int, default=0)
+    p.add_argument("--frames", type=_non_negative_int, default=0)
+    p.add_argument("--video-len", type=_positive_int, default=64, dest="video_len")
     p.add_argument("--frequency", type=float, default=None)
     p.add_argument("--location", choices=["shallow", "middle", "deep", "uniform"])
     p.set_defaults(func=cmd_forward)
@@ -439,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equivalence)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--points", type=_positive_int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -463,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="condensed property suite")
     p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.set_defaults(func=cmd_selftest)
 
     return parser

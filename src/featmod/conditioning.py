@@ -23,18 +23,22 @@ The mlp and conv mixers compute only what position 0 depends on:
   depthwise conv runs on that cut signal, accumulating the same taps in the
   same order (bit-identical); SiLU and the pointwise map then act on T rows.
 
-All three run batched over text tokens; naive per-token loop oracles that
-mix the full sequence are kept alongside for verification. Analytic
-backward passes support the shared finite-difference gradient check.
+All three run batched over text tokens, and their forwards broadcast over
+leading batch axes on any operand: t (..., T, C), v (..., V, C) or any
+parameter field with a leading axis. The finite-difference gradient check
+uses this to evaluate every perturbed copy of an array in one call. Naive
+per-token loop oracles that mix the full sequence are kept alongside for
+verification, and analytic backward passes (unbatched) are checked against
+the finite differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .norm import central_difference, relative_gradient_error
+from .norm import central_differences, relative_gradient_error
 from .tensors import (
     ConfigError,
     ShapeError,
@@ -42,8 +46,10 @@ from .tensors import (
     gelu,
     gelu_grad,
     matmul,
+    merge_heads,
     silu,
     softmax_lastdim,
+    split_heads,
     swish_grad,
 )
 
@@ -89,7 +95,7 @@ class MlpCondParams:
 
     @property
     def seq_len(self) -> int:
-        return self.token_w1.shape[0]
+        return self.token_w1.shape[-2]
 
     @property
     def vis_tokens(self) -> int:
@@ -126,8 +132,8 @@ class ConvCondParams:
     pointwise: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.depthwise.shape[1] % 2 == 0:
-            raise ConfigError(f"depthwise kernel width must be odd, got {self.depthwise.shape[1]}")
+        if self.depthwise.shape[-1] % 2 == 0:
+            raise ConfigError(f"depthwise kernel width must be odd, got {self.depthwise.shape[-1]}")
 
     @classmethod
     def init(
@@ -150,7 +156,7 @@ class AttnCondParams:
     heads: int
 
     def __post_init__(self) -> None:
-        c = self.w_q.shape[0]
+        c = self.w_q.shape[-1]
         if c % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must divide channels {c}")
 
@@ -169,7 +175,7 @@ class AttnCondParams:
 
 
 def _check_tokens(t: np.ndarray, v: np.ndarray) -> None:
-    if t.ndim != 2 or v.ndim != 2 or t.shape[1] != v.shape[1]:
+    if t.ndim < 2 or v.ndim < 2 or t.shape[-1] != v.shape[-1]:
         raise ShapeError(f"incompatible token shapes {t.shape} / {v.shape}")
 
 
@@ -189,18 +195,24 @@ def cond_mlp(t: np.ndarray, visual: VisualContext, p: MlpCondParams) -> np.ndarr
 
 def _cond_mlp_forward(t: np.ndarray, v: np.ndarray, p: MlpCondParams):
     _check_tokens(t, v)
-    tokens, channels = t.shape
+    tokens, channels = t.shape[-2:]
     # token mixing of row (i, c), output position 0 only:
     # z1 = t[i, c] * token_w1[0] + (v.T @ token_w1[1:])[c] + token_b1, visual term shared by all i
-    visual_term = matmul(v.T, p.token_w1[1:]) + p.token_b1
-    z1 = matmul(t.reshape(-1, 1), p.token_w1[:1]).reshape(tokens, channels, -1)
-    z1 += visual_term
-    a1 = gelu(z1).reshape(tokens * channels, -1)
-    mixed = (matmul(a1, p.token_w2[:, :1]) + p.token_b2[0]).reshape(tokens, channels)
+    visual_term = matmul(v.swapaxes(-1, -2), p.token_w1[..., 1:, :]) + p.token_b1[..., None, :]
+    z1 = matmul(t.reshape(*t.shape[:-2], tokens * channels, 1), p.token_w1[..., :1, :])
+    z1 = z1.reshape(*z1.shape[:-2], tokens, channels, -1)
+    visual_term = visual_term[..., None, :, :]
+    if np.broadcast_shapes(z1.shape, visual_term.shape) == z1.shape:
+        z1 += visual_term
+    else:  # only v or token_b1 carries the batch axis
+        z1 = z1 + visual_term
+    a1 = gelu(z1).reshape(*z1.shape[:-3], tokens * channels, -1)
+    mixed = matmul(a1, p.token_w2[..., :, :1]) + p.token_b2[..., None, :1]
+    mixed = mixed.reshape(*mixed.shape[:-2], tokens, channels)
     # channel mixing of the T slot-0 rows
-    z2 = matmul(mixed, p.channel_w1) + p.channel_b1
+    z2 = matmul(mixed, p.channel_w1) + p.channel_b1[..., None, :]
     a2 = gelu(z2)
-    out = matmul(a2, p.channel_w2) + p.channel_b2
+    out = matmul(a2, p.channel_w2) + p.channel_b2[..., None, :]
     return out, (z1, a1, mixed, z2, a2)
 
 
@@ -259,15 +271,14 @@ def cond_conv(t: np.ndarray, visual: VisualContext, p: ConvCondParams) -> np.nda
 
 def _cond_conv_forward(t: np.ndarray, v: np.ndarray, p: ConvCondParams):
     _check_tokens(t, v)
-    tokens, channels = t.shape
-    reach = min(p.depthwise.shape[1] // 2, v.shape[0])
+    reach = min(p.depthwise.shape[-1] // 2, v.shape[-2])
     # slot 0 sees positions 0..reach of [t_i; v] only; the conv of that cut
     # signal accumulates the same taps in the same order at position 0
-    signals = np.empty((tokens, channels, reach + 1), dtype=t.dtype)
-    signals[:, :, 0] = t
-    signals[:, :, 1:] = v[:reach].T
-    kernels = np.tile(p.depthwise, (tokens, 1))
-    z = depthwise_conv1d(signals.reshape(tokens * channels, -1), kernels)[:, 0].reshape(tokens, channels)
+    batch = np.broadcast_shapes(t.shape[:-2], v.shape[:-2])
+    signals = np.empty(batch + t.shape[-2:] + (reach + 1,), dtype=t.dtype)
+    signals[..., 0] = t
+    signals[..., 1:] = v[..., None, :reach, :].swapaxes(-1, -2)
+    z = depthwise_conv1d(signals, p.depthwise[..., None, :, :])[..., 0]
     a = silu(z)
     return matmul(a, p.pointwise), (z, a)
 
@@ -318,11 +329,6 @@ def cond_conv_backward(
 # ---------------------------------------------------------------------------
 # Attention conditioner
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    n, channels = x.shape
-    return x.reshape(n, heads, channels // heads).transpose(1, 0, 2)
-
-
 def cond_attn(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.ndarray:
     """Multi-head cross-attention, text queries over all visual tokens."""
     out, _ = _cond_attn_forward(t, visual.v, p)
@@ -330,24 +336,16 @@ def cond_attn(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.nda
 
 
 def _cond_attn_forward(t: np.ndarray, v: np.ndarray, p: AttnCondParams):
-    tokens, channels = t.shape
     heads = p.heads
-    dk = channels // heads
-    q = _split_heads(matmul(t, p.w_q), heads)
-    k = _split_heads(matmul(v, p.w_k), heads)
-    val = _split_heads(matmul(v, p.w_v), heads)
-    scale = float(1.0 / np.sqrt(dk))
-    ctx = np.empty((heads, tokens, dk), dtype=t.dtype)
-    weights = []
-    for h in range(heads):
-        logits = matmul(q[h], k[h].T) * scale
-        attn = softmax_lastdim(logits)
-        ctx[h] = matmul(attn, val[h])
-        weights.append(attn)
-    merged = ctx.transpose(1, 0, 2).reshape(tokens, channels)
+    q = split_heads(matmul(t, p.w_q), heads)
+    k = split_heads(matmul(v, p.w_k), heads)
+    val = split_heads(matmul(v, p.w_v), heads)
+    logits = matmul(q, k.swapaxes(-1, -2))
+    logits *= float(1.0 / np.sqrt(t.shape[-1] // heads))
+    weights = softmax_lastdim(logits)
+    merged = merge_heads(matmul(weights, val))
     out = matmul(merged, p.w_o)
-    cache = (q, k, val, weights, merged)
-    return out, cache
+    return out, (q, k, val, weights, merged)
 
 
 def attn_oracle(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.ndarray:
@@ -380,32 +378,20 @@ def attn_oracle(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.n
 def cond_attn_backward(
     t: np.ndarray, v: np.ndarray, p: AttnCondParams, g_out: np.ndarray
 ) -> dict[str, np.ndarray]:
-    tokens, channels = t.shape
-    heads = p.heads
-    dk = channels // heads
-    scale = float(1.0 / np.sqrt(dk))
+    scale = float(1.0 / np.sqrt(t.shape[1] // p.heads))
     _, (q, k, val, weights, merged) = _cond_attn_forward(t, v, p)
     grads: dict[str, np.ndarray] = {"w_o": merged.T @ g_out}
-    g_merged = g_out @ p.w_o.T
-    g_ctx = g_merged.reshape(tokens, heads, dk).transpose(1, 0, 2)
-    g_q = np.empty_like(q)
-    g_k = np.empty_like(k)
-    g_val = np.empty_like(val)
-    for h in range(heads):
-        attn = weights[h]
-        g_attn = g_ctx[h] @ val[h].T
-        g_val[h] = attn.T @ g_ctx[h]
-        g_logits = attn * (g_attn - np.sum(g_attn * attn, axis=1, keepdims=True))
-        g_q[h] = (g_logits @ k[h]) * scale
-        g_k[h] = (g_logits.T @ q[h]) * scale
-    g_q_flat = g_q.transpose(1, 0, 2).reshape(tokens, channels)
-    g_k_flat = g_k.transpose(1, 0, 2).reshape(v.shape[0], channels)
-    g_v_flat = g_val.transpose(1, 0, 2).reshape(v.shape[0], channels)
-    grads["w_q"] = t.T @ g_q_flat
-    grads["w_k"] = v.T @ g_k_flat
-    grads["w_v"] = v.T @ g_v_flat
-    grads["t"] = g_q_flat @ p.w_q.T
-    grads["v"] = g_k_flat @ p.w_k.T + g_v_flat @ p.w_v.T
+    g_ctx = split_heads(g_out @ p.w_o.T, p.heads)
+    g_weights = g_ctx @ val.swapaxes(-1, -2)
+    g_logits = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
+    g_q = merge_heads(g_logits @ k) * scale
+    g_k = merge_heads(g_logits.swapaxes(-1, -2) @ q) * scale
+    g_val = merge_heads(weights.swapaxes(-1, -2) @ g_ctx)
+    grads["w_q"] = t.T @ g_q
+    grads["w_k"] = v.T @ g_k
+    grads["w_v"] = v.T @ g_val
+    grads["t"] = g_q @ p.w_q.T
+    grads["v"] = g_k @ p.w_k.T + g_val @ p.w_v.T
     return grads
 
 
@@ -431,6 +417,12 @@ _PARAM_FIELDS = {
     "attn": ("w_q", "w_k", "w_v", "w_o"),
 }
 
+_FORWARDS = {
+    "mlp": _cond_mlp_forward,
+    "conv": _cond_conv_forward,
+    "attn": _cond_attn_forward,
+}
+
 _BACKWARDS = {
     "mlp": cond_mlp_backward,
     "conv": cond_conv_backward,
@@ -448,27 +440,28 @@ def gradcheck_conditioner(
     """Max relative error of the conditioner's analytic gradients.
 
     Checks t, v and every parameter field against central differences of the
-    scalar loss sum(output).
+    scalar loss sum(output); each array's perturbed copies run as one
+    forward batched over a leading axis.
     """
     if kind not in _PARAM_FIELDS:
         raise ConfigError(f"unknown conditioner kind {kind!r}")
     if not 1e-7 <= eps_fd <= 1e-4:
         raise ConfigError(f"eps_fd {eps_fd} outside [1e-7, 1e-4]")
+    forward = _FORWARDS[kind]
+    v = visual.v
 
-    def loss() -> float:
-        return float(np.sum(apply_conditioner(kind, t, visual, params)))
+    def losses(t, v, params) -> np.ndarray:
+        return forward(t, v, params)[0].sum(axis=(-2, -1))
 
-    g_out = np.ones_like(t)
-    analytic = _BACKWARDS[kind](t, visual.v, params, g_out)
-    worst = relative_gradient_error(
-        analytic["t"], central_difference(loss, t, eps_fd)
-    )
-    worst = max(
-        worst,
-        relative_gradient_error(analytic["v"], central_difference(loss, visual.v, eps_fd)),
-    )
+    analytic = _BACKWARDS[kind](t, v, params, np.ones_like(t))
+    numeric = {
+        "t": central_differences(lambda ts: losses(ts, v, params), t, eps_fd),
+        "v": central_differences(lambda vs: losses(t, vs, params), v, eps_fd),
+    }
     for field in _PARAM_FIELDS[kind]:
-        arr = getattr(params, field)
-        numeric = central_difference(loss, arr, eps_fd)
-        worst = max(worst, relative_gradient_error(analytic[field], numeric))
-    return worst
+        numeric[field] = central_differences(
+            lambda stack, field=field: losses(t, v, replace(params, **{field: stack})),
+            getattr(params, field),
+            eps_fd,
+        )
+    return max(relative_gradient_error(analytic[name], num) for name, num in numeric.items())

@@ -42,8 +42,10 @@ from .tensors import (
     ShapeError,
     gelu,
     matmul,
+    merge_heads,
     sinusoid_positions,
     softmax_lastdim,
+    split_heads,
     save_tensors,
     load_tensors,
 )
@@ -96,8 +98,13 @@ class ModelConfig:
             raise ConfigError(f"unknown location {self.location!r}")
         if self.norm_mode not in ("ln", "rms"):
             raise ConfigError(f"unknown norm mode {self.norm_mode!r}")
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.paradigm in ("fmi", "crossattn"):
             if not 0.0 < self.frequency <= 1.0:
                 raise ConfigError(f"frequency {self.frequency} outside (0, 1]")
@@ -308,19 +315,16 @@ def randomize_insert(model: Model, rng: np.random.Generator, scale: float = 0.05
 
 def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.ndarray:
     s, c = h_in.shape
-    dk = c // heads
-    q = matmul(h_in, p.wq)
-    k = matmul(h_in, p.wk)
-    v = matmul(h_in, p.wv)
+    q = split_heads(matmul(h_in, p.wq), heads)
+    k = split_heads(matmul(h_in, p.wk), heads)
+    v = split_heads(matmul(h_in, p.wv), heads)
     mask = np.triu(np.full((s, s), -np.inf, dtype=h_in.dtype), k=1)
-    ctx = np.empty((s, c), dtype=h_in.dtype)
-    scale = float(1.0 / np.sqrt(dk))
-    for head in range(heads):
-        sl = slice(head * dk, (head + 1) * dk)
-        logits = matmul(q[:, sl], k[:, sl].T) * scale + mask
-        attn = softmax_lastdim(logits)
-        ctx[:, sl] = matmul(attn, v[:, sl])
-    return matmul(ctx, p.wo)
+    # (heads, s, s) logits scaled and masked in place: no second logits-sized array
+    logits = matmul(q, k.swapaxes(-1, -2))
+    logits *= float(1.0 / np.sqrt(c // heads))
+    logits += mask
+    ctx = matmul(softmax_lastdim(logits), v)
+    return matmul(merge_heads(ctx), p.wo)
 
 
 def _ffn(x: np.ndarray, p: BlockParams) -> np.ndarray:
@@ -547,10 +551,12 @@ def config_from_kv(kv: dict[str, str]) -> ModelConfig:
         f = known[name]
         if raw == "none":
             kwargs[name] = None
-        elif f.type in ("int", "int | None"):
-            kwargs[name] = int(raw)
-        elif f.type == "float":
-            kwargs[name] = float(raw)
+        elif f.type in ("int", "int | None", "float"):
+            convert = float if f.type == "float" else int
+            try:
+                kwargs[name] = convert(raw)
+            except ValueError:
+                raise ConfigError(f"config key {name} expects {convert.__name__}, got {raw!r}") from None
         elif f.type == "bool":
             if raw not in _BOOL_STRINGS:
                 raise ConfigError(f"boolean key {name} must be true/false, got {raw!r}")

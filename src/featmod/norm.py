@@ -11,12 +11,16 @@ for a pre-attention slot and a pre-FFN slot). The projection is constructed
 all-zero so a fresh model leaves the host stack untouched.
 
 Both paths carry hand-derived backward functions; ``gradcheck_viln`` checks
-them against central finite differences.
+them against central finite differences. ``central_differences`` perturbs
+every entry of an array up and down at once: it hands the caller's losses
+function the (2N, *arr.shape) stack of perturbed copies and expects 2N losses
+back, so the objective (``_viln_pipeline_loss`` here, the conditioner
+forwards in ``conditioning``) must broadcast over that leading axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,17 +94,20 @@ class DeltaProjection:
 
 
 def _normalize(x: np.ndarray, eps: float, mode: NormMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (xhat, mu, denom) with denom = population std + eps, per row."""
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ShapeError(f"expected (T, C) input, got {x.shape}")
+    """Returns (xhat, mu, denom) with denom = population std + eps, per row.
+
+    x is (..., T, C); leading batch axes pass through.
+    """
+    if x.ndim < 2 or x.shape[-1] < 1:
+        raise ShapeError(f"expected (..., T, C) input, got {x.shape}")
     if mode == "ln":
-        mu = x.mean(axis=1, keepdims=True)
+        mu = x.mean(axis=-1, keepdims=True)
     elif mode == "rms":
-        mu = np.zeros((x.shape[0], 1), dtype=x.dtype)
+        mu = np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)
     else:
         raise ConfigError(f"unknown norm mode {mode!r}")
     centered = x - mu
-    sigma = np.sqrt(np.mean(centered * centered, axis=1, keepdims=True))
+    sigma = np.sqrt(np.mean(centered * centered, axis=-1, keepdims=True))
     denom = sigma + eps
     return centered / denom, mu, denom
 
@@ -261,23 +268,22 @@ def random_viln_point(
     )
 
 
-def central_difference(loss_fn, arr: np.ndarray, eps_fd: float) -> np.ndarray:
+def central_differences(losses_fn, arr: np.ndarray, eps_fd: float) -> np.ndarray:
     """Central finite differences of a scalar loss w.r.t. every entry of arr.
 
-    Perturbs arr in place and restores it; loss_fn takes no arguments.
+    losses_fn receives one (2N, *arr.shape) stack, N = arr.size: copy i has
+    entry i raised by eps_fd and copy N + i has it lowered. It returns the 2N
+    losses, one per copy. arr itself is never written.
     """
-    grad = np.zeros_like(arr)
-    flat = arr.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.shape[0]):
-        orig = flat[i]
-        flat[i] = orig + eps_fd
-        up = loss_fn()
-        flat[i] = orig - eps_fd
-        down = loss_fn()
-        flat[i] = orig
-        gflat[i] = (up - down) / (2.0 * eps_fd)
-    return grad
+    n = arr.size
+    stack = np.repeat(arr.reshape(1, n), 2 * n, axis=0)
+    entries = np.arange(n)
+    stack[entries, entries] += eps_fd
+    stack[n + entries, entries] -= eps_fd
+    losses = np.asarray(losses_fn(stack.reshape((2 * n,) + arr.shape)))
+    if losses.shape != (2 * n,):
+        raise ShapeError(f"losses_fn returned shape {losses.shape}, expected ({2 * n},)")
+    return ((losses[:n] - losses[n:]) / (2.0 * eps_fd)).reshape(arr.shape)
 
 
 def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -288,27 +294,27 @@ def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(rel)) if rel.size else 0.0
 
 
-def _viln_pipeline_loss(point: VilnPoint, free_deltas: np.ndarray | None = None) -> float:
+def _viln_pipeline_loss(point: VilnPoint, free_deltas: np.ndarray | None = None) -> np.ndarray:
     """Sum of outputs of both modulated slots; the gradcheck objective.
 
     When free_deltas (T, 4C) is given it replaces the projected deltas so the
-    delta gradient itself can be finite-differenced.
+    delta gradient itself can be finite-differenced. Any array of the point,
+    or free_deltas, may carry one leading batch axis; the losses then come
+    back one per batch entry (a scalar otherwise). Unbatched, the slots are
+    exactly ``viln_apply`` with the deltas of ``project_deltas``.
     """
-    params = LNParams(point.alpha, point.beta, point.eps)
     if free_deltas is None:
-        proj = DeltaProjection(point.w, point.b)
-        deltas = project_deltas(point.cond, proj)
-    else:
-        c = point.alpha.shape[0]
-        deltas = ModulationDeltas(
-            d_alpha1=free_deltas[:, 0 * c:1 * c],
-            d_beta1=free_deltas[:, 1 * c:2 * c],
-            d_alpha2=free_deltas[:, 2 * c:3 * c],
-            d_beta2=free_deltas[:, 3 * c:4 * c],
-        )
-    out1 = viln_apply(point.x, deltas.slot(1), params, point.mode)
-    out2 = viln_apply(point.x, deltas.slot(2), params, point.mode)
-    return float(np.sum(out1) + np.sum(out2))
+        free_deltas = matmul(swish(point.cond), point.w) + point.b[..., None, :]
+    xhat, _, _ = _normalize(point.x, point.eps, point.mode)
+    alpha = point.alpha[..., None, :]
+    beta = point.beta[..., None, :]
+    c = point.x.shape[-1]
+    total = 0.0
+    for slot in (0, 2):  # [d_alpha1, d_beta1, d_alpha2, d_beta2] chunks
+        d_alpha = free_deltas[..., slot * c:(slot + 1) * c]
+        d_beta = free_deltas[..., (slot + 1) * c:(slot + 2) * c]
+        total = total + ((alpha + d_alpha) * xhat + (beta + d_beta)).sum(axis=(-2, -1))
+    return total
 
 
 def viln_pipeline_gradients(point: VilnPoint) -> dict[str, np.ndarray]:
@@ -346,12 +352,15 @@ def gradcheck_viln(point: VilnPoint, eps_fd: float = 1e-5) -> float:
     analytic = viln_pipeline_gradients(point)
     worst = 0.0
     for name in ("x", "alpha", "beta", "cond", "w", "b"):
-        arr = getattr(point, name)
-        numeric = central_difference(lambda: _viln_pipeline_loss(point), arr, eps_fd)
+        numeric = central_differences(
+            lambda stack: _viln_pipeline_loss(replace(point, **{name: stack})),
+            getattr(point, name),
+            eps_fd,
+        )
         worst = max(worst, relative_gradient_error(analytic[name], numeric))
     deltas = project_deltas(point.cond, DeltaProjection(point.w, point.b))
     flat = np.concatenate([*deltas.slot(1), *deltas.slot(2)], axis=1)
-    numeric = central_difference(lambda: _viln_pipeline_loss(point, flat), flat, eps_fd)
+    numeric = central_differences(lambda stack: _viln_pipeline_loss(point, stack), flat, eps_fd)
     worst = max(worst, relative_gradient_error(analytic["deltas"], numeric))
     if not np.isfinite(worst):
         raise NumericError("gradient check produced a non-finite error")

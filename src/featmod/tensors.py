@@ -8,14 +8,22 @@ raise ShapeError before any arithmetic runs.
 Seeded randomness uses numpy's PCG64 generator exclusively: equal seeds give
 bit-identical streams on every platform numpy supports.
 
+``matmul`` and ``depthwise_conv1d`` take leading batch axes that broadcast
+numpy-style: (..., m, k) @ (..., k, n) and (..., C, L) signals against
+(..., C, K) kernels, so multi-head attention is one batched product and a
+stack of perturbed copies runs in one call. Incompatible batch axes raise
+ShapeError before any arithmetic.
+
 A process-global multiply-accumulate counter can be armed with
-``count_macs()``; while armed, ``matmul`` and ``depthwise_conv1d`` record the
-MACs they perform. The analytic cost model is validated against forward
-passes traversed under this counter.
+``count_macs()``; while armed, ``matmul`` records ``out.size * k`` MACs and
+``depthwise_conv1d`` records ``out.size * K``, batch axes included. The
+analytic cost model is validated against forward passes traversed under this
+counter.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -84,15 +92,26 @@ def _check_finite(name: str, out: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Core ops
 
+def _batch_shape(op: str, a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
+    """Broadcast shape of the leading axes of two operands of rank >= 2."""
+    try:
+        return np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"{op} batch axes do not broadcast: {a.shape} vs {b.shape}") from None
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a 2-D (m, k) by a 2-D (k, n) array."""
+    """Matrix product (..., m, k) @ (..., k, n); leading batch axes broadcast."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul expects operands of at least 2-D, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    _record_macs(a.shape[0] * a.shape[1] * b.shape[1])
+    batch = 1
+    if a.ndim > 2 or b.ndim > 2:
+        batch = math.prod(_batch_shape("matmul", a, b))
+    _record_macs(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
     return _check_finite("matmul", out)
@@ -101,39 +120,43 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def softmax_lastdim(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, always max-subtracted for stability.
 
-    -inf entries (masked logits) map to exact zeros.
+    -inf entries (masked logits) map to exact zeros. The exponentials and the
+    normalization reuse the one shifted buffer, so attention-sized inputs
+    allocate a single output-sized array.
     """
     x = np.asarray(x)
     if x.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last axis")
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return _check_finite("softmax", e / np.sum(e, axis=-1, keepdims=True))
+    out = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True)
+    return _check_finite("softmax", out)
 
 
 def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Per-channel 1-D cross-correlation with same padding.
 
-    x: (C, L) signal, kernel: (C, K) with K odd. Output keeps length L;
-    K // 2 zeros are assumed on each side.
+    x: (..., C, L) signal, kernel: (..., C, K) with K odd; leading batch axes
+    broadcast. Output keeps length L; K // 2 zeros are assumed on each side.
     """
     x = np.asarray(x)
     kernel = np.asarray(kernel)
-    if x.ndim != 2 or kernel.ndim != 2:
-        raise ShapeError("depthwise_conv1d expects 2-D x and kernel")
-    if x.shape[0] != kernel.shape[0]:
+    if x.ndim < 2 or kernel.ndim < 2:
+        raise ShapeError(f"depthwise_conv1d expects x and kernel of at least 2-D, got {x.shape} / {kernel.shape}")
+    if x.shape[-2] != kernel.shape[-2]:
         raise ShapeError(f"channel counts differ: x {x.shape} kernel {kernel.shape}")
-    k = kernel.shape[1]
+    k = kernel.shape[-1]
     if k % 2 == 0:
         raise ConfigError(f"kernel width must be odd, got {k}")
-    channels, length = x.shape
+    batch = _batch_shape("depthwise_conv1d", x, kernel)
+    channels, length = x.shape[-2:]
     pad = k // 2
-    padded = np.zeros((channels, length + 2 * pad), dtype=x.dtype)
-    padded[:, pad:pad + length] = x
-    out = np.zeros_like(x)
+    padded = np.zeros(x.shape[:-1] + (length + 2 * pad,), dtype=x.dtype)
+    padded[..., pad:pad + length] = x
+    out = np.zeros(batch + (channels, length), dtype=x.dtype)
     for j in range(k):
-        out += kernel[:, j:j + 1] * padded[:, j:j + length]
-    _record_macs(channels * length * k)
+        out += kernel[..., j:j + 1] * padded[..., j:j + length]
+    _record_macs(out.size * k)
     return _check_finite("depthwise_conv1d", out)
 
 
@@ -176,6 +199,19 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf
+
+
+def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """View (..., n, C) as (..., heads, n, C // heads); head h holds channels
+    h*dk..(h+1)*dk, the column block a per-head loop would slice."""
+    *batch, n, channels = x.shape
+    return x.reshape(*batch, n, heads, channels // heads).swapaxes(-3, -2)
+
+
+def merge_heads(x: np.ndarray) -> np.ndarray:
+    """Inverse of split_heads: (..., heads, n, dk) to (..., n, heads * dk)."""
+    *batch, heads, n, dk = x.shape
+    return x.swapaxes(-3, -2).reshape(*batch, n, heads * dk)
 
 
 def sinusoid_positions(positions: np.ndarray | list[int], dim: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,34 @@ class TestErrors:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be >= 1" in err
+
+    @pytest.mark.parametrize("argv, config", [
+        (["forward", "--seed", "-1", "--out", "{tmp}"], None),
+        (["equivalence", "--seed", "-1"], None),
+        (["equivalence", "--config", "{cfg}"], "seed=1.5"),
+        (["equivalence", "--config", "{cfg}"], "frequency=abc"),
+        (["equivalence", "--config", "{cfg}"], "eps=nan"),
+        (["forward", "--config", "{cfg}", "--out", "{tmp}"], "eps=inf"),
+        (["diagnose", "--config", "{cfg}", "--out", "{tmp}"], "seed=-2"),
+        (["forward", "--image-size", "0", "--out", "{tmp}"], None),
+        (["forward", "--patch", "0", "--out", "{tmp}"], None),
+        (["forward", "--frames", "-1", "--out", "{tmp}"], None),
+    ])
+    def test_bad_input_exits_two_with_one_line(self, argv, config, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        if config is not None:
+            cfg.write_text(config + "\n")
+        argv = [arg.format(tmp=tmp_path / "run", cfg=cfg) for arg in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_weights_without_config_exits_two(self, tmp_path):
         assert main([

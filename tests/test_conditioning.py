@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from featmod.conditioning import (
     cond_conv_pertoken,
     cond_mlp,
     cond_mlp_pertoken,
+    _FORWARDS,
+    _PARAM_FIELDS,
     default_heads,
     gradcheck_conditioner,
 )
@@ -201,6 +205,41 @@ class TestSharedContracts:
     def test_default_heads_rule(self):
         assert default_heads(64) == 8
         assert default_heads(32) == 1
+
+
+class TestBatchedForwards:
+    """The forwards broadcast over a leading axis on any one operand, which
+    is what the finite-difference check feeds them."""
+
+    CASES = {
+        "mlp": lambda rng: MlpCondParams.init(rng, 6, 4, 2, 2, std=0.3),
+        "conv": lambda rng: ConvCondParams.init(rng, 6, kernel=5, std=0.3),
+        "attn": lambda rng: AttnCondParams.init(rng, 6, heads=2, std=0.3),
+    }
+
+    @pytest.mark.parametrize("kind, operand", [
+        (kind, operand) for kind in ("mlp", "conv", "attn") for operand in ("t", "v", *_PARAM_FIELDS[kind])
+    ])
+    def test_stacked_operand_equals_slices(self, kind, operand):
+        rng, t, visual = random_case(40, tokens=3, vis=4, channels=6)
+        p = self.CASES[kind](rng)
+        operands = {"t": t, "v": visual.v}
+        base = operands[operand] if operand in operands else getattr(p, operand)
+        stack = base + rng.normal(scale=0.1, size=(3,) + base.shape)
+
+        def run(value):
+            args = dict(operands)
+            params = p
+            if operand in args:
+                args[operand] = value
+            else:
+                params = replace(p, **{operand: value})
+            return _FORWARDS[kind](args["t"], args["v"], params)[0]
+
+        batched = run(stack)
+        assert batched.shape == (3,) + t.shape
+        for i in range(3):
+            assert np.max(np.abs(batched[i] - run(stack[i]))) <= 1e-12
 
 
 class TestGradchecks:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from featmod.norm import (
     DeltaProjection,
     LNParams,
+    _viln_pipeline_loss,
+    central_differences,
     gradcheck_viln,
     layer_norm,
     project_deltas,
@@ -176,6 +180,34 @@ class TestGradcheck:
         point = random_viln_point(rng, eps=1e-2)
         point.x[:] = 3.0
         assert gradcheck_viln(point, eps_fd=1e-7) <= 1e-4
+
+    def test_central_differences_closed_form(self):
+        rng = make_rng(12)
+        arr = rng.normal(size=(3, 4))
+        before = arr.copy()
+        numeric = central_differences(
+            lambda stack: np.sum(np.sin(stack) * stack**2, axis=(1, 2)), arr, 1e-5
+        )
+        exact = np.cos(arr) * arr**2 + 2.0 * arr * np.sin(arr)
+        assert numeric.shape == arr.shape
+        assert np.max(np.abs(numeric - exact)) <= 1e-8
+        assert np.array_equal(arr, before)
+
+    def test_objective_is_both_viln_slots_and_broadcasts(self):
+        rng = make_rng(13)
+        point = random_viln_point(rng)
+        params = LNParams(point.alpha, point.beta, point.eps)
+        deltas = project_deltas(point.cond, DeltaProjection(point.w, point.b))
+        slots = viln_apply(point.x, deltas.slot(1), params) + viln_apply(point.x, deltas.slot(2), params)
+        assert abs(_viln_pipeline_loss(point) - np.sum(slots)) <= 1e-12
+        for name in ("x", "alpha", "beta", "cond", "w", "b"):
+            arr = getattr(point, name)
+            stack = arr + rng.normal(scale=0.1, size=(3,) + arr.shape)
+            batched = _viln_pipeline_loss(replace(point, **{name: stack}))
+            assert batched.shape == (3,)
+            for i in range(3):
+                single = _viln_pipeline_loss(replace(point, **{name: stack[i]}))
+                assert abs(batched[i] - single) <= 1e-12
 
     def test_eps_fd_range_enforced(self):
         rng = make_rng(11)

@@ -12,9 +12,11 @@ from featmod.tensors import (
     load_tensors,
     make_rng,
     matmul,
+    merge_heads,
     save_tensors,
     sinusoid_positions,
     softmax_lastdim,
+    split_heads,
     swish,
 )
 
@@ -69,6 +71,44 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((4, 5, 3), (4, 3, 6)),
+        ((4, 5, 3), (3, 6)),
+        ((5, 3), (4, 3, 6)),
+        ((2, 1, 5, 3), (4, 3, 6)),
+    ])
+    def test_batched_equals_per_slice_products(self, a_shape, b_shape):
+        rng = make_rng(5)
+        a = rng.normal(size=a_shape)
+        b = rng.normal(size=b_shape)
+        out = matmul(a, b)
+        batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+        assert out.shape == batch + (a_shape[-2], b_shape[-1])
+        a_full = np.broadcast_to(a, batch + a_shape[-2:])
+        b_full = np.broadcast_to(b, batch + b_shape[-2:])
+        for idx in np.ndindex(*batch):
+            assert np.array_equal(out[idx], matmul(a_full[idx], b_full[idx]))
+
+    def test_head_views_equal_column_slices(self):
+        rng = make_rng(6)
+        q = rng.normal(size=(7, 12))
+        k = rng.normal(size=(5, 12))
+        logits = matmul(split_heads(q, 3), split_heads(k, 3).swapaxes(-1, -2))
+        for h in range(3):
+            sl = slice(4 * h, 4 * (h + 1))
+            assert np.array_equal(logits[h], matmul(q[:, sl], k[:, sl].T))
+        assert np.array_equal(merge_heads(split_heads(q, 3)), q)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4), (3, 4, 5)),
+        ((3,), (3, 4)),
+        ((2, 3), (3,)),
+        ((), (1, 1)),
+    ])
+    def test_bad_batch_or_rank_is_shape_error(self, a_shape, b_shape):
+        with pytest.raises(ShapeError):
+            matmul(np.zeros(a_shape), np.zeros(b_shape))
 
     def test_rejects_nonfinite_result(self):
         big = np.full((2, 2), 1e308)
@@ -129,6 +169,29 @@ class TestDepthwiseConv:
         with pytest.raises(ConfigError):
             depthwise_conv1d(np.zeros((1, 4)), np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("x_shape, k_shape", [
+        ((3, 4, 9), (4, 5)),
+        ((4, 9), (3, 4, 5)),
+        ((2, 1, 4, 9), (3, 4, 5)),
+    ])
+    def test_batched_equals_per_slice_calls(self, x_shape, k_shape):
+        rng = make_rng(7)
+        x = rng.normal(size=x_shape)
+        kernel = rng.normal(size=k_shape)
+        out = depthwise_conv1d(x, kernel)
+        batch = np.broadcast_shapes(x_shape[:-2], k_shape[:-2])
+        assert out.shape == batch + x_shape[-2:]
+        x_full = np.broadcast_to(x, batch + x_shape[-2:])
+        k_full = np.broadcast_to(kernel, batch + k_shape[-2:])
+        for idx in np.ndindex(*batch):
+            assert np.array_equal(out[idx], depthwise_conv1d(x_full[idx], k_full[idx]))
+
+    def test_bad_batch_or_rank_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            depthwise_conv1d(np.zeros((2, 4, 9)), np.zeros((3, 4, 3)))
+        with pytest.raises(ShapeError):
+            depthwise_conv1d(np.zeros(9), np.zeros((1, 3)))
+
     @given(st.integers(min_value=0, max_value=2**31))
     def test_linearity(self, seed):
         rng = make_rng(seed)
@@ -175,6 +238,17 @@ class TestMacCounting:
         with count_macs() as counter:
             depthwise_conv1d(np.zeros((2, 7)), np.zeros((2, 3)))
         assert counter.macs == 2 * 7 * 3
+
+    def test_batched_macs(self):
+        with count_macs() as counter:
+            matmul(np.zeros((6, 3, 4)), np.zeros((4, 5)))
+        assert counter.macs == 6 * 3 * 4 * 5
+        with count_macs() as counter:
+            matmul(np.zeros((2, 1, 3, 4)), np.zeros((6, 4, 5)))
+        assert counter.macs == 2 * 6 * 3 * 4 * 5
+        with count_macs() as counter:
+            depthwise_conv1d(np.zeros((5, 2, 7)), np.zeros((2, 3)))
+        assert counter.macs == 5 * 2 * 7 * 3
 
     def test_disarmed_outside_context(self):
         with count_macs() as counter:
