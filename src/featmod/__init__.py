@@ -28,10 +28,6 @@ from .model import (
     ModelConfig,
     base_twin,
     forward,
-    forward_base,
-    forward_crossattn,
-    forward_fmi,
-    forward_incontext,
     init_model,
     load_model,
     save_model,

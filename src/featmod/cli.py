@@ -131,7 +131,15 @@ def _build_model(args, cfg: ModelConfig, visual: VisualContext | None) -> Model:
     if args.weights:
         if not args.config:
             raise ConfigError("--weights requires --config")
-        return load_model(args.config, args.weights)
+        model = load_model(args.config, args.weights)
+        for name in ("paradigm", "frequency", "location"):
+            flag = getattr(args, name, None)
+            if flag is not None and flag != getattr(model.cfg, name):
+                raise ConfigError(
+                    f"--{name} {flag} disagrees with the stored {name} "
+                    f"{getattr(model.cfg, name)} of --weights"
+                )
+        return model
     if (
         cfg.paradigm == "fmi"
         and cfg.cond_kind == "mlp"
@@ -151,10 +159,10 @@ def _write_meta(out_dir: Path, entries: dict[str, str]) -> None:
 
 def cmd_forward(args) -> int:
     cfg = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     visual = None if cfg.paradigm == "base" else _synthetic_visual(cfg, args)
     model = _build_model(args, cfg, visual)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rng = make_rng(args.seed if args.seed is not None else cfg.seed)
     t_emb = rng.normal(size=(args.tokens, cfg.C))
     capture = ForwardCapture()
@@ -244,12 +252,12 @@ def cmd_diagnose(args) -> int:
     cfg = _load_config(args)
     if cfg.paradigm != "fmi":
         cfg = replace(cfg, paradigm="fmi")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.seed
     rng = make_rng(seed + 2)
     visual = VisualContext(rng.normal(size=(args.visual_tokens, cfg.C)), "synthetic")
     model = _build_model(args, cfg, visual)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if not args.weights:
         randomize_modulation(model, make_rng(seed + 3))
     t_emb = rng.normal(size=(args.tokens, cfg.C))

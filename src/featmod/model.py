@@ -331,14 +331,6 @@ def _ffn(x: np.ndarray, p: BlockParams) -> np.ndarray:
     return matmul(gelu(matmul(x, p.w1) + p.b1), p.w2) + p.b2
 
 
-def block_forward_base(h: np.ndarray, p: BlockParams, cfg: ModelConfig) -> np.ndarray:
-    """Pre-norm block: h + Att(LN1(h)), then h + FFN(LN2(h))."""
-    normed1, _ = layer_norm(h, p.ln1, cfg.norm_mode)
-    h = h + _causal_self_attention(normed1, p, cfg.h)
-    normed2, _ = layer_norm(h, p.ln2, cfg.norm_mode)
-    return h + _ffn(normed2, p)
-
-
 def _masked_deltas(deltas, cfg: ModelConfig):
     d_a1, d_b1 = deltas.slot(1)
     d_a2, d_b2 = deltas.slot(2)
@@ -351,125 +343,49 @@ def _masked_deltas(deltas, cfg: ModelConfig):
     return (d_a1, d_b1), (d_a2, d_b2)
 
 
-def block_forward_fmi(
+def _slot_norm(
+    x: np.ndarray,
+    ln: LNParams,
+    deltas: tuple[np.ndarray, np.ndarray] | None,
+    cfg: ModelConfig,
+    pairs: list[tuple[np.ndarray, np.ndarray]] | None,
+) -> np.ndarray:
+    """One normalization slot: plain without deltas, modulated with them."""
+    if deltas is None:
+        return layer_norm(x, ln, cfg.norm_mode)[0]
+    out = viln_apply(x, deltas, ln, cfg.norm_mode)
+    if pairs is not None:
+        pairs.append((layer_norm(x, ln, cfg.norm_mode)[0], out))
+    return out
+
+
+def block_forward(
     h: np.ndarray,
-    visual: VisualContext,
     p: BlockParams,
     cfg: ModelConfig,
-    capture: ForwardCapture | None = None,
-    layer: int | None = None,
+    visual: VisualContext | None = None,
+    pairs: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> np.ndarray:
-    """Modulated block: conditions on the incoming hidden states and applies
-    the projected deltas at the normalization slots enabled by the config."""
-    if p.delta_proj is None or p.cond_params is None:
-        raise ConfigError("block is in the layer plan but has no conditioner attached")
-    cond = apply_conditioner(cfg.cond_kind, h, visual, p.cond_params)
-    slot1, slot2 = _masked_deltas(project_deltas(cond, p.delta_proj), cfg)
+    """Pre-norm block: h + Att(N1(h)), then h + FFN(N2(h)).
 
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    if cfg.modulate_attn:
-        normed1 = viln_apply(h, slot1, p.ln1, cfg.norm_mode)
-        if capture is not None:
-            pairs.append((layer_norm(h, p.ln1, cfg.norm_mode)[0], normed1))
-    else:
-        normed1, _ = layer_norm(h, p.ln1, cfg.norm_mode)
-    h = h + _causal_self_attention(normed1, p, cfg.h)
-
-    if cfg.modulate_ffn:
-        normed2 = viln_apply(h, slot2, p.ln2, cfg.norm_mode)
-        if capture is not None:
-            pairs.append((layer_norm(h, p.ln2, cfg.norm_mode)[0], normed2))
-    else:
-        normed2, _ = layer_norm(h, p.ln2, cfg.norm_mode)
-    out = h + _ffn(normed2, p)
-
-    if capture is not None and layer is not None:
-        capture.modulation[layer] = pairs
-    return out
+    With visual input the block is modulated: it conditions on the incoming
+    hidden states, projects per-token affine deltas and applies them at the
+    normalization slots the config enables. pairs, when given, receives the
+    (plain, modulated) output of every modulated slot.
+    """
+    slot1 = slot2 = None
+    if visual is not None:
+        cond = apply_conditioner(cfg.cond_kind, h, visual, p.cond_params)
+        slot1, slot2 = _masked_deltas(project_deltas(cond, p.delta_proj), cfg)
+        slot1 = slot1 if cfg.modulate_attn else None
+        slot2 = slot2 if cfg.modulate_ffn else None
+    h = h + _causal_self_attention(_slot_norm(h, p.ln1, slot1, cfg, pairs), p, cfg.h)
+    return h + _ffn(_slot_norm(h, p.ln2, slot2, cfg, pairs), p)
 
 
 def _insert_forward(h: np.ndarray, visual: VisualContext, ins: InsertParams) -> np.ndarray:
     h = h + cond_attn(h, visual, ins.attn)
     return h + (matmul(gelu(matmul(h, ins.w1) + ins.b1), ins.w2) + ins.b2)
-
-
-def _add_positions(x: np.ndarray) -> np.ndarray:
-    return x + sinusoid_positions(np.arange(x.shape[0]), x.shape[1]).astype(x.dtype)
-
-
-def forward_base(model: Model, t_emb: np.ndarray, capture: ForwardCapture | None = None) -> np.ndarray:
-    h = _add_positions(t_emb)
-    for p in model.blocks:
-        h = block_forward_base(h, p, model.cfg)
-        if capture is not None:
-            capture.hidden.append(h.copy())
-    return h
-
-
-def forward_fmi(
-    model: Model,
-    t_emb: np.ndarray,
-    visual: VisualContext,
-    capture: ForwardCapture | None = None,
-) -> np.ndarray:
-    """Run all blocks at sequence length T; planned blocks modulate."""
-    if model.cfg.paradigm != "fmi":
-        raise ConfigError(f"model paradigm is {model.cfg.paradigm!r}, expected fmi")
-    h = _add_positions(t_emb)
-    for l, p in enumerate(model.blocks):
-        if l in model.plan:
-            h = block_forward_fmi(h, visual, p, model.cfg, capture, l)
-        else:
-            h = block_forward_base(h, p, model.cfg)
-        if capture is not None:
-            capture.hidden.append(h.copy())
-    return h
-
-
-def forward_incontext(
-    model: Model,
-    t_emb: np.ndarray,
-    visual: VisualContext | None,
-    capture: ForwardCapture | None = None,
-) -> np.ndarray:
-    """Prefix the connected visual tokens; output keeps length V + T.
-
-    With no visual input the prefix is empty and the pass degenerates to the
-    base stack.
-    """
-    if model.cfg.paradigm != "incontext":
-        raise ConfigError(f"model paradigm is {model.cfg.paradigm!r}, expected incontext")
-    if visual is None:
-        h = _add_positions(t_emb)
-    else:
-        prefix = matmul(visual.v, model.connector_w) + model.connector_b
-        h = _add_positions(np.concatenate([prefix, t_emb], axis=0))
-    for p in model.blocks:
-        h = block_forward_base(h, p, model.cfg)
-        if capture is not None:
-            capture.hidden.append(h.copy())
-    return h
-
-
-def forward_crossattn(
-    model: Model,
-    t_emb: np.ndarray,
-    visual: VisualContext,
-    capture: ForwardCapture | None = None,
-) -> np.ndarray:
-    """Planned blocks are preceded by the inserted interaction module."""
-    if model.cfg.paradigm != "crossattn":
-        raise ConfigError(f"model paradigm is {model.cfg.paradigm!r}, expected crossattn")
-    h = _add_positions(t_emb)
-    for l, p in enumerate(model.blocks):
-        if l in model.plan:
-            if p.insert is None:
-                raise ConfigError("block is in the layer plan but has no insert attached")
-            h = _insert_forward(h, visual, p.insert)
-        h = block_forward_base(h, p, model.cfg)
-        if capture is not None:
-            capture.hidden.append(h.copy())
-    return h
 
 
 def forward(
@@ -478,18 +394,38 @@ def forward(
     visual: VisualContext | None = None,
     capture: ForwardCapture | None = None,
 ) -> np.ndarray:
-    paradigm = model.cfg.paradigm
-    if paradigm == "base":
-        return forward_base(model, t_emb, capture)
-    if paradigm == "incontext":
-        return forward_incontext(model, t_emb, visual, capture)
-    if visual is None:
-        raise ConfigError(f"paradigm {paradigm!r} requires visual input")
-    if paradigm == "fmi":
-        return forward_fmi(model, t_emb, visual, capture)
-    if paradigm == "crossattn":
-        return forward_crossattn(model, t_emb, visual, capture)
-    raise ConfigError(f"unknown paradigm {paradigm!r}")
+    """Run the block stack over the text embeddings, one loop for every paradigm.
+
+    The paradigm decides three things: incontext prefixes the connected
+    visual tokens (output length V + T; no visual input, no prefix), and on
+    each planned block crossattn runs the inserted interaction module first
+    while fmi modulates the block's normalization slots. Positions are added
+    after the prefix.
+    """
+    cfg = model.cfg
+    if visual is None and cfg.paradigm in ("fmi", "crossattn"):
+        raise ConfigError(f"paradigm {cfg.paradigm!r} requires visual input")
+    h = t_emb
+    if cfg.paradigm == "incontext" and visual is not None:
+        prefix = matmul(visual.v, model.connector_w) + model.connector_b
+        h = np.concatenate([prefix, t_emb], axis=0)
+    h = h + sinusoid_positions(np.arange(h.shape[0]), h.shape[1]).astype(h.dtype)
+    for l, p in enumerate(model.blocks):
+        block_visual = pairs = None
+        if l in model.plan and cfg.paradigm == "crossattn":
+            if p.insert is None:
+                raise ConfigError("block is in the layer plan but has no insert attached")
+            h = _insert_forward(h, visual, p.insert)
+        elif l in model.plan:  # fmi
+            if p.delta_proj is None or p.cond_params is None:
+                raise ConfigError("block is in the layer plan but has no conditioner attached")
+            block_visual = visual
+            if capture is not None:
+                pairs = capture.modulation[l] = []
+        h = block_forward(h, p, cfg, block_visual, pairs)
+        if capture is not None:
+            capture.hidden.append(h.copy())
+    return h
 
 
 def base_twin(model: Model) -> Model:

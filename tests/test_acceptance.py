@@ -37,8 +37,7 @@ from featmod.model import (
     ModelConfig,
     base_twin,
     cast_model,
-    forward_base,
-    forward_fmi,
+    forward,
     init_model,
     select_layers,
 )
@@ -73,14 +72,14 @@ def test_criterion_01_zero_init_equivalence():
     rng = make_rng(102)
     t_emb = rng.normal(size=(16, cfg.C))
     visual = VisualContext(rng.normal(size=(8, cfg.C)), "synthetic")
-    double_diff = float(np.max(np.abs(forward_fmi(model, t_emb, visual) - forward_base(base, t_emb))))
+    double_diff = float(np.max(np.abs(forward(model, t_emb, visual) - forward(base, t_emb))))
     assert double_diff == 0.0
 
     m32 = cast_model(model, np.float32)
     b32 = cast_model(base, np.float32)
     single_diff = float(np.max(np.abs(
-        forward_fmi(m32, t_emb.astype(np.float32), VisualContext(visual.v.astype(np.float32), "synthetic"))
-        - forward_base(b32, t_emb.astype(np.float32))
+        forward(m32, t_emb.astype(np.float32), VisualContext(visual.v.astype(np.float32), "synthetic"))
+        - forward(b32, t_emb.astype(np.float32))
     )))
     assert single_diff <= 1e-6
     clock.done(1, f"double diff {double_diff}, single diff {single_diff:.2e}")

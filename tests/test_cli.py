@@ -177,12 +177,20 @@ class TestErrors:
         (["forward", "--image-size", "0", "--out", "{tmp}"], None),
         (["forward", "--patch", "0", "--out", "{tmp}"], None),
         (["forward", "--frames", "-1", "--out", "{tmp}"], None),
+        (["forward", "--config", "{cfg}", "--weights", "{weights}", "--paradigm", "incontext", "--out", "{tmp}"], None),
+        (["forward", "--config", "{cfg}", "--weights", "{weights}", "--paradigm", "base", "--out", "{tmp}"], None),
+        (["forward", "--config", "{cfg}", "--weights", "{weights}", "--frequency", "0.25", "--out", "{tmp}"], None),
+        (["forward", "--config", "{cfg}", "--weights", "{weights}", "--location", "deep", "--out", "{tmp}"], None),
+        (["diagnose", "--config", "{cfg}", "--weights", "{weights}", "--location", "deep", "--out", "{tmp}"], None),
     ])
     def test_bad_input_exits_two_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         if config is not None:
             cfg.write_text(config + "\n")
-        argv = [arg.format(tmp=tmp_path / "run", cfg=cfg) for arg in argv]
+        weights = tmp_path / "model.manifest"
+        if "{weights}" in argv:
+            save_model(init_model(write_config(tmp_path)[0]), cfg, weights)
+        argv = [arg.format(tmp=tmp_path / "run", cfg=cfg, weights=weights) for arg in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -193,6 +201,17 @@ class TestErrors:
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    def test_stored_model_accepts_agreeing_flags_and_seed(self, tmp_path):
+        cfg, cfg_path = write_config(tmp_path)
+        save_model(init_model(cfg), cfg_path, tmp_path / "model.manifest")
+        out_dir = tmp_path / "run"
+        assert main([
+            "forward", "--config", str(cfg_path), "--weights", str(tmp_path / "model.manifest"),
+            "--paradigm", "fmi", "--frequency", "0.5", "--location", "uniform", "--seed", "9",
+            "--out", str(out_dir), "--tokens", "4", "--image-size", "28", "--patch", "14",
+        ]) == 0
+        assert read_kv(out_dir / "run.meta")["seed"] == "9"
 
     def test_weights_without_config_exits_two(self, tmp_path):
         assert main([

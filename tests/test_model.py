@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
-from featmod.conditioning import VisualContext, attn_oracle
+from featmod.conditioning import VisualContext, apply_conditioner, attn_oracle
 from featmod.model import (
     ForwardCapture,
     ModelConfig,
+    _causal_self_attention,
+    _ffn,
     base_twin,
-    block_forward_base,
-    block_forward_fmi,
+    block_forward,
     cast_model,
     config_from_kv,
     config_to_kv,
     forward,
-    forward_base,
-    forward_crossattn,
-    forward_fmi,
-    forward_incontext,
     init_model,
     load_model,
     model_tensors,
@@ -24,6 +21,7 @@ from featmod.model import (
     save_model,
     select_layers,
 )
+from featmod.norm import layer_norm, project_deltas, viln_apply
 from featmod.tensors import ConfigError, gelu, make_rng, sinusoid_positions
 
 
@@ -117,14 +115,14 @@ class TestBaseBlock:
         p.w2[:] = 0.0
         rng = make_rng(0)
         h = rng.normal(size=(5, cfg.C))
-        assert np.array_equal(block_forward_base(h, p, cfg), h)
+        assert np.array_equal(block_forward(h, p, cfg), h)
 
     def test_single_position_is_value_path(self):
         cfg = small_cfg(paradigm="base")
         p = init_model(cfg).blocks[1]
         rng = make_rng(1)
         h = rng.normal(size=(1, cfg.C))
-        out = block_forward_base(h, p, cfg)
+        out = block_forward(h, p, cfg)
         assert np.allclose(out, naive_block_reference(h, p, cfg.h, cfg.eps), atol=1e-12)
 
     def test_matches_naive_reference(self):
@@ -133,7 +131,7 @@ class TestBaseBlock:
         rng = make_rng(2)
         h = rng.normal(size=(7, cfg.C))
         for p in model.blocks:
-            ours = block_forward_base(h, p, cfg)
+            ours = block_forward(h, p, cfg)
             ref = naive_block_reference(h, p, cfg.h, cfg.eps)
             assert np.max(np.abs(ours - ref)) < 1e-10
             h = ours
@@ -144,7 +142,7 @@ class TestBaseBlock:
         rng = make_rng(3)
         h = rng.normal(size=(4, cfg.C))
         ref = naive_block_reference(h, p, cfg.h, cfg.eps, mode="rms")
-        assert np.max(np.abs(block_forward_base(h, p, cfg) - ref)) < 1e-10
+        assert np.max(np.abs(block_forward(h, p, cfg) - ref)) < 1e-10
 
 
 class TestZeroInitEquivalence:
@@ -153,7 +151,7 @@ class TestZeroInitEquivalence:
         model = init_model(cfg)
         base = base_twin(model)
         t_emb, visual = make_inputs(cfg, tokens=16)
-        diff = np.abs(forward_fmi(model, t_emb, visual) - forward_base(base, t_emb))
+        diff = np.abs(forward(model, t_emb, visual) - forward(base, t_emb))
         assert np.max(diff) == 0.0
 
     def test_single_precision_within_1e6(self):
@@ -163,8 +161,8 @@ class TestZeroInitEquivalence:
         t_emb, visual = make_inputs(cfg, tokens=16)
         t32 = t_emb.astype(np.float32)
         v32 = VisualContext(visual.v.astype(np.float32), "synthetic")
-        out = forward_fmi(model, t32, v32)
-        ref = forward_base(base, t32)
+        out = forward(model, t32, v32)
+        ref = forward(base, t32)
         assert out.dtype == np.float32
         assert np.max(np.abs(out - ref)) <= 1e-6
 
@@ -173,14 +171,14 @@ class TestZeroInitEquivalence:
             cfg = small_cfg(cond_kind=kind, cond_visual_tokens=6 if kind == "mlp" else None)
             model = init_model(cfg)
             t_emb, visual = make_inputs(cfg)
-            diff = np.abs(forward_fmi(model, t_emb, visual) - forward_base(base_twin(model), t_emb))
+            diff = np.abs(forward(model, t_emb, visual) - forward(base_twin(model), t_emb))
             assert np.max(diff) == 0.0
 
     def test_crossattn_zero_init_equals_base(self):
         cfg = small_cfg(paradigm="crossattn")
         model = init_model(cfg)
         t_emb, visual = make_inputs(cfg)
-        diff = np.abs(forward_crossattn(model, t_emb, visual) - forward_base(base_twin(model), t_emb))
+        diff = np.abs(forward(model, t_emb, visual) - forward(base_twin(model), t_emb))
         assert np.max(diff) == 0.0
 
 
@@ -190,7 +188,7 @@ class TestFmiForward:
         model = init_model(cfg)
         t_emb, visual = make_inputs(cfg, tokens=9, vis=13)
         capture = ForwardCapture()
-        out = forward_fmi(model, t_emb, visual, capture)
+        out = forward(model, t_emb, visual, capture)
         assert out.shape == (9, cfg.C)
         assert all(h.shape == (9, cfg.C) for h in capture.hidden)
 
@@ -203,20 +201,20 @@ class TestFmiForward:
         model = init_model(cfg)
         randomize_modulation(model, make_rng(7), scale=0.2)
         t_emb, visual = make_inputs(cfg)
-        base_out = forward_base(base_twin(model), t_emb)
-        out = forward_fmi(model, t_emb, visual)
+        base_out = forward(base_twin(model), t_emb)
+        out = forward(model, t_emb, visual)
         assert np.max(np.abs(out - base_out)) > 1e-6
         zero_v = VisualContext(np.zeros_like(visual.v), "synthetic")
-        out_zero = forward_fmi(model, t_emb, zero_v)
+        out_zero = forward(model, t_emb, zero_v)
         assert np.max(np.abs(out - out_zero)) > 1e-9
-        assert np.array_equal(forward_fmi(model, t_emb, visual), out)
+        assert np.array_equal(forward(model, t_emb, visual), out)
 
     def test_delta_flags_disable_modulation_exactly(self):
         cfg = small_cfg(use_delta_alpha=False, use_delta_beta=False)
         model = init_model(cfg)
         randomize_modulation(model, make_rng(8), scale=0.2)
         t_emb, visual = make_inputs(cfg)
-        diff = np.abs(forward_fmi(model, t_emb, visual) - forward_base(base_twin(model), t_emb))
+        diff = np.abs(forward(model, t_emb, visual) - forward(base_twin(model), t_emb))
         assert np.max(diff) == 0.0
 
     def test_sublayer_flags_change_behavior(self):
@@ -230,16 +228,40 @@ class TestFmiForward:
             model = init_model(cfg)
             randomize_modulation(model, make_rng(9), scale=0.2)
             t_emb, visual = make_inputs(cfg)
-            outs[name] = forward_fmi(model, t_emb, visual)
+            outs[name] = forward(model, t_emb, visual)
         assert np.max(np.abs(outs["attn_only"] - outs["ffn_only"])) > 1e-9
         assert np.max(np.abs(outs["attn_only"] - outs["both"])) > 1e-9
 
     def test_missing_conditioner_rejected(self):
-        cfg = small_cfg(paradigm="base")
+        model = init_model(small_cfg())
+        model.blocks[model.plan.modulated[0]].delta_proj = None
+        t_emb, visual = make_inputs(model.cfg)
+        with pytest.raises(ConfigError, match="no conditioner attached"):
+            forward(model, t_emb, visual)
+
+    @pytest.mark.parametrize("kind", ["attn", "conv", "mlp"])
+    @pytest.mark.parametrize("modulate_attn, modulate_ffn", [(True, True), (True, False), (False, True)])
+    def test_matches_composition_reference(self, kind, modulate_attn, modulate_ffn):
+        cfg = small_cfg(
+            cond_kind=kind, cond_visual_tokens=6, modulate_attn=modulate_attn, modulate_ffn=modulate_ffn
+        )
         model = init_model(cfg)
+        randomize_modulation(model, make_rng(15), scale=0.2)
         t_emb, visual = make_inputs(cfg)
-        with pytest.raises(ConfigError):
-            block_forward_fmi(t_emb, visual, model.blocks[0], cfg)
+
+        def norm(x, ln, deltas):
+            return layer_norm(x, ln)[0] if deltas is None else viln_apply(x, deltas, ln)
+
+        h = t_emb + sinusoid_positions(np.arange(t_emb.shape[0]), cfg.C)
+        for l, p in enumerate(model.blocks):
+            slot1 = slot2 = None
+            if l in model.plan:
+                deltas = project_deltas(apply_conditioner(kind, h, visual, p.cond_params), p.delta_proj)
+                slot1 = deltas.slot(1) if modulate_attn else None
+                slot2 = deltas.slot(2) if modulate_ffn else None
+            h = h + _causal_self_attention(norm(h, p.ln1, slot1), p, cfg.h)
+            h = h + _ffn(norm(h, p.ln2, slot2), p)
+        assert np.array_equal(forward(model, t_emb, visual), h)
 
 
 class TestInContext:
@@ -248,7 +270,7 @@ class TestInContext:
         model = init_model(cfg)
         t_emb, visual = make_inputs(cfg, tokens=7, vis=5)
         capture = ForwardCapture()
-        out = forward_incontext(model, t_emb, visual, capture)
+        out = forward(model, t_emb, visual, capture)
         assert out.shape == (12, cfg.C)
         assert all(h.shape == (12, cfg.C) for h in capture.hidden)
 
@@ -256,27 +278,27 @@ class TestInContext:
         cfg = small_cfg(paradigm="incontext")
         model = init_model(cfg)
         t_emb, visual = make_inputs(cfg, tokens=6, vis=4)
-        out_a = forward_incontext(model, t_emb, visual)
+        out_a = forward(model, t_emb, visual)
         perturbed = VisualContext(visual.v + 0.5, "synthetic")
-        out_b = forward_incontext(model, t_emb, perturbed)
+        out_b = forward(model, t_emb, perturbed)
         assert np.max(np.abs(out_a[4:] - out_b[4:])) > 1e-9
 
     def test_no_prefix_degenerates_to_base_stack(self):
         cfg = small_cfg(paradigm="incontext")
         model = init_model(cfg)
         t_emb, _ = make_inputs(cfg)
-        out = forward_incontext(model, t_emb, None)
-        ref = forward_base(base_twin(model), t_emb)
+        out = forward(model, t_emb, None)
+        ref = forward(base_twin(model), t_emb)
         assert np.array_equal(out, ref)
 
     def test_causality_over_combined_sequence(self):
         cfg = small_cfg(paradigm="incontext")
         model = init_model(cfg)
         t_emb, visual = make_inputs(cfg, tokens=6, vis=4)
-        out = forward_incontext(model, t_emb, visual)
+        out = forward(model, t_emb, visual)
         bumped = t_emb.copy()
         bumped[3] += 1.0  # absolute position 7
-        out_b = forward_incontext(model, bumped, visual)
+        out_b = forward(model, bumped, visual)
         assert np.array_equal(out[:7], out_b[:7])
         assert np.max(np.abs(out[7:] - out_b[7:])) > 0.0
 
@@ -287,11 +309,11 @@ class TestBaseCausality:
         model = init_model(cfg)
         rng = make_rng(12)
         t_emb = rng.normal(size=(8, cfg.C))
-        out = forward_base(model, t_emb)
+        out = forward(model, t_emb)
         for j in (2, 5, 7):
             bumped = t_emb.copy()
             bumped[j] += rng.normal(size=cfg.C)
-            out_b = forward_base(model, bumped)
+            out_b = forward(model, bumped)
             assert np.array_equal(out[:j], out_b[:j])
 
 
@@ -301,7 +323,7 @@ class TestCrossAttn:
         model = init_model(cfg)
         t_emb, visual = make_inputs(cfg, tokens=9)
         capture = ForwardCapture()
-        assert forward_crossattn(model, t_emb, visual, capture).shape == (9, cfg.C)
+        assert forward(model, t_emb, visual, capture).shape == (9, cfg.C)
         assert all(h.shape == (9, cfg.C) for h in capture.hidden)
 
     def test_matches_oracle_reference(self):
@@ -315,17 +337,50 @@ class TestCrossAttn:
             if l in model.plan:
                 h = h + attn_oracle(h, visual, p.insert.attn)
                 h = h + (gelu(h @ p.insert.w1 + p.insert.b1) @ p.insert.w2 + p.insert.b2)
-            h = block_forward_base(h, p, cfg)
-        ours = forward_crossattn(model, t_emb, visual)
+            h = block_forward(h, p, cfg)
+        ours = forward(model, t_emb, visual)
         assert np.max(np.abs(ours - h)) < 1e-10
+
+    def test_missing_insert_rejected(self):
+        model = init_model(small_cfg(paradigm="crossattn"))
+        model.blocks[model.plan.modulated[0]].insert = None
+        t_emb, visual = make_inputs(model.cfg)
+        with pytest.raises(ConfigError, match="no insert attached"):
+            forward(model, t_emb, visual)
+
+
+@pytest.mark.parametrize("overrides, pairs_per_layer", [
+    (dict(paradigm="fmi"), 2),
+    (dict(paradigm="fmi", modulate_ffn=False), 1),
+    (dict(paradigm="fmi", modulate_attn=False), 1),
+    (dict(paradigm="incontext"), None),
+    (dict(paradigm="crossattn"), None),
+    (dict(paradigm="base"), None),
+])
+def test_capture_contract(overrides, pairs_per_layer):
+    cfg = small_cfg(**overrides)
+    model = init_model(cfg)
+    randomize_modulation(model, make_rng(16), scale=0.2)
+    randomize_insert(model, make_rng(17), scale=0.2)
+    t_emb, visual = make_inputs(cfg)
+    capture = ForwardCapture()
+    out = forward(model, t_emb, visual, capture)
+    assert len(capture.hidden) == cfg.L
+    assert capture.hidden[-1].dtype == out.dtype
+    assert capture.hidden[-1].tobytes() == out.tobytes()
+    if pairs_per_layer is None:
+        assert capture.modulation == {}
+    else:
+        assert tuple(sorted(capture.modulation)) == model.plan.modulated
+        assert all(len(pairs) == pairs_per_layer for pairs in capture.modulation.values())
 
 
 class TestDeterminismAndSeeding:
     def test_same_seed_same_model(self):
         cfg = small_cfg()
         t_emb, visual = make_inputs(cfg)
-        a = forward_fmi(init_model(cfg), t_emb, visual)
-        b = forward_fmi(init_model(cfg), t_emb, visual)
+        a = forward(init_model(cfg), t_emb, visual)
+        b = forward(init_model(cfg), t_emb, visual)
         assert np.array_equal(a, b)
 
     def test_base_weights_shared_across_paradigms(self):
@@ -364,7 +419,7 @@ class TestSerialization:
         loaded = load_model(tmp_path / "model.cfg", tmp_path / "model.manifest")
         t_emb, visual = make_inputs(cfg)
         assert np.array_equal(
-            forward_fmi(model, t_emb, visual), forward_fmi(loaded, t_emb, visual)
+            forward(model, t_emb, visual), forward(loaded, t_emb, visual)
         )
 
     def test_dispatch_requires_visual(self):
