@@ -19,7 +19,10 @@ model runs under the MAC counter and must agree within 1 percent
 (``measured_flops``).
 
 Per-block costs at sequence length S: QKV and output projections 8*S*C^2,
-attention scores and mixing 4*S^2*C, and the FFN 4*S*C*d_ff.
+attention scores and mixing 4*S^2*C, and the FFN 4*S*C*d_ff. The attention
+term is the full square; the executable model computes causal attention in
+128-query tiles and skips the masked key blocks, so for S > 128 it runs
+fewer FLOPs than this and the op-walk agreement holds for S <= 128 only.
 
 Per-modulated-layer conditioner costs (V = V_total, L = V + 1, delta
 projection 8*T*C^2 included). The mlp and conv conditioners compute output

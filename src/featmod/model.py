@@ -21,6 +21,7 @@ never shift the base stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -313,17 +314,33 @@ def randomize_insert(model: Model, rng: np.random.Generator, scale: float = 0.05
 # ---------------------------------------------------------------------------
 # Forward passes
 
+# Query rows per causal-attention tile; every s <= _QUERY_TILE runs as one tile.
+_QUERY_TILE = 128
+# The causal mask of a tile's diagonal block: -inf strictly above the diagonal.
+_TILE_MASK = np.triu(np.full((_QUERY_TILE, _QUERY_TILE), -np.inf), k=1)
+_TILE_MASK.setflags(write=False)
+
+
 def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.ndarray:
+    """Causal multi-head self-attention over 128-query tiles.
+
+    Tile [a, b) scores its queries against keys [0, b) only, so the fully
+    masked key blocks right of the diagonal are never computed; only the
+    tile's diagonal (b - a) x (b - a) block takes the -inf mask.
+    """
     s, c = h_in.shape
     q = split_heads(matmul(h_in, p.wq), heads)
     k = split_heads(matmul(h_in, p.wk), heads)
     v = split_heads(matmul(h_in, p.wv), heads)
-    mask = np.triu(np.full((s, s), -np.inf, dtype=h_in.dtype), k=1)
-    # (heads, s, s) logits scaled and masked in place: no second logits-sized array
-    logits = matmul(q, k.swapaxes(-1, -2))
-    logits *= float(1.0 / np.sqrt(c // heads))
-    logits += mask
-    ctx = matmul(softmax_lastdim(logits), v)
+    scale = 1.0 / math.sqrt(c // heads)
+    ctx = np.empty_like(v)  # (heads, s, dk), laid out like v so merge_heads is a view
+    for a in range(0, s, _QUERY_TILE):
+        b = min(a + _QUERY_TILE, s)
+        # (heads, b - a, b) logits scaled and masked in place: no second logits-sized array
+        logits = matmul(q[:, a:b], k[:, :b].swapaxes(-1, -2))
+        logits *= scale
+        logits[:, :, a:] += _TILE_MASK[: b - a, : b - a]
+        ctx[:, a:b] = matmul(softmax_lastdim(logits), v[:, :b])
     return matmul(merge_heads(ctx), p.wo)
 
 
@@ -429,9 +446,14 @@ def forward(
 
 
 def base_twin(model: Model) -> Model:
-    """The text-only stack sharing this model's seed and base weights."""
-    cfg = replace(model.cfg, paradigm="base")
-    return init_model(cfg)
+    """The text-only stack over this model's own base weights.
+
+    The twin's blocks drop the conditioners, delta projections and inserts
+    but share every base array with this model, uncopied: treat the twin as
+    read-only, since writing to a weight of either model changes both.
+    """
+    blocks = [replace(p, delta_proj=None, cond_params=None, insert=None) for p in model.blocks]
+    return Model(cfg=replace(model.cfg, paradigm="base"), plan=LayerPlan(()), blocks=blocks)
 
 
 def cast_model(model: Model, dtype) -> Model:

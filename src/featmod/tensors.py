@@ -189,9 +189,15 @@ _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU: 0.5 * x * (1 + erf(x / sqrt 2)), evaluated in
+    that order in two output-sized buffers."""
     x = np.asarray(x)
-    return _check_finite("gelu", 0.5 * x * (1.0 + erf(x / _SQRT2)))
+    cdf = np.asarray(x / _SQRT2)  # a 0-d x divides to a scalar, which erf cannot write into
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    out = 0.5 * x
+    out *= cdf
+    return _check_finite("gelu", out)
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,17 @@ from featmod.model import (
     select_layers,
 )
 from featmod.norm import layer_norm, project_deltas, viln_apply
-from featmod.tensors import ConfigError, gelu, make_rng, sinusoid_positions
+from featmod.tensors import (
+    ConfigError,
+    count_macs,
+    gelu,
+    make_rng,
+    matmul,
+    merge_heads,
+    sinusoid_positions,
+    softmax_lastdim,
+    split_heads,
+)
 
 
 def small_cfg(**overrides):
@@ -145,6 +155,62 @@ class TestBaseBlock:
         assert np.max(np.abs(block_forward(h, p, cfg) - ref)) < 1e-10
 
 
+def untiled_attention_reference(h_in, p, heads):
+    """Causal self-attention over the full (heads, s, s) logits and s x s mask."""
+    s, c = h_in.shape
+    q = split_heads(matmul(h_in, p.wq), heads)
+    k = split_heads(matmul(h_in, p.wk), heads)
+    v = split_heads(matmul(h_in, p.wv), heads)
+    mask = np.triu(np.full((s, s), -np.inf, dtype=h_in.dtype), k=1)
+    logits = matmul(q, k.swapaxes(-1, -2))
+    logits *= float(1.0 / np.sqrt(c // heads))
+    logits += mask
+    return matmul(merge_heads(matmul(softmax_lastdim(logits), v)), p.wo)
+
+
+class TestTiledAttention:
+    """Self-attention runs in 128-query tiles; s = 293 ends in a partial tile."""
+
+    @pytest.mark.parametrize("s", [127, 128, 129, 293])
+    def test_block_matches_naive_reference_across_tile_edges(self, s):
+        cfg = small_cfg(paradigm="base")
+        p = init_model(cfg).blocks[0]
+        h = make_rng(s).normal(size=(s, cfg.C))
+        ref = naive_block_reference(h, p, cfg.h, cfg.eps)
+        assert np.max(np.abs(block_forward(h, p, cfg) - ref)) < 1e-10
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("s", [1, 7, 128])
+    def test_one_tile_is_bit_identical_to_untiled(self, s, dtype):
+        cfg = small_cfg(paradigm="base")
+        p = cast_model(init_model(cfg), dtype).blocks[2]
+        h = make_rng(s).normal(size=(s, cfg.C)).astype(dtype)
+        out = _causal_self_attention(h, p, cfg.h)
+        assert out.dtype == dtype
+        assert np.array_equal(out, untiled_attention_reference(h, p, cfg.h))
+
+    def test_float32_keeps_dtype_over_several_tiles(self):
+        cfg = small_cfg(paradigm="base")
+        model = init_model(cfg)
+        t_emb = make_rng(5).normal(size=(293, cfg.C))
+        out = forward(cast_model(model, np.float32), t_emb.astype(np.float32))
+        assert out.dtype == np.float32
+        assert np.max(np.abs(out - forward(model, t_emb))) < 1e-4
+
+    def test_counted_macs_are_the_tiled_macs(self):
+        cfg = small_cfg(paradigm="base")
+        p = init_model(cfg).blocks[0]
+        s, c, dk = 293, cfg.C, cfg.C // cfg.h
+        h = make_rng(6).normal(size=(s, c))
+        with count_macs() as counter:
+            _causal_self_attention(h, p, cfg.h)
+        tiles = [(a, min(a + 128, s)) for a in range(0, s, 128)]
+        assert tiles == [(0, 128), (128, 256), (256, 293)]
+        scores = cfg.h * dk * sum(2 * (b - a) * b for a, b in tiles)
+        assert counter.macs == 4 * s * c * c + scores
+        assert scores < 2 * s * s * c  # the untiled count
+
+
 class TestZeroInitEquivalence:
     def test_exact_at_double_precision(self):
         cfg = ModelConfig(L=6, C=64, h=8, d_ff=128, paradigm="fmi", frequency=0.25, seed=5)
@@ -180,6 +246,17 @@ class TestZeroInitEquivalence:
         t_emb, visual = make_inputs(cfg)
         diff = np.abs(forward(model, t_emb, visual) - forward(base_twin(model), t_emb))
         assert np.max(diff) == 0.0
+
+    def test_twin_uses_the_models_own_base_weights(self):
+        cfg = small_cfg()
+        model = init_model(cfg)
+        model.blocks[0].wq += make_rng(7).normal(scale=0.1, size=model.blocks[0].wq.shape)
+        twin = base_twin(model)
+        assert np.array_equal(twin.blocks[0].wq, model.blocks[0].wq)
+        assert twin.cfg.paradigm == "base" and twin.plan.modulated == ()
+        assert all(b.delta_proj is None and b.cond_params is None and b.insert is None for b in twin.blocks)
+        t_emb, visual = make_inputs(cfg)
+        assert np.array_equal(forward(model, t_emb, visual), forward(twin, t_emb))
 
 
 class TestFmiForward:
@@ -308,13 +385,15 @@ class TestBaseCausality:
         cfg = small_cfg(paradigm="base")
         model = init_model(cfg)
         rng = make_rng(12)
-        t_emb = rng.normal(size=(8, cfg.C))
-        out = forward(model, t_emb)
-        for j in (2, 5, 7):
-            bumped = t_emb.copy()
-            bumped[j] += rng.normal(size=cfg.C)
-            out_b = forward(model, bumped)
-            assert np.array_equal(out[:j], out_b[:j])
+        # 293 positions span three 128-query tiles; bumps sit on both sides of each edge
+        for tokens, bumps in ((8, (2, 5, 7)), (293, (127, 128, 255, 256, 292))):
+            t_emb = rng.normal(size=(tokens, cfg.C))
+            out = forward(model, t_emb)
+            for j in bumps:
+                bumped = t_emb.copy()
+                bumped[j] += rng.normal(size=cfg.C)
+                out_b = forward(model, bumped)
+                assert np.array_equal(out[:j], out_b[:j])
 
 
 class TestCrossAttn:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from featmod.tensors import (
     ConfigError,
@@ -9,6 +12,7 @@ from featmod.tensors import (
     ShapeError,
     count_macs,
     depthwise_conv1d,
+    gelu,
     load_tensors,
     make_rng,
     matmul,
@@ -215,6 +219,25 @@ class TestSwish:
         val = float(swish(np.array(-20.0)))
         assert np.isclose(val, -4.122e-8, rtol=1e-3)
         assert val < 0
+
+
+class TestGelu:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_formula(self, dtype):
+        x = make_rng(3).normal(scale=3.0, size=(5, 64)).astype(dtype)
+        before = x.copy()
+        out = gelu(x)
+        assert out.dtype == dtype
+        assert np.array_equal(out, 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
+        assert np.array_equal(x, before)
+
+    def test_zero_dimensional_input(self):
+        x = np.array(0.7)
+        assert gelu(x) == 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+    def test_nan_raises(self):
+        with pytest.raises(NumericError):
+            gelu(np.array([0.0, np.nan]))
 
 
 class TestRng:
