@@ -139,15 +139,16 @@ def _build_model(args, cfg: ModelConfig, visual: VisualContext | None) -> Model:
                     f"--{name} {flag} disagrees with the stored {name} "
                     f"{getattr(model.cfg, name)} of --weights"
                 )
-        return model
-    if (
-        cfg.paradigm == "fmi"
-        and cfg.cond_kind == "mlp"
-        and cfg.cond_visual_tokens is None
-        and visual is not None
-    ):
+        cfg = model.cfg
+    mlp = cfg.paradigm == "fmi" and cfg.cond_kind == "mlp" and visual is not None
+    if mlp and cfg.cond_visual_tokens is None:
         cfg = replace(cfg, cond_visual_tokens=visual.count)
-    return init_model(cfg)
+    if mlp and cfg.cond_visual_tokens != visual.count:
+        raise ConfigError(
+            f"cond_visual_tokens {cfg.cond_visual_tokens} disagrees with the "
+            f"{visual.count} visual tokens of the input"
+        )
+    return model if args.weights else init_model(cfg)
 
 
 def _write_meta(out_dir: Path, entries: dict[str, str]) -> None:

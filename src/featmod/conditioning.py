@@ -18,7 +18,9 @@ The mlp and conv mixers compute only what position 0 depends on:
   t[i, c] * token_w1[0] + (v.T @ token_w1[1:])[c] + token_b1. The visual
   term is one (C, L*token_exp) product shared by all text tokens; after GELU
   only column 0 of token_w2 is applied, so channel mixing runs on T rows
-  instead of T * L.
+  instead of T * L. The T * C token-mix rows run in tiles of at most
+  _Z1_TILE_BYTES of z1, so the (T, C, L*token_exp) pre-activation is never
+  built whole.
 * conv: position 0 sees [t_i; v] up to position min(K // 2, V) only, so the
   depthwise conv runs on that cut signal, accumulating the same taps in the
   same order (bit-identical); SiLU and the pointwise map then act on T rows.
@@ -193,27 +195,74 @@ def cond_mlp(t: np.ndarray, visual: VisualContext, p: MlpCondParams) -> np.ndarr
     return out
 
 
+# Bytes of the token-mix pre-activation z1 evaluated per tile, so z1 and the
+# gelu buffers stay in cache instead of spanning T*C*L*token_exp elements.
+_Z1_TILE_BYTES = 512 * 1024
+
+
+def _visual_term(v: np.ndarray, p: MlpCondParams) -> np.ndarray:
+    """(..., C, L*token_exp) part of the token-mix pre-activation that all
+    text tokens share: v.T @ token_w1[1:] + token_b1."""
+    return matmul(v.swapaxes(-1, -2), p.token_w1[..., 1:, :]) + p.token_b1[..., None, :]
+
+
+def _token_mix(
+    t: np.ndarray, visual_term: np.ndarray, p: MlpCondParams, tokens: slice, channels: slice
+):
+    """z1 and a1 = gelu(z1), each (..., n_tokens, n_channels, L*token_exp),
+    of the token-mix rows (i, c) with i in `tokens` and c in `channels`:
+    z1 = t[i, c] * token_w1[0] + visual_term[c]."""
+    rows = t[..., tokens, channels]
+    n_tokens, n_channels = rows.shape[-2:]
+    z1 = matmul(rows.reshape(*rows.shape[:-2], n_tokens * n_channels, 1), p.token_w1[..., :1, :])
+    z1 = z1.reshape(*z1.shape[:-2], n_tokens, n_channels, -1)
+    shared = visual_term[..., None, channels, :]
+    try:
+        z1 += shared
+    except ValueError:  # only v or token_b1 carries the batch axis
+        z1 = z1 + shared
+    return z1, gelu(z1)
+
+
+def _mix_tiles(tokens: int, channels: int, row_bytes: int) -> list[tuple[slice, slice]]:
+    """(token, channel) blocks of the T*C token-mix rows in row order, each
+    holding at most _Z1_TILE_BYTES of z1 (8 rows at least): whole tokens
+    when one token's C rows fit, else channel blocks of one token in
+    multiples of 8 rows. OpenBLAS's matrix-vector product handles rows in
+    groups of 4, so row blocks that are multiples of 4 give the same bits as
+    one untiled product; other counts differ in the last bit."""
+    per_tile = _Z1_TILE_BYTES // row_bytes
+    if tokens * channels <= per_tile:
+        return [(slice(None), slice(None))]
+    if channels <= per_tile:
+        step = per_tile // channels
+        return [(slice(i, i + step), slice(None)) for i in range(0, tokens, step)]
+    step = max(8, per_tile // 8 * 8)
+    return [(slice(i, i + 1), slice(c, c + step)) for i in range(tokens) for c in range(0, channels, step)]
+
+
 def _cond_mlp_forward(t: np.ndarray, v: np.ndarray, p: MlpCondParams):
     _check_tokens(t, v)
     tokens, channels = t.shape[-2:]
-    # token mixing of row (i, c), output position 0 only:
-    # z1 = t[i, c] * token_w1[0] + (v.T @ token_w1[1:])[c] + token_b1, visual term shared by all i
-    visual_term = matmul(v.swapaxes(-1, -2), p.token_w1[..., 1:, :]) + p.token_b1[..., None, :]
-    z1 = matmul(t.reshape(*t.shape[:-2], tokens * channels, 1), p.token_w1[..., :1, :])
-    z1 = z1.reshape(*z1.shape[:-2], tokens, channels, -1)
-    visual_term = visual_term[..., None, :, :]
-    if np.broadcast_shapes(z1.shape, visual_term.shape) == z1.shape:
-        z1 += visual_term
-    else:  # only v or token_b1 carries the batch axis
-        z1 = z1 + visual_term
-    a1 = gelu(z1).reshape(*z1.shape[:-3], tokens * channels, -1)
-    mixed = matmul(a1, p.token_w2[..., :, :1]) + p.token_b2[..., None, :1]
+    visual_term = _visual_term(v, p)
+    # token mixing, output position 0 only, tile by tile over the T*C rows
+    row_bytes = p.token_w1.shape[-1] * max(t.itemsize, p.token_w1.itemsize)
+    tiles = _mix_tiles(tokens, channels, row_bytes)
+    w2 = p.token_w2[..., :, :1]
+    if len(tiles) > 1:
+        w2 = np.ascontiguousarray(w2)
+    blocks = []
+    for tile in tiles:
+        a1 = _token_mix(t, visual_term, p, *tile)[1]
+        blocks.append(matmul(a1.reshape(*a1.shape[:-3], -1, a1.shape[-1]), w2))
+    mixed = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
+    mixed = mixed + p.token_b2[..., None, :1]
     mixed = mixed.reshape(*mixed.shape[:-2], tokens, channels)
     # channel mixing of the T slot-0 rows
     z2 = matmul(mixed, p.channel_w1) + p.channel_b1[..., None, :]
     a2 = gelu(z2)
     out = matmul(a2, p.channel_w2) + p.channel_b2[..., None, :]
-    return out, (z1, a1, mixed, z2, a2)
+    return out, (mixed, z2, a2)
 
 
 def cond_mlp_pertoken(t: np.ndarray, visual: VisualContext, p: MlpCondParams) -> np.ndarray:
@@ -238,7 +287,9 @@ def cond_mlp_backward(
     other entries get zero gradient.
     """
     tokens, channels = t.shape
-    _, (z1, a1, mixed, z2, a2) = _cond_mlp_forward(t, v, p)
+    _, (mixed, z2, a2) = _cond_mlp_forward(t, v, p)
+    z1, a1 = _token_mix(t, _visual_term(v, p), p, slice(None), slice(None))
+    a1 = a1.reshape(tokens * channels, -1)
     grads: dict[str, np.ndarray] = {}
     grads["channel_w2"] = a2.T @ g_out
     grads["channel_b2"] = g_out.sum(axis=0)

@@ -12,7 +12,9 @@ Conventions, chosen so the golden numbers are stable and reproducible:
   embeddings are out of scope (the executable model has no tokenizer)
 * peak activation is the largest single intermediate of a naive batch-1
   forward pass, which for long sequences is the (heads, S, S) attention
-  score tensor
+  score tensor; the mlp conditioner's candidate is its whole token-mix
+  pre-activation T*C*(V+1)*token_exp, of which the executable forward holds
+  one tile of at most 512 KiB at a time
 
 Every analytic total is validated against an op-walk oracle: the executable
 model runs under the MAC counter and must agree within 1 percent

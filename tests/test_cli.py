@@ -134,6 +134,9 @@ class TestSelftest:
         assert "FAIL" not in out
 
 
+_MLP_FOR_5_VISUAL_TOKENS = "paradigm=fmi\ncond_kind=mlp\ncond_visual_tokens=5\nL=2\nC=16\nh=2\nd_ff=32"
+
+
 class TestErrors:
     def test_unknown_config_key_exits_two(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -182,6 +185,10 @@ class TestErrors:
         (["forward", "--config", "{cfg}", "--weights", "{weights}", "--frequency", "0.25", "--out", "{tmp}"], None),
         (["forward", "--config", "{cfg}", "--weights", "{weights}", "--location", "deep", "--out", "{tmp}"], None),
         (["diagnose", "--config", "{cfg}", "--weights", "{weights}", "--location", "deep", "--out", "{tmp}"], None),
+        pytest.param(["forward", "--config", "{cfg}", "--out", "{tmp}"], _MLP_FOR_5_VISUAL_TOKENS,
+                     id="forward-mlp-visual-count"),
+        pytest.param(["diagnose", "--config", "{cfg}", "--out", "{tmp}"], _MLP_FOR_5_VISUAL_TOKENS,
+                     id="diagnose-mlp-visual-count"),
     ])
     def test_bad_input_exits_two_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -212,6 +219,17 @@ class TestErrors:
             "--out", str(out_dir), "--tokens", "4", "--image-size", "28", "--patch", "14",
         ]) == 0
         assert read_kv(out_dir / "run.meta")["seed"] == "9"
+
+    @pytest.mark.parametrize("command", ["forward", "diagnose"])
+    def test_stored_mlp_model_rejects_other_visual_count(self, command, tmp_path, capsys):
+        cfg, cfg_path = write_config(tmp_path, L=2, C=16, h=2, d_ff=32, cond_kind="mlp", cond_visual_tokens=5)
+        save_model(init_model(cfg), cfg_path, tmp_path / "model.manifest")
+        assert main([
+            command, "--config", str(cfg_path), "--weights", str(tmp_path / "model.manifest"),
+            "--out", str(tmp_path / "run"),
+        ]) == 2
+        assert "cond_visual_tokens 5 disagrees" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_weights_without_config_exits_two(self, tmp_path):
         assert main([

@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from featmod import conditioning
 from featmod.conditioning import (
     AttnCondParams,
     ConvCondParams,
@@ -17,12 +19,13 @@ from featmod.conditioning import (
     cond_mlp_pertoken,
     _FORWARDS,
     _PARAM_FIELDS,
+    _mix_tiles,
     default_heads,
     gradcheck_conditioner,
 )
 from featmod.costs import CostConfig, cost_paradigm, measured_flops
 from featmod.model import ModelConfig, cast_model, init_model
-from featmod.tensors import ConfigError, make_rng, silu
+from featmod.tensors import ConfigError, NumericError, count_macs, make_rng, silu
 
 
 def random_case(seed, tokens=3, vis=4, channels=8):
@@ -257,3 +260,81 @@ class TestGradchecks:
         rng, t, visual = random_case(18)
         p = MlpCondParams.init(rng, 8, 4, 2, 2, std=0.3)
         assert gradcheck_conditioner("mlp", t, visual, p) <= 1e-4
+
+
+class TestMlpTiles:
+    """The token mix runs in tiles of _Z1_TILE_BYTES of z1; shrinking the
+    constant makes small shapes run many tiles. T=5, C=20, L*token_exp=10,
+    so one z1 row is 80 bytes in float64."""
+
+    TILES = {
+        "channel_blocks_of_8": (1, 15),     # 8 + 8 + 4 rows per token
+        "14_rows_round_to_8": (14 * 80, 15),
+        "channel_blocks_of_16": (16 * 80, 10),
+        "two_tokens": (2 * 20 * 80, 3),     # tokens 0-1, 2-3, 4
+    }
+
+    @staticmethod
+    def case(seed=50):
+        rng, t, visual = random_case(seed, tokens=5, vis=4, channels=20)
+        return t, visual, MlpCondParams.init(rng, 20, 4, 2, 2, std=0.3)
+
+    @pytest.mark.parametrize("tile", TILES)
+    def test_tiles_equal_one_tile_and_loop(self, tile, monkeypatch):
+        t, visual, p = self.case()
+        one_tile = cond_mlp(t, visual, p)
+        tile_bytes, count = self.TILES[tile]
+        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", tile_bytes)
+        assert len(_mix_tiles(5, 20, 80)) == count
+        tiled = cond_mlp(t, visual, p)
+        assert np.max(np.abs(tiled - one_tile)) <= 1e-15 * np.max(np.abs(one_tile))
+        assert np.max(np.abs(tiled - cond_mlp_pertoken(t, visual, p))) <= 1e-12
+
+    @pytest.mark.parametrize("operand", ["t", "v", *_PARAM_FIELDS["mlp"]])
+    def test_stacked_operand_under_tiny_tiles(self, operand, monkeypatch):
+        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
+        TestBatchedForwards().test_stacked_operand_equals_slices("mlp", operand)
+
+    def test_gradcheck_under_tiny_tiles(self, monkeypatch):
+        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
+        t, visual, p = self.case(51)
+        assert gradcheck_conditioner("mlp", t, visual, p) <= 1e-4
+
+    def test_float32_keeps_dtype(self, monkeypatch):
+        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
+        t, visual, p = self.case(52)
+        p32 = replace(p, **{f: getattr(p, f).astype(np.float32) for f in _PARAM_FIELDS["mlp"]})
+        visual32 = VisualContext(visual.v.astype(np.float32), "synthetic")
+        out32 = cond_mlp(t.astype(np.float32), visual32, p32)
+        assert out32.dtype == np.float32
+        ref = cond_mlp(t, visual, p)
+        assert np.max(np.abs(out32 - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    def test_nan_in_last_tile_raises(self, monkeypatch):
+        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
+        t, visual, p = self.case(53)
+        t[-1, -1] = np.nan
+        with pytest.raises(NumericError):
+            cond_mlp(t, visual, p)
+
+    def test_mac_count_independent_of_tile_size(self, monkeypatch):
+        t, visual, p = self.case(54)
+        counts = []
+        for tile_bytes, _ in [(conditioning._Z1_TILE_BYTES, 1), *self.TILES.values()]:
+            monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", tile_bytes)
+            with count_macs() as counter:
+                cond_mlp(t, visual, p)
+            counts.append(counter.macs)
+        assert len(set(counts)) == 1
+
+    def test_peak_memory_holds_no_full_pre_activation(self):
+        # the untiled (T, C, L*token_exp) z1 alone is 75.6 MB at this shape
+        rng, t, visual = random_case(55, tokens=16, vis=576, channels=256)
+        p = MlpCondParams.init(rng, 256, 576)
+        tracemalloc.start()
+        try:
+            cond_mlp(t, visual, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
