@@ -200,28 +200,33 @@ def cond_mlp(t: np.ndarray, visual: VisualContext, p: MlpCondParams) -> np.ndarr
 _Z1_TILE_BYTES = 512 * 1024
 
 
+def _add_into(z: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """z + other, written into the fresh array z unless only other carries
+    a batch axis (a batched operand in gradcheck's stacks)."""
+    try:
+        z += other
+    except ValueError:
+        return z + other
+    return z
+
+
 def _visual_term(v: np.ndarray, p: MlpCondParams) -> np.ndarray:
     """(..., C, L*token_exp) part of the token-mix pre-activation that all
     text tokens share: v.T @ token_w1[1:] + token_b1."""
-    return matmul(v.swapaxes(-1, -2), p.token_w1[..., 1:, :]) + p.token_b1[..., None, :]
+    return _add_into(matmul(v.swapaxes(-1, -2), p.token_w1[..., 1:, :]), p.token_b1[..., None, :])
 
 
 def _token_mix(
     t: np.ndarray, visual_term: np.ndarray, p: MlpCondParams, tokens: slice, channels: slice
 ):
-    """z1 and a1 = gelu(z1), each (..., n_tokens, n_channels, L*token_exp),
-    of the token-mix rows (i, c) with i in `tokens` and c in `channels`:
-    z1 = t[i, c] * token_w1[0] + visual_term[c]."""
+    """Pre-activation z1, (..., n_tokens, n_channels, L*token_exp), of the
+    token-mix rows (i, c) with i in `tokens` and c in `channels`:
+    z1 = t[i, c] * token_w1[0] + visual_term[c]. z1 is a fresh array."""
     rows = t[..., tokens, channels]
     n_tokens, n_channels = rows.shape[-2:]
     z1 = matmul(rows.reshape(*rows.shape[:-2], n_tokens * n_channels, 1), p.token_w1[..., :1, :])
     z1 = z1.reshape(*z1.shape[:-2], n_tokens, n_channels, -1)
-    shared = visual_term[..., None, channels, :]
-    try:
-        z1 += shared
-    except ValueError:  # only v or token_b1 carries the batch axis
-        z1 = z1 + shared
-    return z1, gelu(z1)
+    return _add_into(z1, visual_term[..., None, channels, :])
 
 
 def _mix_tiles(tokens: int, channels: int, row_bytes: int) -> list[tuple[slice, slice]]:
@@ -253,7 +258,8 @@ def _cond_mlp_forward(t: np.ndarray, v: np.ndarray, p: MlpCondParams):
         w2 = np.ascontiguousarray(w2)
     blocks = []
     for tile in tiles:
-        a1 = _token_mix(t, visual_term, p, *tile)[1]
+        z1 = _token_mix(t, visual_term, p, *tile)
+        a1 = gelu(z1, out=z1)
         blocks.append(matmul(a1.reshape(*a1.shape[:-3], -1, a1.shape[-1]), w2))
     mixed = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
     mixed = mixed + p.token_b2[..., None, :1]
@@ -288,8 +294,8 @@ def cond_mlp_backward(
     """
     tokens, channels = t.shape
     _, (mixed, z2, a2) = _cond_mlp_forward(t, v, p)
-    z1, a1 = _token_mix(t, _visual_term(v, p), p, slice(None), slice(None))
-    a1 = a1.reshape(tokens * channels, -1)
+    z1 = _token_mix(t, _visual_term(v, p), p, slice(None), slice(None))
+    a1 = gelu(z1).reshape(tokens * channels, -1)
     grads: dict[str, np.ndarray] = {}
     grads["channel_w2"] = a2.T @ g_out
     grads["channel_b2"] = g_out.sum(axis=0)

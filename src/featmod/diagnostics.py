@@ -33,8 +33,21 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(1.0 - float(np.dot(a, b)) / (na * nb), 0.0, 2.0))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products as (n, 1, k) @ (n, k, 1): the same BLAS dot that
+    np.dot and np.linalg.norm run on one row, so the same bits."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array([cosine_distance(a[i], b[i]) for i in range(a.shape[0])])
+    """cosine_distance of each row pair, with its conventions, bit for bit."""
+    na = np.sqrt(_row_dots(a, a)).astype(np.float64)
+    nb = np.sqrt(_row_dots(b, b)).astype(np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = np.clip(1.0 - _row_dots(a, b).astype(np.float64) / (na * nb), 0.0, 2.0)
+    out[(na == 0.0) | (nb == 0.0)] = 1.0
+    out[np.all(a == b, axis=1)] = 0.0
+    return out
 
 
 @dataclass

@@ -345,7 +345,9 @@ def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.n
 
 
 def _ffn(x: np.ndarray, p: BlockParams) -> np.ndarray:
-    return matmul(gelu(matmul(x, p.w1) + p.b1), p.w2) + p.b2
+    z = matmul(x, p.w1)
+    z += p.b1
+    return matmul(gelu(z, out=z), p.w2) + p.b2
 
 
 def _masked_deltas(deltas, cfg: ModelConfig):
@@ -402,7 +404,9 @@ def block_forward(
 
 def _insert_forward(h: np.ndarray, visual: VisualContext, ins: InsertParams) -> np.ndarray:
     h = h + cond_attn(h, visual, ins.attn)
-    return h + (matmul(gelu(matmul(h, ins.w1) + ins.b1), ins.w2) + ins.b2)
+    z = matmul(h, ins.w1)
+    z += ins.b1
+    return h + (matmul(gelu(z, out=z), ins.w2) + ins.b2)
 
 
 def forward(

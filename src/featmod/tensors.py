@@ -188,21 +188,38 @@ _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU: 0.5 * x * (1 + erf(x / sqrt 2)), evaluated in
-    that order in two output-sized buffers."""
-    x = np.asarray(x)
+def _one_plus_erf(x: np.ndarray) -> np.ndarray:
+    """1 + erf(x / sqrt 2) in a fresh buffer, with erf evaluated on |x| and
+    the sign of x copied back. erf is odd and scipy's erf starts with
+    `x < 0 -> -erf(-x)`, so the bits are those of erf(x / sqrt 2), but that
+    branch on the sign, which mispredicts on mixed-sign input, always goes
+    the same way."""
     cdf = np.asarray(x / _SQRT2)  # a 0-d x divides to a scalar, which erf cannot write into
+    np.abs(cdf, out=cdf)
     erf(cdf, out=cdf)
+    np.copysign(cdf, x, out=cdf)
     cdf += 1.0
-    out = 0.5 * x
+    return cdf
+
+
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact (erf-based) GELU: 0.5 * x * (1 + erf(x / sqrt 2)), evaluated in
+    that order, with erf taken on |x| (see _one_plus_erf): the same bits,
+    faster on mixed-sign input.
+
+    out may be x itself, for a caller that owns x and no longer needs it;
+    GELU then allocates one buffer of x's size instead of two.
+    """
+    x = np.asarray(x)
+    cdf = _one_plus_erf(x)
+    out = np.multiply(0.5, x, out=out)
     out *= cdf
     return _check_finite("gelu", out)
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    cdf = 0.5 * _one_plus_erf(x)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf
 

@@ -338,3 +338,16 @@ class TestMlpTiles:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_peak_memory_builds_the_visual_term_once(self):
+        # the (C, L*token_exp) visual term is 4.7 MB here; adding token_b1
+        # into a second copy of it raised the peak to 9.5 MB
+        rng, t, visual = random_case(56, tokens=16, vis=576, channels=256)
+        p = MlpCondParams.init(rng, 256, 576)
+        tracemalloc.start()
+        try:
+            cond_mlp(t, visual, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6

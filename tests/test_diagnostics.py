@@ -4,6 +4,7 @@ import pytest
 from featmod.conditioning import VisualContext
 from featmod.diagnostics import (
     DiagnosticTrace,
+    _row_distances,
     cosine_distance,
     feature_drift,
     modulation_influence,
@@ -48,6 +49,32 @@ class TestCosineDistance:
         for _ in range(200):
             d = cosine_distance(rng.normal(size=8), rng.normal(size=8))
             assert 0.0 <= d <= 2.0
+
+
+class TestRowDistances:
+    """_row_distances is the vectorised form of cosine_distance per row."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows, width", [(1, 1), (8, 32), (16, 256), (5, 1000)])
+    def test_bit_identical_to_scalar_loop(self, dtype, rows, width):
+        rng = make_rng(rows * width)
+        a = rng.normal(size=(rows, width)).astype(dtype)
+        b = (a + rng.normal(scale=1e-3, size=(rows, width))).astype(dtype)
+        loop = np.array([cosine_distance(a[i], b[i]) for i in range(rows)])
+        assert _row_distances(a, b).tobytes() == loop.tobytes()
+
+    def test_conventions_match_scalar_loop(self):
+        rng = make_rng(5)
+        a = rng.normal(size=(6, 16))
+        b = rng.normal(size=(6, 16))
+        b[0] = a[0]           # identical rows
+        a[1] = 0.0            # one zero row
+        b[2] = 0.0            # the other zero row
+        a[3] = b[3] = 0.0     # two zero rows
+        b[4] = -a[4]          # antipodal
+        got = _row_distances(a, b)
+        assert list(got[:4]) == [0.0, 1.0, 1.0, 0.0]
+        assert got.tobytes() == np.array([cosine_distance(x, y) for x, y in zip(a, b)]).tobytes()
 
 
 class TestModulationInfluence:

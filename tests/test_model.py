@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from featmod.conditioning import VisualContext, apply_conditioner, attn_oracle
+from featmod.diagnostics import feature_drift, modulation_influence
 from featmod.model import (
     ForwardCapture,
     ModelConfig,
@@ -452,6 +453,33 @@ def test_capture_contract(overrides, pairs_per_layer):
     else:
         assert tuple(sorted(capture.modulation)) == model.plan.modulated
         assert all(len(pairs) == pairs_per_layer for pairs in capture.modulation.values())
+
+
+@pytest.mark.parametrize("variant", [
+    "base", "fmi_attn", "fmi_conv", "fmi_mlp", "incontext", "crossattn", "diagnose",
+])
+def test_forward_leaves_inputs_and_weights_unchanged(variant):
+    # forward adds biases and applies GELU in place on buffers it allocates;
+    # the caller's embeddings, visual tokens and weights must stay untouched
+    paradigm, _, kind = variant.partition("_")
+    cfg = small_cfg(
+        paradigm="fmi" if paradigm == "diagnose" else paradigm,
+        cond_kind=kind or "attn",
+        cond_visual_tokens=6 if kind == "mlp" else None,
+    )
+    model = init_model(cfg)
+    rng = make_rng(18)
+    for arr in model_tensors(model).values():  # no zero-init bias may hide a write
+        arr += rng.normal(scale=0.1, size=arr.shape)
+    t_emb, visual = make_inputs(cfg)
+    arrays = {"t_emb": t_emb, "visual.v": visual.v, **model_tensors(model)}
+    before = {name: arr.tobytes() for name, arr in arrays.items()}
+    if variant == "diagnose":
+        modulation_influence(model, t_emb, visual)
+        feature_drift(model, base_twin(model), t_emb, visual)
+    else:
+        forward(model, t_emb, None if paradigm == "base" else visual)
+    assert [name for name, arr in arrays.items() if arr.tobytes() != before[name]] == []
 
 
 class TestDeterminismAndSeeding:

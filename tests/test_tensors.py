@@ -13,6 +13,7 @@ from featmod.tensors import (
     count_macs,
     depthwise_conv1d,
     gelu,
+    gelu_grad,
     load_tensors,
     make_rng,
     matmul,
@@ -221,23 +222,71 @@ class TestSwish:
         assert val < 0
 
 
+def _gelu_inputs(dtype):
+    """Mixed-sign, wide-range, |x| > 1 (erfc branch), signed zeros and
+    subnormals, in one array of the given dtype."""
+    rng = make_rng(3)
+    tiny = np.finfo(dtype).smallest_subnormal
+    parts = [
+        rng.normal(scale=3.0, size=200),
+        rng.normal(scale=0.3, size=100),
+        np.exp(rng.uniform(-30.0, 3.5, size=200)) * rng.choice([-1.0, 1.0], size=200),
+        [0.0, -0.0, 1.0, -1.0, 1.5, -1.5, 40.0, -40.0],
+    ]
+    x = np.concatenate(parts).astype(dtype)
+    return np.concatenate([x, np.array([tiny, -tiny, 7 * tiny, -7 * tiny], dtype=dtype)])
+
+
+def _gelu_formula(x):
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def _gelu_grad_formula(x):
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    return cdf + x * (float(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x))
+
+
 class TestGelu:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bit_identical_to_formula(self, dtype):
-        x = make_rng(3).normal(scale=3.0, size=(5, 64)).astype(dtype)
+        x = np.concatenate([make_rng(3).normal(scale=3.0, size=(5, 64)).astype(dtype).ravel(), _gelu_inputs(dtype)])
         before = x.copy()
         out = gelu(x)
         assert out.dtype == dtype
-        assert np.array_equal(out, 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
+        assert out.tobytes() == _gelu_formula(x).tobytes()  # bytes: -0.0 keeps its sign
+        assert gelu_grad(x).tobytes() == _gelu_grad_formula(x).tobytes()
         assert np.array_equal(x, before)
 
     def test_zero_dimensional_input(self):
-        x = np.array(0.7)
-        assert gelu(x) == 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+        for x in (np.array(0.7), np.array(-1.3)):
+            assert gelu(x) == _gelu_formula(x)
+            assert gelu_grad(x) == _gelu_grad_formula(x)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_writes_the_input(self, dtype):
+        x = _gelu_inputs(dtype)
+        expected = gelu(x)
+        z = x.copy()
+        assert gelu(z, out=z) is z
+        assert z.tobytes() == expected.tobytes()
 
     def test_nan_raises(self):
         with pytest.raises(NumericError):
             gelu(np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinity_raises(self, bad):
+        with pytest.raises(NumericError), np.errstate(invalid="ignore"):  # -inf * (1 + erf(-inf)) is nan
+            gelu(np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float64, np.uint64), (np.float32, np.uint32)])
+    def test_platform_erf_is_odd_bit_for_bit(self, dtype, bits):
+        # gelu evaluates erf on |x| and copies the sign back; that gives
+        # erf(x)'s bits only while erf(-x) == -erf(x) exactly
+        raw = make_rng(4).integers(0, np.iinfo(bits).max, size=200_000, dtype=bits, endpoint=True)
+        x = raw.view(dtype)
+        x = np.concatenate([x[np.isfinite(x)], _gelu_inputs(dtype)])
+        assert erf(-x).tobytes() == (-erf(x)).tobytes()
 
 
 class TestRng:
