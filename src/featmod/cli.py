@@ -7,7 +7,9 @@ Subcommands:
 * gradcheck   - finite-difference verification of all analytic gradients
 * cost        - analytic cost sweep to cost.csv
 * diagnose    - modulation influence and feature drift to CSV
-* selftest    - condensed property suite plus deterministic CSV artifacts
+* selftest    - the 11 release criteria (featmod.criteria) plus deterministic
+                CSV artifacts; --seed s runs each criterion at its release
+                seed + s, so --seed 0 runs exactly the release gates
 
 Exit codes: 0 success, 1 failed check or runtime error (one-line reason on
 stderr), 2 usage or config errors.
@@ -22,20 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import costs, diagnostics, vision
-from .conditioning import (
-    AttnCondParams,
-    ConvCondParams,
-    MlpCondParams,
-    VisualContext,
-    attn_oracle,
-    cond_attn,
-    cond_conv,
-    cond_conv_pertoken,
-    cond_mlp,
-    cond_mlp_pertoken,
-    gradcheck_conditioner,
-)
+from . import costs, criteria, diagnostics, vision
+from .conditioning import AttnCondParams, ConvCondParams, MlpCondParams, VisualContext, gradcheck_conditioner
 from .configfile import read_kv, write_kv
 from .model import (
     ForwardCapture,
@@ -47,12 +37,9 @@ from .model import (
     init_model,
     load_model,
     randomize_modulation,
-    select_layers,
 )
-from .norm import LNParams, gradcheck_viln, layer_norm, random_viln_point
+from .norm import gradcheck_viln, random_viln_point
 from .tensors import ConfigError, NumericError, ShapeError, make_rng, save_tensors
-
-_GRADCHECK_TOL = 1e-4
 
 
 def _fail(message: str) -> int:
@@ -196,7 +183,7 @@ def cmd_equivalence(args) -> int:
     ref = forward(base, t_emb)
     diff = float(np.max(np.abs(out - ref)))
     print(f"equivalence: max abs diff {diff:.3e}")
-    return 0 if diff == 0.0 else 1
+    return 0 if diff == 0.0 else _fail(f"zero-init model differs from its base twin by {diff:.3e}")
 
 
 def cmd_gradcheck(args) -> int:
@@ -215,12 +202,12 @@ def cmd_gradcheck(args) -> int:
     for kind, params in checks:
         worst = max(worst, gradcheck_conditioner(kind, t, visual, params))
     print(f"gradcheck: max relative error {worst:.3e}")
-    return 0 if worst <= _GRADCHECK_TOL else 1
+    if worst > criteria.GRADCHECK_TOL:
+        return _fail(f"max relative error {worst:.3e} exceeds {criteria.GRADCHECK_TOL:.0e}")
+    return 0
 
 
 def cmd_cost(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     frames = _parse_frames(args.frames)
     base = costs.VIDEO_SWEEP_BASE
     if args.config:
@@ -237,6 +224,8 @@ def cmd_cost(args) -> int:
     reports = []
     for paradigm in paradigms:
         reports.extend(costs.sweep_frames(replace(base, paradigm=paradigm), frames))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "cost.csv"
     costs.write_cost_csv(path, reports)
     _write_meta(out_dir, {
@@ -276,112 +265,16 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _selftest_checks(seed: int) -> list[tuple[str, bool, str]]:
-    results = []
-    rng = make_rng(seed)
-
-    cfg = ModelConfig(L=4, C=32, h=4, d_ff=64, paradigm="fmi", frequency=0.5, seed=seed)
-    model = init_model(cfg)
-    base = base_twin(model)
-    t_emb = rng.normal(size=(8, cfg.C))
-    visual = VisualContext(rng.normal(size=(6, cfg.C)), "synthetic")
-    diff = float(np.max(np.abs(forward(model, t_emb, visual) - forward(base, t_emb))))
-    results.append(("zero_init_equivalence", diff == 0.0, f"max abs diff {diff:.3e}"))
-
-    x = rng.normal(size=(64, 16))
-    _, xhat = layer_norm(x, LNParams(np.ones(16), np.zeros(16), eps=1e-300))
-    mean_err = float(np.max(np.abs(xhat.mean(axis=1))))
-    std_err = float(np.max(np.abs(xhat.std(axis=1) - 1.0)))
-    results.append(("norm_contract", mean_err < 1e-10 and std_err < 1e-8,
-                    f"mean {mean_err:.2e} std {std_err:.2e}"))
-
-    worst = 0.0
-    for _ in range(5):
-        worst = max(worst, gradcheck_viln(random_viln_point(rng)))
-    t_small = rng.normal(size=(2, 8))
-    vis_small = VisualContext(rng.normal(size=(3, 8)), "synthetic")
-    worst = max(worst, gradcheck_conditioner("attn", t_small, vis_small,
-                                             AttnCondParams.init(rng, 8, heads=2, std=0.2)))
-    worst = max(worst, gradcheck_conditioner("conv", t_small, vis_small,
-                                             ConvCondParams.init(rng, 8, kernel=3, std=0.2)))
-    worst = max(worst, gradcheck_conditioner("mlp", t_small, vis_small,
-                                             MlpCondParams.init(rng, 8, 3, 2, 2, std=0.2)))
-    results.append(("gradcheck", worst <= _GRADCHECK_TOL, f"max rel err {worst:.3e}"))
-
-    attn_err = 0.0
-    for _ in range(5):
-        tt = rng.normal(size=(3, 8))
-        vv = VisualContext(rng.normal(size=(4, 8)), "synthetic")
-        pp = AttnCondParams.init(rng, 8, heads=2, std=0.3)
-        attn_err = max(attn_err, float(np.max(np.abs(cond_attn(tt, vv, pp) - attn_oracle(tt, vv, pp)))))
-    results.append(("attention_oracle", attn_err <= 1e-10, f"max abs err {attn_err:.3e}"))
-
-    loop_err = 0.0
-    for _ in range(3):
-        tt = rng.normal(size=(3, 6))
-        vv = VisualContext(rng.normal(size=(4, 6)), "synthetic")
-        pm = MlpCondParams.init(rng, 6, 4, 2, 2, std=0.3)
-        pc = ConvCondParams.init(rng, 6, kernel=3, std=0.3)
-        loop_err = max(loop_err, float(np.max(np.abs(cond_mlp(tt, vv, pm) - cond_mlp_pertoken(tt, vv, pm)))))
-        loop_err = max(loop_err, float(np.max(np.abs(cond_conv(tt, vv, pc) - cond_conv_pertoken(tt, vv, pc)))))
-    results.append(("conditioner_loop_equivalence", loop_err <= 1e-12, f"max abs err {loop_err:.3e}"))
-
-    plan = select_layers(32, 0.25, "uniform").modulated
-    results.append(("layer_selection", plan == tuple(range(0, 32, 4)), f"{plan}"))
-
-    oracle_ok = True
-    detail = []
-    for paradigm in ("fmi", "incontext", "crossattn"):
-        cc = costs.CostConfig(L=2, C=8, h=2, d_ff=16, T=5, V=3, paradigm=paradigm, frequency=0.5)
-        analytic = costs.cost_paradigm(cc).total_flops
-        measured = costs.measured_flops(cc, seed=seed)
-        rel = abs(analytic - measured) / measured
-        oracle_ok = oracle_ok and rel <= 0.01
-        detail.append(f"{paradigm} {rel:.2%}")
-    results.append(("cost_oracle", oracle_ok, "; ".join(detail)))
-
-    ratio_ok = True
-    detail = []
-    for case in costs.FLOPS_RATIO_CASES:
-        ratio = costs.flops_reduction_ratio(case)
-        ok = abs(ratio - case.target_ratio) <= 0.3 * case.target_ratio
-        ratio_ok = ratio_ok and ok
-        detail.append(f"{case.name} {ratio:.1f}x")
-    results.append(("reference_flops_ratios", ratio_ok, "; ".join(detail)))
-
-    fmi_reports = costs.sweep_frames(replace(costs.VIDEO_SWEEP_BASE, paradigm="fmi"), [8, 128])
-    ctx_reports = costs.sweep_frames(replace(costs.VIDEO_SWEEP_BASE, paradigm="incontext"), [8, 128])
-    flops_saving = 1.0 - fmi_reports[1].total_flops / ctx_reports[1].total_flops
-    mem_saving = 1.0 - fmi_reports[1].memory_total_bytes / ctx_reports[1].memory_total_bytes
-    kv_const = fmi_reports[0].kv_cache_bytes == fmi_reports[1].kv_cache_bytes
-    results.append(("video_scaling", flops_saving >= 0.85 and mem_saving >= 0.50 and kv_const,
-                    f"flops saving {flops_saving:.1%} memory saving {mem_saving:.1%}"))
-
-    influence = diagnostics.modulation_influence(model, t_emb, visual)
-    drift = diagnostics.feature_drift(base, base_twin(base), t_emb, None)
-    diag_ok = float(np.max(influence.per_token)) == 0.0 and float(np.max(drift.per_token)) == 0.0
-    results.append(("diagnostics_soundness", diag_ok, "zero-init influence and base drift are zero"))
-
-    img = vision.gradient_image(20, 14)
-    tiles = vision.tile_image(img, 8)
-    pooled = vision.pool_adaptive_2x2(np.arange(16, dtype=np.float64).reshape(4, 4, 1) + 1)
-    proj = vision.make_patch_projection(seed, 14, 3, 8)
-    n_tokens = vision.encode_stub(vision.gradient_image(336, 336), 14, proj).shape[0]
-    vision_ok = (
-        len(tiles) == 6
-        and np.array_equal(pooled[:, :, 0], [[3.5, 5.5], [11.5, 13.5]])
-        and vision.sample_frames(100, 4) == [0, 33, 66, 99]
-        and n_tokens == 576
-    )
-    results.append(("vision_contracts", vision_ok, f"336px/14 tokens {n_tokens}"))
-    return results
-
-
 def cmd_selftest(args) -> int:
     seed = args.seed if args.seed is not None else 0
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _selftest_checks(seed)
+    failed = []
+    for entry in criteria.CRITERIA:
+        ok, detail = entry.run(entry.seed + seed)
+        print(f"{'pass' if ok else 'FAIL'} - {entry.name}: {detail}")
+        if not ok:
+            failed.append(entry.name)
 
     reports = []
     for paradigm in ("fmi", "incontext", "crossattn"):
@@ -401,16 +294,15 @@ def cmd_selftest(args) -> int:
     _write_meta(out_dir, {
         "subcommand": "selftest",
         "seed": str(seed),
-        "checks": str(len(results)),
+        "checks": str(len(criteria.CRITERIA)),
         "artifacts": "cost.csv,influence.csv,drift.csv",
     })
 
-    failed = 0
-    for name, ok, detail in results:
-        print(f"{'pass' if ok else 'FAIL'} - {name}: {detail}")
-        failed += 0 if ok else 1
-    print(f"selftest: {len(results) - failed}/{len(results)} checks passed -> {out_dir}")
-    return 0 if failed == 0 else 1
+    total = len(criteria.CRITERIA)
+    print(f"selftest: {total - len(failed)}/{total} checks passed -> {out_dir}")
+    if failed:
+        return _fail(f"{len(failed)} of {total} release criteria failed: {', '.join(failed)}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--location", choices=["shallow", "middle", "deep", "uniform"])
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("selftest", help="condensed property suite")
+    p = sub.add_parser("selftest", help="release criteria plus deterministic CSV artifacts")
     p.add_argument("--out", default="out")
     p.add_argument("--seed", type=_non_negative_int, default=None)
     p.set_defaults(func=cmd_selftest)

@@ -106,6 +106,10 @@ class ModelConfig:
             raise ConfigError("eps must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("cond_heads", "cond_kernel", "cond_token_exp", "cond_channel_exp", "cond_visual_tokens"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.paradigm in ("fmi", "crossattn"):
             if not 0.0 < self.frequency <= 1.0:
                 raise ConfigError(f"frequency {self.frequency} outside (0, 1]")
@@ -511,7 +515,7 @@ def config_from_kv(kv: dict[str, str]) -> ModelConfig:
     kwargs = {}
     for name, raw in kv.items():
         f = known[name]
-        if raw == "none":
+        if raw == "none" and f.type == "int | None":
             kwargs[name] = None
         elif f.type in ("int", "int | None", "float"):
             convert = float if f.type == "float" else int

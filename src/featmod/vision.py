@@ -16,16 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pathlib import Path
-
 from .conditioning import VisualContext
 from .tensors import (
     ConfigError,
     ShapeError,
-    load_tensors,
     make_rng,
     matmul,
-    save_tensors,
     sinusoid_positions,
 )
 
@@ -163,15 +159,6 @@ def encode_stub(img: ImageGrid, patch: int, proj: np.ndarray) -> np.ndarray:
 
 def grid_side(image_px: int, patch: int) -> int:
     return -(-image_px // patch)
-
-
-def save_image(path: str | Path, img: ImageGrid, name: str = "image") -> None:
-    """Store raw planar pixels in the tensor manifest format."""
-    save_tensors(path, {name: img.data})
-
-
-def load_image(path: str | Path, name: str = "image") -> ImageGrid:
-    return ImageGrid(load_tensors(path)[name])
 
 
 # ---------------------------------------------------------------------------

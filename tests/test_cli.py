@@ -1,11 +1,20 @@
+import contextlib
 import csv
+import io
+import tempfile
 import warnings
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from featmod import criteria
 from featmod.cli import main
 from featmod.configfile import read_kv, write_kv
+from featmod.criteria import CRITERIA
 from featmod.model import ModelConfig, config_to_kv, init_model, save_model
 from featmod.tensors import load_tensors
 
@@ -122,18 +131,6 @@ class TestDiagnose:
         assert any(float(r["distance"]) > 0.0 for r in rows)
 
 
-class TestSelftest:
-    def test_passes_and_is_byte_deterministic(self, tmp_path, capsys):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert main(["selftest", "--out", str(out_a), "--seed", "0"]) == 0
-        assert main(["selftest", "--out", str(out_b), "--seed", "0"]) == 0
-        for name in ("cost.csv", "influence.csv", "drift.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-
-
 _MLP_FOR_5_VISUAL_TOKENS = "paradigm=fmi\ncond_kind=mlp\ncond_visual_tokens=5\nL=2\nC=16\nh=2\nd_ff=32"
 
 
@@ -189,6 +186,14 @@ class TestErrors:
                      id="forward-mlp-visual-count"),
         pytest.param(["diagnose", "--config", "{cfg}", "--out", "{tmp}"], _MLP_FOR_5_VISUAL_TOKENS,
                      id="diagnose-mlp-visual-count"),
+        pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "L=none", id="config-none-for-int"),
+        pytest.param(["equivalence", "--config", "{cfg}"], "cond_heads=0", id="config-zero-heads"),
+        pytest.param(["forward", "--config", "{cfg}", "--out", "{tmp}"], "cond_kind=conv\ncond_kernel=-1",
+                     id="config-negative-kernel"),
+        pytest.param(["cost", "--frames", "0", "--out", "{tmp}"], None, id="cost-frames-zero"),
+        pytest.param(["cost", "--frames", "a,b", "--out", "{tmp}"], None, id="cost-frames-junk"),
+        pytest.param(["cost", "--frequency", "0", "--out", "{tmp}"], None, id="cost-frequency-zero"),
+        pytest.param(["cost", "--frequency", "nan", "--out", "{tmp}"], None, id="cost-frequency-nan"),
     ])
     def test_bad_input_exits_two_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -235,3 +240,75 @@ class TestErrors:
         assert main([
             "forward", "--weights", str(tmp_path / "missing.manifest"), "--out", str(tmp_path)
         ]) == 2
+
+    def test_failing_gradcheck_exits_one_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(criteria, "GRADCHECK_TOL", 0.0)
+        assert main(["gradcheck", "--points", "1"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_failing_criterion_exits_one(self, tmp_path, capsys, monkeypatch):
+        failing = replace(CRITERIA[0], run=lambda seed: (False, "forced failure"))
+        passing = [replace(c, run=lambda seed: (True, "stub")) for c in CRITERIA[1:]]
+        monkeypatch.setattr(criteria, "CRITERIA", (failing, *passing))
+        assert main(["selftest", "--out", str(tmp_path / "run")]) == 1
+        captured = capsys.readouterr()
+        assert f"FAIL - {CRITERIA[0].name}: forced failure" in captured.out.splitlines()
+        assert captured.err.count("\n") == 1 and CRITERIA[0].name in captured.err
+
+
+def _values(*valid):
+    """Some valid values of a flag plus zero, negatives, nan, inf and junk."""
+    return st.sampled_from([*valid, "0", "-1", "nan", "inf", "-inf", "1e309", "abc", ""])
+
+
+# Sizes stay small: --image-size <= 56 with --patch/--tile >= 7 keeps a forward
+# under 129 visual tokens, and --tokens <= 8.
+_COUNT = _values("1", "3", "8")
+_SEED = _values("7", "12345678901234567890")
+_PARADIGM = _values("fmi", "incontext", "crossattn", "base")
+_FREQUENCY = _values("0.25", "1", "1.5")
+_COMMON = {"--config": st.just("{cfg}"), "--weights": st.just("{missing}"), "--seed": _SEED,
+           "--paradigm": _PARADIGM, "--frequency": _FREQUENCY,
+           "--location": _values("shallow", "middle", "deep", "uniform")}
+_FLAGS = {
+    "forward": {**_COMMON, "--tokens": _COUNT, "--image-size": _values("1", "28", "56"),
+                "--patch": _values("7", "14"), "--tile": _values("7", "28"), "--frames": _COUNT,
+                "--video-len": _COUNT},
+    "equivalence": {**_COMMON, "--tokens": _COUNT, "--visual-tokens": _COUNT},
+    "gradcheck": {"--seed": _SEED, "--points": _COUNT},
+    "cost": {"--config": st.just("{cfg}"), "--frames": st.lists(_values("1", "8", "128"), max_size=3).map(",".join),
+             "--paradigm": _PARADIGM, "--frequency": _FREQUENCY, "--tokens": _COUNT},
+    "diagnose": {**_COMMON, "--tokens": _COUNT, "--visual-tokens": _COUNT},
+    "selftest": {"--seed": _SEED},
+}
+_BAD_CONFIG = st.dictionaries(st.sampled_from([f.name for f in fields(ModelConfig)]), _values("true"), max_size=2)
+
+
+# One test per subcommand: a single test over all six left some never drawn.
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@settings(max_examples=10)
+@given(data=st.data(), config=_BAD_CONFIG)
+def test_fuzzed_argv_exit_code_stderr_and_out_dir(command, data, config):
+    flags = data.draw(st.lists(st.sampled_from(sorted(_FLAGS[command])), unique=True, max_size=4))
+    stub = tuple(replace(c, run=lambda seed: (True, "stub")) for c in CRITERIA)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria, "CRITERIA", stub)  # selftest's table is fuzzed for its flags only
+        tmp = Path(tmp)
+        write_kv(tmp / "model.cfg", {"L": "2", "C": "16", "h": "2", "d_ff": "32", **config})
+        argv = [command]
+        for flag in flags:
+            argv += [flag, data.draw(_FLAGS[command][flag]).format(cfg=tmp / "model.cfg", missing=tmp / "none")]
+        if command in ("forward", "cost", "diagnose", "selftest"):
+            argv += ["--out", str(tmp / "run")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        if code == 2:
+            assert not (tmp / "run").exists(), argv

@@ -202,11 +202,3 @@ class TestPipelines:
     def test_frameset_timestamps_strictly_increasing(self):
         with pytest.raises(ConfigError):
             FrameSet(frames=[gradient_image(8, 8)] * 2, timestamps=[3, 3])
-
-    def test_image_manifest_round_trip(self, tmp_path):
-        from featmod.vision import load_image, save_image
-
-        img = checkerboard_image(12, 10, 3, cell=4)
-        save_image(tmp_path / "img.manifest", img)
-        loaded = load_image(tmp_path / "img.manifest")
-        assert np.array_equal(loaded.data, img.data)
