@@ -3,16 +3,20 @@
 Subcommands:
 
 * forward     - run one paradigm on synthetic inputs, dump hidden states
-* equivalence - zero-init check: fresh modulated stack vs base stack
-* gradcheck   - finite-difference verification of all analytic gradients
+* equivalence - criterion 1's zero-init check at the given sizes: a fresh
+                fmi or crossattn model against its base twin
+* gradcheck   - criterion 3's finite-difference checks of every analytic
+                gradient, at --points N random points per path
 * cost        - analytic cost sweep to cost.csv
-* diagnose    - modulation influence and feature drift to CSV
+* diagnose    - modulation influence and feature drift of an fmi model to CSV
 * selftest    - the 11 release criteria (featmod.criteria) plus deterministic
                 CSV artifacts; --seed s runs each criterion at its release
                 seed + s, so --seed 0 runs exactly the release gates
 
 Exit codes: 0 success, 1 failed check or runtime error (one-line reason on
-stderr), 2 usage or config errors.
+stderr), 2 usage or config errors, written before any output: these include
+equivalence of a base or incontext model, diagnose of a non-fmi model, and
+forward --tile with --frames K > 1.
 """
 
 from __future__ import annotations
@@ -25,9 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import costs, criteria, diagnostics, vision
-from .conditioning import AttnCondParams, ConvCondParams, MlpCondParams, VisualContext, gradcheck_conditioner
+from .conditioning import VisualContext
 from .configfile import read_kv, write_kv
 from .model import (
+    LOCATIONS,
+    PARADIGMS,
     ForwardCapture,
     Model,
     ModelConfig,
@@ -38,7 +44,6 @@ from .model import (
     load_model,
     randomize_modulation,
 )
-from .norm import gradcheck_viln, random_viln_point
 from .tensors import ConfigError, NumericError, ShapeError, make_rng, save_tensors
 
 
@@ -76,29 +81,22 @@ def _parse_frames(raw: str) -> list[int]:
     return frames
 
 
+# Flags that override the config field of the same name; a stored model
+# (--weights) keeps its own value of each, so they must agree with it.
+_ARCH_FLAGS = ("paradigm", "frequency", "location")
+
+
 def _load_config(args) -> ModelConfig:
-    if args.config:
-        cfg = config_from_kv(read_kv(args.config))
-    else:
-        cfg = ModelConfig()
-    overrides = {}
-    if getattr(args, "paradigm", None):
-        overrides["paradigm"] = args.paradigm
-    if getattr(args, "frequency", None) is not None:
-        overrides["frequency"] = args.frequency
-    if getattr(args, "location", None):
-        overrides["location"] = args.location
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    cfg = config_from_kv(read_kv(args.config)) if args.config else ModelConfig()
+    flags = {name: getattr(args, name, None) for name in (*_ARCH_FLAGS, "seed")}
+    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
     cfg.validate()
     return cfg
 
 
 def _synthetic_visual(cfg: ModelConfig, args) -> VisualContext:
     proj = vision.make_patch_projection(cfg.seed, args.patch, 3, cfg.C)
-    if args.frames and args.frames > 1:
+    if args.frames > 1:
         k = args.frames
         picks = vision.sample_frames(max(k, args.video_len), k)
         frames = vision.FrameSet(
@@ -110,8 +108,7 @@ def _synthetic_visual(cfg: ModelConfig, args) -> VisualContext:
         )
         return vision.video_context(frames, args.patch, proj)
     img = vision.gradient_image(args.image_size, args.image_size)
-    tile = args.tile if args.tile else None
-    return vision.image_context(img, args.patch, proj, tile)
+    return vision.image_context(img, args.patch, proj, args.tile or None)
 
 
 def _build_model(args, cfg: ModelConfig, visual: VisualContext | None) -> Model:
@@ -119,7 +116,7 @@ def _build_model(args, cfg: ModelConfig, visual: VisualContext | None) -> Model:
         if not args.config:
             raise ConfigError("--weights requires --config")
         model = load_model(args.config, args.weights)
-        for name in ("paradigm", "frequency", "location"):
+        for name in _ARCH_FLAGS:
             flag = getattr(args, name, None)
             if flag is not None and flag != getattr(model.cfg, name):
                 raise ConfigError(
@@ -146,12 +143,14 @@ def _write_meta(out_dir: Path, entries: dict[str, str]) -> None:
 # Subcommands
 
 def cmd_forward(args) -> int:
+    if args.frames > 1 and args.tile:
+        raise ConfigError("--tile splits one still image and cannot apply to --frames K > 1")
     cfg = _load_config(args)
     visual = None if cfg.paradigm == "base" else _synthetic_visual(cfg, args)
     model = _build_model(args, cfg, visual)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = make_rng(args.seed if args.seed is not None else cfg.seed)
+    rng = make_rng(cfg.seed)
     t_emb = rng.normal(size=(args.tokens, cfg.C))
     capture = ForwardCapture()
     out = forward(model, t_emb, visual, capture)
@@ -163,7 +162,7 @@ def cmd_forward(args) -> int:
         "paradigm": model.cfg.paradigm,
         "tokens": str(args.tokens),
         "visual_tokens": str(visual.count if visual is not None else 0),
-        "seed": str(args.seed if args.seed is not None else cfg.seed),
+        "seed": str(cfg.seed),
         "artifacts": "hidden.manifest,hidden.bin",
     })
     print(f"forward: {model.cfg.paradigm} sequence {out.shape[0]}x{out.shape[1]} -> {out_dir}")
@@ -173,34 +172,16 @@ def cmd_forward(args) -> int:
 def cmd_equivalence(args) -> int:
     cfg = _load_config(args)
     if cfg.paradigm not in ("fmi", "crossattn"):
-        cfg = replace(cfg, paradigm="fmi")
-    model = init_model(cfg)
-    base = base_twin(model)
-    rng = make_rng(cfg.seed + 1)
-    t_emb = rng.normal(size=(args.tokens, cfg.C))
-    visual = VisualContext(rng.normal(size=(args.visual_tokens, cfg.C)), "synthetic")
-    out = forward(model, t_emb, visual)
-    ref = forward(base, t_emb)
-    diff = float(np.max(np.abs(out - ref)))
-    print(f"equivalence: max abs diff {diff:.3e}")
-    return 0 if diff == 0.0 else _fail(f"zero-init model differs from its base twin by {diff:.3e}")
+        raise ConfigError(f"equivalence checks a zero-init fmi or crossattn model, not {cfg.paradigm}")
+    gap = criteria.zero_init_gap(cfg, args.tokens, args.visual_tokens, np.float64)
+    print(f"equivalence: max abs diff {gap:.3e}")
+    if gap <= criteria.ZERO_INIT_FLOAT64_TOL:
+        return 0
+    return _fail(f"zero-init model differs from its base twin by {gap:.3e}")
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    rng = make_rng(seed)
-    worst = 0.0
-    for _ in range(args.points):
-        worst = max(worst, gradcheck_viln(random_viln_point(rng)))
-    t = rng.normal(size=(3, 8))
-    visual = VisualContext(rng.normal(size=(3, 8)), "synthetic")
-    checks = (
-        ("attn", AttnCondParams.init(rng, 8, heads=2, std=0.2)),
-        ("conv", ConvCondParams.init(rng, 8, kernel=3, std=0.2)),
-        ("mlp", MlpCondParams.init(rng, 8, 3, token_exp=2, channel_exp=2, std=0.2)),
-    )
-    for kind, params in checks:
-        worst = max(worst, gradcheck_conditioner(kind, t, visual, params))
+    worst = max(criteria.gradient_errors(args.seed, args.points).values())
     print(f"gradcheck: max relative error {worst:.3e}")
     if worst > criteria.GRADCHECK_TOL:
         return _fail(f"max relative error {worst:.3e} exceeds {criteria.GRADCHECK_TOL:.0e}")
@@ -212,15 +193,12 @@ def cmd_cost(args) -> int:
     base = costs.VIDEO_SWEEP_BASE
     if args.config:
         cfg = config_from_kv(read_kv(args.config))
-        base = replace(
-            base, L=cfg.L, C=cfg.C, h=cfg.h, d_ff=cfg.d_ff,
-            frequency=cfg.frequency, cond_kind=cfg.cond_kind,
-        )
+        base = replace(base, **{name: getattr(cfg, name) for name in costs.MODEL_FIELDS})
     if args.frequency is not None:
         base = replace(base, frequency=args.frequency)
     if args.tokens is not None:
         base = replace(base, T=args.tokens)
-    paradigms = [args.paradigm] if args.paradigm else ["fmi", "incontext", "crossattn"]
+    paradigms = [args.paradigm] if args.paradigm else costs.SWEEP_PARADIGMS
     reports = []
     for paradigm in paradigms:
         reports.extend(costs.sweep_frames(replace(base, paradigm=paradigm), frames))
@@ -241,15 +219,14 @@ def cmd_cost(args) -> int:
 def cmd_diagnose(args) -> int:
     cfg = _load_config(args)
     if cfg.paradigm != "fmi":
-        cfg = replace(cfg, paradigm="fmi")
-    seed = args.seed if args.seed is not None else cfg.seed
-    rng = make_rng(seed + 2)
+        raise ConfigError(f"diagnose measures an fmi model, not {cfg.paradigm}")
+    rng = make_rng(cfg.seed + 2)
     visual = VisualContext(rng.normal(size=(args.visual_tokens, cfg.C)), "synthetic")
     model = _build_model(args, cfg, visual)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not args.weights:
-        randomize_modulation(model, make_rng(seed + 3))
+        randomize_modulation(model, make_rng(cfg.seed + 3))
     t_emb = rng.normal(size=(args.tokens, cfg.C))
     influence = diagnostics.modulation_influence(model, t_emb, visual)
     drift = diagnostics.feature_drift(model, base_twin(model), t_emb, visual)
@@ -257,7 +234,7 @@ def cmd_diagnose(args) -> int:
     diagnostics.write_trace_csv(out_dir / "drift.csv", drift)
     _write_meta(out_dir, {
         "subcommand": "diagnose",
-        "seed": str(seed),
+        "seed": str(cfg.seed),
         "modulated_layers": ",".join(str(l) for l in influence.layers),
         "artifacts": "influence.csv,drift.csv",
     })
@@ -277,10 +254,8 @@ def cmd_selftest(args) -> int:
             failed.append(entry.name)
 
     reports = []
-    for paradigm in ("fmi", "incontext", "crossattn"):
-        reports.extend(
-            costs.sweep_frames(replace(costs.VIDEO_SWEEP_BASE, paradigm=paradigm), [8, 16, 32, 64, 128])
-        )
+    for paradigm in costs.SWEEP_PARADIGMS:
+        reports.extend(costs.sweep_frames(replace(costs.VIDEO_SWEEP_BASE, paradigm=paradigm), costs.SWEEP_FRAMES))
     costs.write_cost_csv(out_dir / "cost.csv", reports)
 
     cfg = ModelConfig(L=4, C=32, h=4, d_ff=64, paradigm="fmi", frequency=0.5, seed=seed)
@@ -319,55 +294,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="featmod", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_weights=True):
+    def model_flags(p, weights: bool, paradigm_help: str | None):
         p.add_argument("--config", help="model descriptor (key=value lines)")
-        if with_weights:
-            p.add_argument("--weights", help="tensor manifest with model weights")
-        p.add_argument("--seed", type=_non_negative_int, default=None)
-        p.add_argument("--paradigm", choices=["fmi", "incontext", "crossattn", "base"])
+        if weights:
+            p.add_argument("--weights", help="tensor manifest with model weights; needs --config")
+        p.add_argument("--seed", type=_non_negative_int, default=None, help="overrides the config's seed")
+        if paradigm_help:
+            p.add_argument("--paradigm", choices=PARADIGMS, help=paradigm_help)
+        p.add_argument("--frequency", type=float, default=None, help="share of blocks given vision, (0, 1]")
+        p.add_argument("--location", choices=LOCATIONS, help="where the selected blocks sit in the stack")
 
     p = sub.add_parser("forward", help="run a paradigm on synthetic inputs")
-    common(p)
+    model_flags(p, weights=True, paradigm_help="overrides the config's paradigm")
     p.add_argument("--out", default="out")
     p.add_argument("--tokens", type=_positive_int, default=16)
     p.add_argument("--image-size", type=_positive_int, default=336, dest="image_size")
     p.add_argument("--patch", type=_positive_int, default=14)
-    p.add_argument("--tile", type=_non_negative_int, default=0)
-    p.add_argument("--frames", type=_non_negative_int, default=0)
+    p.add_argument("--tile", type=_non_negative_int, default=0, help="N px image tiles; not with --frames")
+    p.add_argument("--frames", type=_non_negative_int, default=0, help="encode K > 1 pooled video frames")
     p.add_argument("--video-len", type=_positive_int, default=64, dest="video_len")
-    p.add_argument("--frequency", type=float, default=None)
-    p.add_argument("--location", choices=["shallow", "middle", "deep", "uniform"])
     p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("equivalence", help="zero-init forward equality check")
-    common(p)
+    p = sub.add_parser("equivalence", help="zero-init forward equality check (criterion 1)")
+    model_flags(p, weights=False, paradigm_help="fmi or crossattn; base and incontext have no zero-init twin")
     p.add_argument("--tokens", type=_positive_int, default=16)
     p.add_argument("--visual-tokens", type=_positive_int, default=8, dest="visual_tokens")
-    p.add_argument("--frequency", type=float, default=None)
-    p.add_argument("--location", choices=["shallow", "middle", "deep", "uniform"])
     p.set_defaults(func=cmd_equivalence)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=_non_negative_int, default=None)
-    p.add_argument("--points", type=_positive_int, default=20)
+    p = sub.add_parser("gradcheck", help="finite-difference gradient verification (criterion 3)")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="criterion 3 runs seed 104")
+    p.add_argument("--points", type=_positive_int, default=20, help="points per path; criterion 3 runs 100")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("cost", help="analytic cost sweep to CSV")
-    p.add_argument("--config", help="model descriptor supplying the architecture")
+    p.add_argument("--config", help="model descriptor supplying the architecture and conditioner sizes")
     p.add_argument("--out", default="out")
-    p.add_argument("--paradigm", choices=["fmi", "incontext", "crossattn"])
-    p.add_argument("--frames", default="8,16,32,64,128")
+    p.add_argument("--paradigm", choices=costs.SWEEP_PARADIGMS)
+    p.add_argument("--frames", default=",".join(str(k) for k in costs.SWEEP_FRAMES))
     p.add_argument("--frequency", type=float, default=None)
     p.add_argument("--tokens", type=_positive_int, default=None)
     p.set_defaults(func=cmd_cost)
 
-    p = sub.add_parser("diagnose", help="modulation influence and drift to CSV")
-    common(p)
+    p = sub.add_parser("diagnose", help="modulation influence and drift of an fmi model to CSV")
+    model_flags(p, weights=True, paradigm_help=None)
     p.add_argument("--out", default="out")
     p.add_argument("--tokens", type=_positive_int, default=16)
     p.add_argument("--visual-tokens", type=_positive_int, default=8, dest="visual_tokens")
-    p.add_argument("--frequency", type=float, default=None)
-    p.add_argument("--location", choices=["shallow", "middle", "deep", "uniform"])
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("selftest", help="release criteria plus deterministic CSV artifacts")

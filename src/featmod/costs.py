@@ -46,11 +46,11 @@ as its executable counterpart: a full cross-attention (4*T*C^2 + 4*V*C^2 +
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .conditioning import VisualContext, default_heads
-from .model import ModelConfig, forward, init_model, round_half_up
+from .conditioning import COND_KINDS, VisualContext, default_heads
+from .model import PARADIGMS, ModelConfig, forward, init_model, round_half_up
 from .tensors import ConfigError, count_macs, make_rng
 
 BREAKDOWN_KEYS = (
@@ -86,9 +86,9 @@ class CostConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0.0 < self.frequency <= 1.0:
             raise ConfigError(f"frequency {self.frequency} outside (0, 1]")
-        if self.paradigm not in ("fmi", "incontext", "crossattn", "base"):
+        if self.paradigm not in PARADIGMS:
             raise ConfigError(f"unknown paradigm {self.paradigm!r}")
-        if self.cond_kind not in ("mlp", "conv", "attn"):
+        if self.cond_kind not in COND_KINDS:
             raise ConfigError(f"unknown conditioner kind {self.cond_kind!r}")
 
     @property
@@ -104,6 +104,15 @@ class CostConfig:
         if self.paradigm in ("fmi", "crossattn"):
             return round_half_up(self.frequency * self.L)
         return 0
+
+
+# The fields a CostConfig shares with ModelConfig, under the same name and
+# meaning: the architecture, the paradigm and the conditioner's sizes.
+MODEL_FIELDS = tuple(f.name for f in fields(CostConfig) if f.name in {g.name for g in fields(ModelConfig)})
+
+# The paradigms a cost sweep compares and the frame counts it runs.
+SWEEP_PARADIGMS = tuple(p for p in PARADIGMS if p != "base")
+SWEEP_FRAMES = (8, 16, 32, 64, 128)
 
 
 @dataclass
@@ -281,16 +290,7 @@ def measured_flops(cfg: CostConfig, seed: int = 0) -> int:
     """
     cfg.validate()
     model_cfg = ModelConfig(
-        L=cfg.L,
-        C=cfg.C,
-        h=cfg.h,
-        d_ff=cfg.d_ff,
-        paradigm=cfg.paradigm,
-        cond_kind=cfg.cond_kind,
-        frequency=cfg.frequency,
-        cond_token_exp=cfg.cond_token_exp,
-        cond_channel_exp=cfg.cond_channel_exp,
-        cond_kernel=cfg.cond_kernel,
+        **{name: getattr(cfg, name) for name in MODEL_FIELDS},
         cond_visual_tokens=cfg.v_total if cfg.cond_kind == "mlp" else None,
         seed=seed,
     )

@@ -31,7 +31,7 @@ from .conditioning import (
     gradcheck_conditioner,
 )
 from .diagnostics import feature_drift, modulation_influence
-from .model import ModelConfig, base_twin, cast_model, forward, init_model, select_layers
+from .model import LOCATIONS, ModelConfig, base_twin, cast_model, forward, init_model, select_layers
 from .norm import LNParams, gradcheck_viln, layer_norm, random_viln_point
 from .tensors import make_rng
 from .vision import (
@@ -69,21 +69,22 @@ class Criterion:
     run: Callable[[int], tuple[bool, str]]
 
 
-def zero_init_equivalence(seed: int) -> tuple[bool, str]:
-    cfg = ModelConfig(L=6, C=64, h=8, d_ff=256, paradigm="fmi", frequency=0.25, seed=seed)
+def zero_init_gap(cfg: ModelConfig, tokens: int, visual_tokens: int, dtype) -> float:
+    """Max abs difference between a fresh model of cfg and its base twin, both
+    run in dtype on text and visual tokens drawn from seed cfg.seed + 1."""
     model = init_model(cfg)
     base = base_twin(model)
-    rng = make_rng(seed + 1)
-    t_emb = rng.normal(size=(16, cfg.C))
-    visual = VisualContext(rng.normal(size=(8, cfg.C)), "synthetic")
-    double_diff = float(np.max(np.abs(forward(model, t_emb, visual) - forward(base, t_emb))))
+    rng = make_rng(cfg.seed + 1)
+    t_emb = rng.normal(size=(tokens, cfg.C)).astype(dtype)
+    visual = VisualContext(rng.normal(size=(visual_tokens, cfg.C)).astype(dtype), "synthetic")
+    out = forward(cast_model(model, dtype), t_emb, visual)
+    return float(np.max(np.abs(out - forward(cast_model(base, dtype), t_emb))))
 
-    m32 = cast_model(model, np.float32)
-    b32 = cast_model(base, np.float32)
-    single_diff = float(np.max(np.abs(
-        forward(m32, t_emb.astype(np.float32), VisualContext(visual.v.astype(np.float32), "synthetic"))
-        - forward(b32, t_emb.astype(np.float32))
-    )))
+
+def zero_init_equivalence(seed: int) -> tuple[bool, str]:
+    cfg = ModelConfig(L=6, C=64, h=8, d_ff=256, paradigm="fmi", frequency=0.25, seed=seed)
+    double_diff = zero_init_gap(cfg, 16, 8, np.float64)
+    single_diff = zero_init_gap(cfg, 16, 8, np.float32)
     ok = double_diff <= ZERO_INIT_FLOAT64_TOL and single_diff <= ZERO_INIT_FLOAT32_TOL
     return ok, f"double diff {double_diff}, single diff {single_diff:.2e}"
 
@@ -102,11 +103,11 @@ def norm_contract(seed: int) -> tuple[bool, str]:
     return ok, f"mean err {mean_err:.2e}, std err {std_err:.2e}, scale err {scale_err:.2e}"
 
 
-def gradcheck(seed: int) -> tuple[bool, str]:
+def gradient_errors(seed: int, points: int) -> dict[str, float]:
+    """Worst relative gradient error of each path (viln, then each conditioner)
+    over `points` random points, all drawn from one generator seeded `seed`."""
     rng = make_rng(seed)
-    worst = {"viln": 0.0}
-    for _ in range(100):
-        worst["viln"] = max(worst["viln"], gradcheck_viln(random_viln_point(rng)))
+    worst = {"viln": max(gradcheck_viln(random_viln_point(rng)) for _ in range(points))}
     conditioners = (
         ("attn", 8, lambda c: AttnCondParams.init(rng, c, heads=2, std=0.3)),
         ("conv", 8, lambda c: ConvCondParams.init(rng, c, kernel=3, std=0.3)),
@@ -114,10 +115,15 @@ def gradcheck(seed: int) -> tuple[bool, str]:
     )
     for kind, channels, init in conditioners:
         worst[kind] = 0.0
-        for _ in range(100):
+        for _ in range(points):
             t = rng.normal(size=(3, channels))
             visual = VisualContext(rng.normal(size=(3, channels)), "synthetic")
             worst[kind] = max(worst[kind], gradcheck_conditioner(kind, t, visual, init(channels)))
+    return worst
+
+
+def gradcheck(seed: int) -> tuple[bool, str]:
+    worst = gradient_errors(seed, 100)
     ok = all(err <= GRADCHECK_TOL for err in worst.values())
     return ok, "max rel errors: " + ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
 
@@ -164,7 +170,7 @@ def layer_selection(_seed: int) -> tuple[bool, str]:
         uniform == (0, 4, 8, 12, 16, 20, 24, 28)
         and all(
             select_layers(8, 1.0, location).modulated == tuple(range(8))
-            for location in ("shallow", "middle", "deep", "uniform")
+            for location in LOCATIONS
         )
         and deep == (6, 7)
     )
@@ -213,7 +219,7 @@ def reference_flops_ratios(_seed: int) -> tuple[bool, str]:
 
 def video_scaling(_seed: int) -> tuple[bool, str]:
     base = costs.VIDEO_SWEEP_BASE
-    ks = [8, 16, 32, 64, 128]
+    ks = costs.SWEEP_FRAMES
     fmi = costs.sweep_frames(replace(base, paradigm="fmi"), ks)
     ctx = costs.sweep_frames(replace(base, paradigm="incontext"), ks)
     flops_saving = 1.0 - fmi[-1].total_flops / ctx[-1].total_flops

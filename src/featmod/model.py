@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .conditioning import (
+    COND_KINDS,
     AttnCondParams,
     ConvCondParams,
     MlpCondParams,
@@ -93,7 +94,7 @@ class ModelConfig:
             raise ConfigError(f"heads {self.h} must divide hidden size {self.C}")
         if self.paradigm not in PARADIGMS:
             raise ConfigError(f"unknown paradigm {self.paradigm!r}")
-        if self.cond_kind not in ("mlp", "conv", "attn"):
+        if self.cond_kind not in COND_KINDS:
             raise ConfigError(f"unknown conditioner kind {self.cond_kind!r}")
         if self.location not in LOCATIONS:
             raise ConfigError(f"unknown location {self.location!r}")

@@ -11,7 +11,8 @@ for a pre-attention slot and a pre-FFN slot). The projection is constructed
 all-zero so a fresh model leaves the host stack untouched.
 
 Both paths carry hand-derived backward functions; ``gradcheck_viln`` checks
-them against central finite differences. ``central_differences`` perturbs
+them against central finite differences through ``max_gradient_error``, the
+loop the conditioner checks share. ``central_differences`` perturbs
 every entry of an array up and down at once: it hands the caller's losses
 function the (2N, *arr.shape) stack of perturbed copies and expects 2N losses
 back, so the objective (``_viln_pipeline_loss`` here, the conditioner
@@ -20,6 +21,7 @@ forwards in ``conditioning``) must broadcast over that leading axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -294,6 +296,25 @@ def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(rel)) if rel.size else 0.0
 
 
+def max_gradient_error(analytic: dict[str, np.ndarray], perturbed: dict, eps_fd: float) -> float:
+    """Max relative error of analytic gradients against central differences.
+
+    perturbed maps each checked name to the (losses_fn, arr) pair that
+    ``central_differences`` takes; analytic holds the gradients under the
+    same names. eps_fd must lie in [1e-7, 1e-4]. A non-finite error in any
+    field raises NumericError.
+    """
+    if not 1e-7 <= eps_fd <= 1e-4:
+        raise ConfigError(f"eps_fd {eps_fd} outside [1e-7, 1e-4]")
+    worst = 0.0
+    for name, (losses_fn, arr) in perturbed.items():
+        err = relative_gradient_error(analytic[name], central_differences(losses_fn, arr, eps_fd))
+        if not math.isfinite(err):
+            raise NumericError(f"gradient check of {name} produced a non-finite error")
+        worst = max(worst, err)
+    return worst
+
+
 def _viln_pipeline_loss(point: VilnPoint, free_deltas: np.ndarray | None = None) -> np.ndarray:
     """Sum of outputs of both modulated slots; the gradcheck objective.
 
@@ -347,21 +368,12 @@ def gradcheck_viln(point: VilnPoint, eps_fd: float = 1e-5) -> float:
     and conditioning input. eps_fd must lie in [1e-7, 1e-4] and the point must
     be float64.
     """
-    if not 1e-7 <= eps_fd <= 1e-4:
-        raise ConfigError(f"eps_fd {eps_fd} outside [1e-7, 1e-4]")
-    analytic = viln_pipeline_gradients(point)
-    worst = 0.0
-    for name in ("x", "alpha", "beta", "cond", "w", "b"):
-        numeric = central_differences(
-            lambda stack: _viln_pipeline_loss(replace(point, **{name: stack})),
-            getattr(point, name),
-            eps_fd,
-        )
-        worst = max(worst, relative_gradient_error(analytic[name], numeric))
+    perturbed = {
+        name: (lambda stack, name=name: _viln_pipeline_loss(replace(point, **{name: stack})),
+               getattr(point, name))
+        for name in ("x", "alpha", "beta", "cond", "w", "b")
+    }
     deltas = project_deltas(point.cond, DeltaProjection(point.w, point.b))
     flat = np.concatenate([*deltas.slot(1), *deltas.slot(2)], axis=1)
-    numeric = central_differences(lambda stack: _viln_pipeline_loss(point, stack), flat, eps_fd)
-    worst = max(worst, relative_gradient_error(analytic["deltas"], numeric))
-    if not np.isfinite(worst):
-        raise NumericError("gradient check produced a non-finite error")
-    return worst
+    perturbed["deltas"] = (lambda stack: _viln_pipeline_loss(point, stack), flat)
+    return max_gradient_error(viln_pipeline_gradients(point), perturbed, eps_fd)

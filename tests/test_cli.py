@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from featmod import criteria
-from featmod.cli import main
+from featmod.cli import build_parser, main
 from featmod.configfile import read_kv, write_kv
 from featmod.criteria import CRITERIA
 from featmod.model import ModelConfig, config_to_kv, init_model, save_model
@@ -116,6 +117,23 @@ class TestCost:
     def test_bad_frames_list_is_usage_error(self, tmp_path):
         assert main(["cost", "--out", str(tmp_path), "--frames", "a,b"]) == 2
 
+    @pytest.mark.parametrize("kind, key, sizes", [
+        ("conv", "cond_kernel", (3, 7)),
+        ("mlp", "cond_token_exp", (2, 4)),
+        ("mlp", "cond_channel_exp", (2, 4)),
+    ])
+    def test_config_sets_conditioner_sizes(self, kind, key, sizes, tmp_path):
+        flops = []
+        for size in sizes:
+            _, cfg_path = write_config(tmp_path, cond_kind=kind, cond_visual_tokens=5, **{key: size})
+            out_dir = tmp_path / f"run{size}"
+            assert main([
+                "cost", "--config", str(cfg_path), "--out", str(out_dir), "--paradigm", "fmi", "--frames", "8",
+            ]) == 0
+            with (out_dir / "cost.csv").open() as fh:
+                flops.append(next(csv.DictReader(fh))["flops_conditioner"])
+        assert flops[0] != flops[1]
+
 
 class TestDiagnose:
     def test_writes_both_csvs(self, tmp_path):
@@ -194,6 +212,13 @@ class TestErrors:
         pytest.param(["cost", "--frames", "a,b", "--out", "{tmp}"], None, id="cost-frames-junk"),
         pytest.param(["cost", "--frequency", "0", "--out", "{tmp}"], None, id="cost-frequency-zero"),
         pytest.param(["cost", "--frequency", "nan", "--out", "{tmp}"], None, id="cost-frequency-nan"),
+        pytest.param(["equivalence", "--weights", "{weights}"], None, id="equivalence-weights"),
+        pytest.param(["equivalence", "--paradigm", "base"], None, id="equivalence-base"),
+        pytest.param(["equivalence", "--config", "{cfg}"], "paradigm=incontext", id="equivalence-incontext-config"),
+        pytest.param(["diagnose", "--paradigm", "incontext", "--out", "{tmp}"], None, id="diagnose-paradigm-flag"),
+        pytest.param(["diagnose", "--config", "{cfg}", "--out", "{tmp}"], "paradigm=crossattn",
+                     id="diagnose-crossattn-config"),
+        pytest.param(["forward", "--frames", "4", "--tile", "28", "--out", "{tmp}"], None, id="forward-frames-tile"),
     ])
     def test_bad_input_exits_two_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -236,6 +261,16 @@ class TestErrors:
         assert "cond_visual_tokens 5 disagrees" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_diagnose_rejects_stored_crossattn_model(self, tmp_path, capsys):
+        cfg, cfg_path = write_config(tmp_path, paradigm="crossattn")
+        save_model(init_model(cfg), cfg_path, tmp_path / "model.manifest")
+        assert main([
+            "diagnose", "--config", str(cfg_path), "--weights", str(tmp_path / "model.manifest"),
+            "--out", str(tmp_path / "run"),
+        ]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_weights_without_config_exits_two(self, tmp_path):
         assert main([
             "forward", "--weights", str(tmp_path / "missing.manifest"), "--out", str(tmp_path)
@@ -267,21 +302,32 @@ _COUNT = _values("1", "3", "8")
 _SEED = _values("7", "12345678901234567890")
 _PARADIGM = _values("fmi", "incontext", "crossattn", "base")
 _FREQUENCY = _values("0.25", "1", "1.5")
-_COMMON = {"--config": st.just("{cfg}"), "--weights": st.just("{missing}"), "--seed": _SEED,
-           "--paradigm": _PARADIGM, "--frequency": _FREQUENCY,
+_COMMON = {"--config": st.just("{cfg}"), "--seed": _SEED, "--frequency": _FREQUENCY,
            "--location": _values("shallow", "middle", "deep", "uniform")}
+_WEIGHTS = st.just("{missing}")
 _FLAGS = {
-    "forward": {**_COMMON, "--tokens": _COUNT, "--image-size": _values("1", "28", "56"),
-                "--patch": _values("7", "14"), "--tile": _values("7", "28"), "--frames": _COUNT,
-                "--video-len": _COUNT},
-    "equivalence": {**_COMMON, "--tokens": _COUNT, "--visual-tokens": _COUNT},
+    "forward": {**_COMMON, "--weights": _WEIGHTS, "--paradigm": _PARADIGM, "--tokens": _COUNT,
+                "--image-size": _values("1", "28", "56"), "--patch": _values("7", "14"),
+                "--tile": _values("7", "28"), "--frames": _COUNT, "--video-len": _COUNT},
+    "equivalence": {**_COMMON, "--paradigm": _PARADIGM, "--tokens": _COUNT, "--visual-tokens": _COUNT},
     "gradcheck": {"--seed": _SEED, "--points": _COUNT},
     "cost": {"--config": st.just("{cfg}"), "--frames": st.lists(_values("1", "8", "128"), max_size=3).map(",".join),
              "--paradigm": _PARADIGM, "--frequency": _FREQUENCY, "--tokens": _COUNT},
-    "diagnose": {**_COMMON, "--tokens": _COUNT, "--visual-tokens": _COUNT},
+    "diagnose": {**_COMMON, "--weights": _WEIGHTS, "--tokens": _COUNT, "--visual-tokens": _COUNT},
     "selftest": {"--seed": _SEED},
 }
 _BAD_CONFIG = st.dictionaries(st.sampled_from([f.name for f in fields(ModelConfig)]), _values("true"), max_size=2)
+
+
+def test_fuzz_flag_table_matches_parser():
+    """Every flag of every subcommand is fuzzed, and no removed flag is."""
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: sorted(flag for action in sub._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help", "--out"))  # the fuzz always passes --out
+        for name, sub in subcommands.choices.items()
+    }
+    assert parsed == {name: sorted(flags) for name, flags in _FLAGS.items()}
 
 
 # One test per subcommand: a single test over all six left some never drawn.

@@ -261,6 +261,27 @@ class TestGradchecks:
         p = MlpCondParams.init(rng, 8, 4, 2, 2, std=0.3)
         assert gradcheck_conditioner("mlp", t, visual, p) <= 1e-4
 
+    @pytest.mark.parametrize("kind", ["attn", "conv", "mlp"])
+    def test_nan_gradient_in_the_last_field_raises(self, kind, monkeypatch):
+        backward = conditioning._BACKWARDS[kind]
+        last = _PARAM_FIELDS[kind][-1]  # attn w_o, conv pointwise, mlp channel_b2
+
+        def poisoned(*args):
+            grads = dict(backward(*args))
+            grads[last] = grads[last].copy()
+            grads[last].flat[0] = np.nan
+            return grads
+
+        monkeypatch.setitem(conditioning._BACKWARDS, kind, poisoned)
+        rng, t, visual = random_case(19)
+        init = {
+            "attn": lambda: AttnCondParams.init(rng, 8, heads=2, std=0.3),
+            "conv": lambda: ConvCondParams.init(rng, 8, 3, std=0.3),
+            "mlp": lambda: MlpCondParams.init(rng, 8, 4, 2, 2, std=0.3),
+        }[kind]
+        with pytest.raises(NumericError):
+            gradcheck_conditioner(kind, t, visual, init())
+
 
 class TestMlpTiles:
     """The token mix runs in tiles of _Z1_TILE_BYTES of z1; shrinking the

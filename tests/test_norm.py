@@ -15,7 +15,8 @@ from featmod.norm import (
     viln_pipeline_gradients,
     viln_apply,
 )
-from featmod.tensors import ConfigError, ShapeError, make_rng
+from featmod import norm
+from featmod.tensors import ConfigError, NumericError, ShapeError, make_rng
 
 # eps below double resolution behaves as exact zero while satisfying eps > 0
 EPS0 = 1e-300
@@ -213,3 +214,14 @@ class TestGradcheck:
         rng = make_rng(11)
         with pytest.raises(ConfigError):
             gradcheck_viln(random_viln_point(rng), eps_fd=1e-3)
+
+    def test_nan_gradient_in_a_later_field_raises(self, monkeypatch):
+        def poisoned(point):
+            grads = viln_pipeline_gradients(point)
+            grads["w"] = grads["w"].copy()
+            grads["w"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(norm, "viln_pipeline_gradients", poisoned)
+        with pytest.raises(NumericError):
+            gradcheck_viln(random_viln_point(make_rng(14)))
