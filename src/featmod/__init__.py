@@ -23,7 +23,6 @@ from .conditioning import (
 from .costs import CostConfig, CostReport, cost_paradigm, flops_block, flops_cond, memory_estimate, sweep_frames
 from .diagnostics import DiagnosticTrace, cosine_distance, feature_drift, modulation_influence, token_class_influence
 from .model import (
-    LayerPlan,
     Model,
     ModelConfig,
     base_twin,
@@ -36,7 +35,6 @@ from .model import (
 from .norm import (
     DeltaProjection,
     LNParams,
-    ModulationDeltas,
     gradcheck_viln,
     layer_norm,
     project_deltas,

@@ -15,8 +15,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed check or runtime error (one-line reason on
 stderr), 2 usage or config errors, written before any output: these include
-equivalence of a base or incontext model, diagnose of a non-fmi model, and
-forward --tile with --frames K > 1.
+equivalence of a base or incontext model, diagnose of a non-fmi model,
+forward --tile with --frames K > 1, forward of a base model with any
+visual-input flag, and cost --config with a cond_heads the cost model does
+not price.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costs, criteria, diagnostics, vision
-from .conditioning import VisualContext
+from .conditioning import VisualContext, default_heads
 from .configfile import read_kv, write_kv
 from .model import (
     LOCATIONS,
@@ -142,10 +144,21 @@ def _write_meta(out_dir: Path, entries: dict[str, str]) -> None:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+# forward's visual-input flags and their defaults; a base model takes none of them.
+_VISUAL_FLAGS = {"image_size": 336, "patch": 14, "tile": 0, "frames": 0, "video_len": 64}
+
+
 def cmd_forward(args) -> int:
+    cfg = _load_config(args)
+    given = [name for name in _VISUAL_FLAGS if getattr(args, name) is not None]
+    if cfg.paradigm == "base" and given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ConfigError(f"a base model takes no visual input, so {flags} cannot apply")
+    for name, default in _VISUAL_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.frames > 1 and args.tile:
         raise ConfigError("--tile splits one still image and cannot apply to --frames K > 1")
-    cfg = _load_config(args)
     visual = None if cfg.paradigm == "base" else _synthetic_visual(cfg, args)
     model = _build_model(args, cfg, visual)
     out_dir = Path(args.out)
@@ -193,6 +206,11 @@ def cmd_cost(args) -> int:
     base = costs.VIDEO_SWEEP_BASE
     if args.config:
         cfg = config_from_kv(read_kv(args.config))
+        if cfg.cond_heads not in (None, default_heads(cfg.C)):
+            raise ConfigError(
+                f"the cost model prices attention conditioners at {default_heads(cfg.C)} heads "
+                f"for C={cfg.C}; cond_heads={cfg.cond_heads} cannot be priced"
+            )
         base = replace(base, **{name: getattr(cfg, name) for name in costs.MODEL_FIELDS})
     if args.frequency is not None:
         base = replace(base, frequency=args.frequency)
@@ -308,11 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags(p, weights=True, paradigm_help="overrides the config's paradigm")
     p.add_argument("--out", default="out")
     p.add_argument("--tokens", type=_positive_int, default=16)
-    p.add_argument("--image-size", type=_positive_int, default=336, dest="image_size")
-    p.add_argument("--patch", type=_positive_int, default=14)
-    p.add_argument("--tile", type=_non_negative_int, default=0, help="N px image tiles; not with --frames")
-    p.add_argument("--frames", type=_non_negative_int, default=0, help="encode K > 1 pooled video frames")
-    p.add_argument("--video-len", type=_positive_int, default=64, dest="video_len")
+    # visual-input flags default to None so a base model can reject them; see _VISUAL_FLAGS
+    p.add_argument("--image-size", type=_positive_int, dest="image_size", help="default 336")
+    p.add_argument("--patch", type=_positive_int, help="default 14")
+    p.add_argument("--tile", type=_non_negative_int, help="N px image tiles; not with --frames")
+    p.add_argument("--frames", type=_non_negative_int, help="encode K > 1 pooled video frames")
+    p.add_argument("--video-len", type=_positive_int, dest="video_len", help="default 64")
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("equivalence", help="zero-init forward equality check (criterion 1)")

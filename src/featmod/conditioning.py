@@ -36,7 +36,7 @@ the finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,9 +49,9 @@ from .tensors import (
     gelu_grad,
     matmul,
     merge_heads,
-    silu,
     softmax_lastdim,
     split_heads,
+    swish,
     swish_grad,
 )
 
@@ -151,14 +151,14 @@ class ConvCondParams:
 class AttnCondParams:
     """Bias-free projection matrices (C, C) and the head count dividing C."""
 
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
+    wq: np.ndarray
+    wk: np.ndarray
+    wv: np.ndarray
+    wo: np.ndarray
     heads: int
 
     def __post_init__(self) -> None:
-        c = self.w_q.shape[-1]
+        c = self.wq.shape[-1]
         if c % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must divide channels {c}")
 
@@ -168,12 +168,18 @@ class AttnCondParams:
     ) -> "AttnCondParams":
         heads = default_heads(channels) if heads is None else heads
         return cls(
-            w_q=rng.normal(scale=std, size=(channels, channels)),
-            w_k=rng.normal(scale=std, size=(channels, channels)),
-            w_v=rng.normal(scale=std, size=(channels, channels)),
-            w_o=rng.normal(scale=std, size=(channels, channels)),
+            wq=rng.normal(scale=std, size=(channels, channels)),
+            wk=rng.normal(scale=std, size=(channels, channels)),
+            wv=rng.normal(scale=std, size=(channels, channels)),
+            wo=rng.normal(scale=std, size=(channels, channels)),
             heads=heads,
         )
+
+
+def param_arrays(params) -> list[tuple[str, np.ndarray]]:
+    """(name, array) of every array field of a conditioner's params, in
+    declaration order; the attn head count is not an array and is left out."""
+    return [(f.name, getattr(params, f.name)) for f in fields(params) if f.name != "heads"]
 
 
 def _check_tokens(t: np.ndarray, v: np.ndarray) -> None:
@@ -336,7 +342,7 @@ def _cond_conv_forward(t: np.ndarray, v: np.ndarray, p: ConvCondParams):
     signals[..., 0] = t
     signals[..., 1:] = v[..., None, :reach, :].swapaxes(-1, -2)
     z = depthwise_conv1d(signals, p.depthwise[..., None, :, :])[..., 0]
-    a = silu(z)
+    a = swish(z)
     return matmul(a, p.pointwise), (z, a)
 
 
@@ -358,7 +364,7 @@ def cond_conv_pertoken(t: np.ndarray, visual: VisualContext, p: ConvCondParams) 
                     if 0 <= src < length:
                         acc += seq[src, c] * kernel[c, j]
                 conv[pos, c] = acc
-        y = silu(conv) @ p.pointwise
+        y = swish(conv) @ p.pointwise
         outs.append(y[0])
     return np.stack(outs)
 
@@ -394,14 +400,14 @@ def cond_attn(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.nda
 
 def _cond_attn_forward(t: np.ndarray, v: np.ndarray, p: AttnCondParams):
     heads = p.heads
-    q = split_heads(matmul(t, p.w_q), heads)
-    k = split_heads(matmul(v, p.w_k), heads)
-    val = split_heads(matmul(v, p.w_v), heads)
+    q = split_heads(matmul(t, p.wq), heads)
+    k = split_heads(matmul(v, p.wk), heads)
+    val = split_heads(matmul(v, p.wv), heads)
     logits = matmul(q, k.swapaxes(-1, -2))
     logits *= float(1.0 / np.sqrt(t.shape[-1] // heads))
     weights = softmax_lastdim(logits)
     merged = merge_heads(matmul(weights, val))
-    out = matmul(merged, p.w_o)
+    out = matmul(merged, p.wo)
     return out, (q, k, val, weights, merged)
 
 
@@ -411,9 +417,9 @@ def attn_oracle(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.n
     tokens, channels = t.shape
     heads = p.heads
     dk = channels // heads
-    q_all = t @ p.w_q
-    k_all = v @ p.w_k
-    v_all = v @ p.w_v
+    q_all = t @ p.wq
+    k_all = v @ p.wk
+    v_all = v @ p.wv
     merged = np.zeros((tokens, channels))
     for i in range(tokens):
         for h in range(heads):
@@ -429,7 +435,7 @@ def attn_oracle(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.n
             for j in range(v.shape[0]):
                 ctx += (exps[j] / total) * v_all[j, h * dk:(h + 1) * dk]
             merged[i, h * dk:(h + 1) * dk] = ctx
-    return merged @ p.w_o
+    return merged @ p.wo
 
 
 def cond_attn_backward(
@@ -437,18 +443,18 @@ def cond_attn_backward(
 ) -> dict[str, np.ndarray]:
     scale = float(1.0 / np.sqrt(t.shape[1] // p.heads))
     _, (q, k, val, weights, merged) = _cond_attn_forward(t, v, p)
-    grads: dict[str, np.ndarray] = {"w_o": merged.T @ g_out}
-    g_ctx = split_heads(g_out @ p.w_o.T, p.heads)
+    grads: dict[str, np.ndarray] = {"wo": merged.T @ g_out}
+    g_ctx = split_heads(g_out @ p.wo.T, p.heads)
     g_weights = g_ctx @ val.swapaxes(-1, -2)
     g_logits = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
     g_q = merge_heads(g_logits @ k) * scale
     g_k = merge_heads(g_logits.swapaxes(-1, -2) @ q) * scale
     g_val = merge_heads(weights.swapaxes(-1, -2) @ g_ctx)
-    grads["w_q"] = t.T @ g_q
-    grads["w_k"] = v.T @ g_k
-    grads["w_v"] = v.T @ g_val
-    grads["t"] = g_q @ p.w_q.T
-    grads["v"] = g_k @ p.w_k.T + g_val @ p.w_v.T
+    grads["wq"] = t.T @ g_q
+    grads["wk"] = v.T @ g_k
+    grads["wv"] = v.T @ g_val
+    grads["t"] = g_q @ p.wq.T
+    grads["v"] = g_k @ p.wk.T + g_val @ p.wv.T
     return grads
 
 
@@ -464,15 +470,6 @@ def apply_conditioner(kind: str, t: np.ndarray, visual: VisualContext, params) -
         return cond_attn(t, visual, params)
     raise ConfigError(f"unknown conditioner kind {kind!r}")
 
-
-_PARAM_FIELDS = {
-    "mlp": (
-        "token_w1", "token_b1", "token_w2", "token_b2",
-        "channel_w1", "channel_b1", "channel_w2", "channel_b2",
-    ),
-    "conv": ("depthwise", "pointwise"),
-    "attn": ("w_q", "w_k", "w_v", "w_o"),
-}
 
 _FORWARDS = {
     "mlp": _cond_mlp_forward,
@@ -500,7 +497,7 @@ def gradcheck_conditioner(
     scalar loss sum(output); each array's perturbed copies run as one
     forward batched over a leading axis.
     """
-    if kind not in _PARAM_FIELDS:
+    if kind not in _FORWARDS:
         raise ConfigError(f"unknown conditioner kind {kind!r}")
     forward = _FORWARDS[kind]
     v = visual.v
@@ -512,9 +509,6 @@ def gradcheck_conditioner(
         "t": (lambda ts: losses(ts, v, params), t),
         "v": (lambda vs: losses(t, vs, params), v),
     }
-    for field in _PARAM_FIELDS[kind]:
-        perturbed[field] = (
-            lambda stack, field=field: losses(t, v, replace(params, **{field: stack})),
-            getattr(params, field),
-        )
+    for field, arr in param_arrays(params):
+        perturbed[field] = (lambda stack, field=field: losses(t, v, replace(params, **{field: stack})), arr)
     return max_gradient_error(_BACKWARDS[kind](t, v, params, np.ones_like(t)), perturbed, eps_fd)

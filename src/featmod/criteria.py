@@ -164,12 +164,12 @@ def conditioner_loop_equivalence(seed: int) -> tuple[bool, str]:
 
 
 def layer_selection(_seed: int) -> tuple[bool, str]:
-    uniform = select_layers(32, 0.25, "uniform").modulated
-    deep = select_layers(8, 0.25, "deep").modulated
+    uniform = select_layers(32, 0.25, "uniform")
+    deep = select_layers(8, 0.25, "deep")
     ok = (
         uniform == (0, 4, 8, 12, 16, 20, 24, 28)
         and all(
-            select_layers(8, 1.0, location).modulated == tuple(range(8))
+            select_layers(8, 1.0, location) == tuple(range(8))
             for location in LOCATIONS
         )
         and deep == (6, 7)

@@ -14,6 +14,12 @@
                   base stack, mirroring the zero-initialized delta projection.
 * ``base``      - the text-only stack.
 
+``select_layers`` picks the blocks that receive vision, and ``init_model``
+attaches the paradigm's extras (a conditioner with its delta projection, or
+an insert) to those blocks only. The extras are the one record of where
+vision enters: ``forward`` runs a block's insert when it has one and
+modulates a block when it has a conditioner.
+
 Weight draws are keyed by (seed, block index, component) so the base weights
 of every paradigm built from one seed are bit-identical; paradigm extras
 never shift the base stream.
@@ -22,7 +28,7 @@ never shift the base stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +42,7 @@ from .conditioning import (
     apply_conditioner,
     cond_attn,
     default_heads,
+    param_arrays,
 )
 from .configfile import read_kv, write_kv
 from .norm import DeltaProjection, LNParams, layer_norm, project_deltas, viln_apply
@@ -112,34 +119,19 @@ class ModelConfig:
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.paradigm in ("fmi", "crossattn"):
-            if not 0.0 < self.frequency <= 1.0:
-                raise ConfigError(f"frequency {self.frequency} outside (0, 1]")
-            if round_half_up(self.frequency * self.L) < 1:
-                raise ConfigError(
-                    f"frequency {self.frequency} selects no layers out of {self.L}"
-                )
+            select_layers(self.L, self.frequency, self.location)
         if self.paradigm == "fmi" and not (self.modulate_attn or self.modulate_ffn):
             raise ConfigError("fmi needs at least one of modulate_attn / modulate_ffn")
         if self.paradigm == "fmi" and self.cond_kind == "mlp" and self.cond_visual_tokens is None:
             raise ConfigError("mlp conditioner requires cond_visual_tokens")
 
 
-@dataclass
-class LayerPlan:
-    """Sorted indices of the blocks that receive vision injection."""
-
-    modulated: tuple[int, ...]
-
-    def __contains__(self, layer: int) -> bool:
-        return layer in self.modulated
-
-
 def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def select_layers(layers: int, frequency: float, location: str) -> LayerPlan:
-    """Pick round(frequency * layers) block indices per the location strategy.
+def select_layers(layers: int, frequency: float, location: str) -> tuple[int, ...]:
+    """Pick round(frequency * layers) sorted block indices per the location strategy.
 
     shallow: the first k. deep: the last k. middle: a centered contiguous
     run starting at floor((L - k) / 2). uniform: j * floor(L / k) when k
@@ -167,7 +159,7 @@ def select_layers(layers: int, frequency: float, location: str) -> LayerPlan:
         raise ConfigError(f"unknown location {location!r}")
     if len(picked) != k or any(b <= a for a, b in zip(picked, picked[1:])):
         raise ConfigError(f"layer selection degenerated: {picked}")
-    return LayerPlan(tuple(picked))
+    return tuple(picked)
 
 
 @dataclass
@@ -201,7 +193,6 @@ class BlockParams:
 @dataclass
 class Model:
     cfg: ModelConfig
-    plan: LayerPlan
     blocks: list[BlockParams]
     connector_w: np.ndarray | None = None
     connector_b: np.ndarray | None = None
@@ -244,16 +235,10 @@ def _init_cond_params(cfg: ModelConfig, rng: np.random.Generator):
     raise ConfigError(f"unknown conditioner kind {cfg.cond_kind!r}")
 
 
-def make_plan(cfg: ModelConfig) -> LayerPlan:
-    if cfg.paradigm in ("fmi", "crossattn"):
-        return select_layers(cfg.L, cfg.frequency, cfg.location)
-    return LayerPlan(())
-
-
 def init_model(cfg: ModelConfig) -> Model:
     """Build a model from its config; all draws derive from cfg.seed."""
     cfg.validate()
-    plan = make_plan(cfg)
+    selected = select_layers(cfg.L, cfg.frequency, cfg.location) if cfg.paradigm in ("fmi", "crossattn") else ()
     c, d_ff = cfg.C, cfg.d_ff
     blocks = []
     for l in range(cfg.L):
@@ -270,15 +255,15 @@ def init_model(cfg: ModelConfig) -> Model:
             ln1=LNParams.identity(c, cfg.eps),
             ln2=LNParams.identity(c, cfg.eps),
         )
-        if cfg.paradigm == "fmi" and l in plan:
+        if cfg.paradigm == "fmi" and l in selected:
             extra = _component_rng(cfg.seed, l, 1)
             block.delta_proj = DeltaProjection.zero_init(c, c)
             block.cond_params = _init_cond_params(cfg, extra)
-        if cfg.paradigm == "crossattn" and l in plan:
+        if cfg.paradigm == "crossattn" and l in selected:
             extra = _component_rng(cfg.seed, l, 2)
             heads = cfg.cond_heads if cfg.cond_heads is not None else default_heads(c)
             attn = AttnCondParams.init(extra, c, heads=heads, std=_WEIGHT_STD)
-            attn.w_o = np.zeros((c, c))
+            attn.wo = np.zeros((c, c))
             block.insert = InsertParams(
                 attn=attn,
                 w1=extra.normal(scale=_WEIGHT_STD, size=(c, d_ff)),
@@ -292,7 +277,7 @@ def init_model(cfg: ModelConfig) -> Model:
         rng = _component_rng(cfg.seed, 0, 3)
         connector_w = rng.normal(scale=_WEIGHT_STD, size=(c, c))
         connector_b = np.zeros(c)
-    return Model(cfg=cfg, plan=plan, blocks=blocks, connector_w=connector_w, connector_b=connector_b)
+    return Model(cfg=cfg, blocks=blocks, connector_w=connector_w, connector_b=connector_b)
 
 
 def randomize_modulation(model: Model, rng: np.random.Generator, scale: float = 0.05) -> None:
@@ -310,9 +295,9 @@ def randomize_insert(model: Model, rng: np.random.Generator, scale: float = 0.05
     """Replace the zero insert output projections with random ones."""
     for block in model.blocks:
         if block.insert is not None:
-            c = block.insert.attn.w_o.shape[0]
+            c = block.insert.attn.wo.shape[0]
             d_ff = block.insert.w2.shape[0]
-            block.insert.attn.w_o = rng.normal(scale=scale, size=(c, c))
+            block.insert.attn.wo = rng.normal(scale=scale, size=(c, c))
             block.insert.w2 = rng.normal(scale=scale, size=(d_ff, c))
 
 
@@ -355,18 +340,6 @@ def _ffn(x: np.ndarray, p: BlockParams) -> np.ndarray:
     return matmul(gelu(z, out=z), p.w2) + p.b2
 
 
-def _masked_deltas(deltas, cfg: ModelConfig):
-    d_a1, d_b1 = deltas.slot(1)
-    d_a2, d_b2 = deltas.slot(2)
-    if not cfg.use_delta_alpha:
-        d_a1 = np.zeros_like(d_a1)
-        d_a2 = np.zeros_like(d_a2)
-    if not cfg.use_delta_beta:
-        d_b1 = np.zeros_like(d_b1)
-        d_b2 = np.zeros_like(d_b2)
-    return (d_a1, d_b1), (d_a2, d_b2)
-
-
 def _slot_norm(
     x: np.ndarray,
     ln: LNParams,
@@ -400,7 +373,12 @@ def block_forward(
     slot1 = slot2 = None
     if visual is not None:
         cond = apply_conditioner(cfg.cond_kind, h, visual, p.cond_params)
-        slot1, slot2 = _masked_deltas(project_deltas(cond, p.delta_proj), cfg)
+        slot1, slot2 = project_deltas(cond, p.delta_proj)
+        for d_alpha, d_beta in (slot1, slot2):  # views of one fresh array
+            if not cfg.use_delta_alpha:
+                d_alpha[...] = 0.0
+            if not cfg.use_delta_beta:
+                d_beta[...] = 0.0
         slot1 = slot1 if cfg.modulate_attn else None
         slot2 = slot2 if cfg.modulate_ffn else None
     h = h + _causal_self_attention(_slot_norm(h, p.ln1, slot1, cfg, pairs), p, cfg.h)
@@ -422,11 +400,10 @@ def forward(
 ) -> np.ndarray:
     """Run the block stack over the text embeddings, one loop for every paradigm.
 
-    The paradigm decides three things: incontext prefixes the connected
-    visual tokens (output length V + T; no visual input, no prefix), and on
-    each planned block crossattn runs the inserted interaction module first
-    while fmi modulates the block's normalization slots. Positions are added
-    after the prefix.
+    incontext prefixes the connected visual tokens (output length V + T; no
+    visual input, no prefix). A block with an insert (crossattn) runs it
+    first, and a block with a conditioner (fmi) modulates its normalization
+    slots. Positions are added after the prefix.
     """
     cfg = model.cfg
     if visual is None and cfg.paradigm in ("fmi", "crossattn"):
@@ -437,14 +414,10 @@ def forward(
         h = np.concatenate([prefix, t_emb], axis=0)
     h = h + sinusoid_positions(np.arange(h.shape[0]), h.shape[1]).astype(h.dtype)
     for l, p in enumerate(model.blocks):
-        block_visual = pairs = None
-        if l in model.plan and cfg.paradigm == "crossattn":
-            if p.insert is None:
-                raise ConfigError("block is in the layer plan but has no insert attached")
+        if p.insert is not None:
             h = _insert_forward(h, visual, p.insert)
-        elif l in model.plan:  # fmi
-            if p.delta_proj is None or p.cond_params is None:
-                raise ConfigError("block is in the layer plan but has no conditioner attached")
+        block_visual = pairs = None
+        if p.cond_params is not None:
             block_visual = visual
             if capture is not None:
                 pairs = capture.modulation[l] = []
@@ -462,7 +435,7 @@ def base_twin(model: Model) -> Model:
     read-only, since writing to a weight of either model changes both.
     """
     blocks = [replace(p, delta_proj=None, cond_params=None, insert=None) for p in model.blocks]
-    return Model(cfg=replace(model.cfg, paradigm="base"), plan=LayerPlan(()), blocks=blocks)
+    return Model(cfg=replace(model.cfg, paradigm="base"), blocks=blocks)
 
 
 def cast_model(model: Model, dtype) -> Model:
@@ -471,22 +444,13 @@ def cast_model(model: Model, dtype) -> Model:
     def cast(obj):
         if isinstance(obj, np.ndarray):
             return obj.astype(dtype)
-        if isinstance(obj, LNParams):
-            return LNParams(cast(obj.alpha), cast(obj.beta), obj.eps)
-        if isinstance(obj, DeltaProjection):
-            return DeltaProjection(cast(obj.w), cast(obj.b))
-        if isinstance(obj, (AttnCondParams, ConvCondParams, MlpCondParams, InsertParams, BlockParams)):
-            kwargs = {f.name: cast(getattr(obj, f.name)) for f in fields(obj)}
-            return type(obj)(**kwargs)
+        if isinstance(obj, list):
+            return [cast(item) for item in obj]
+        if is_dataclass(obj):
+            return replace(obj, **{f.name: cast(getattr(obj, f.name)) for f in fields(obj)})
         return obj
 
-    return Model(
-        cfg=model.cfg,
-        plan=model.plan,
-        blocks=[cast(b) for b in model.blocks],
-        connector_w=cast(model.connector_w),
-        connector_b=cast(model.connector_b),
-    )
+    return cast(model)
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +499,6 @@ def config_from_kv(kv: dict[str, str]) -> ModelConfig:
     return cfg
 
 
-def _cond_param_items(kind: str, params) -> list[tuple[str, np.ndarray]]:
-    if kind == "attn":
-        return [("wq", params.w_q), ("wk", params.w_k), ("wv", params.w_v), ("wo", params.w_o)]
-    if kind == "conv":
-        return [("depthwise", params.depthwise), ("pointwise", params.pointwise)]
-    return [
-        ("token_w1", params.token_w1), ("token_b1", params.token_b1),
-        ("token_w2", params.token_w2), ("token_b2", params.token_b2),
-        ("channel_w1", params.channel_w1), ("channel_b1", params.channel_b1),
-        ("channel_w2", params.channel_w2), ("channel_b2", params.channel_b2),
-    ]
-
-
 def model_tensors(model: Model) -> dict[str, np.ndarray]:
     """Flat name -> array view of every parameter, in a stable order."""
     named: dict[str, np.ndarray] = {}
@@ -568,10 +519,10 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
         if p.delta_proj is not None:
             named[f"{prefix}.delta_proj.W"] = p.delta_proj.w
             named[f"{prefix}.delta_proj.b"] = p.delta_proj.b
-            for field_name, arr in _cond_param_items(model.cfg.cond_kind, p.cond_params):
+            for field_name, arr in param_arrays(p.cond_params):
                 named[f"{prefix}.cond.{model.cfg.cond_kind}.{field_name}"] = arr
         if p.insert is not None:
-            for field_name, arr in _cond_param_items("attn", p.insert.attn):
+            for field_name, arr in param_arrays(p.insert.attn):
                 named[f"{prefix}.insert.attn.{field_name}"] = arr
             named[f"{prefix}.insert.ffn.w1"] = p.insert.w1
             named[f"{prefix}.insert.ffn.b1"] = p.insert.b1

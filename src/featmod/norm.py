@@ -51,28 +51,6 @@ class LNParams:
 
 
 @dataclass
-class ModulationDeltas:
-    """Per-token affine deltas for the two normalization slots, (T, C) each."""
-
-    d_alpha1: np.ndarray
-    d_beta1: np.ndarray
-    d_alpha2: np.ndarray
-    d_beta2: np.ndarray
-
-    def __post_init__(self) -> None:
-        shapes = {a.shape for a in (self.d_alpha1, self.d_beta1, self.d_alpha2, self.d_beta2)}
-        if len(shapes) != 1:
-            raise ShapeError(f"delta tensors disagree on shape: {shapes}")
-
-    def slot(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        if i == 1:
-            return self.d_alpha1, self.d_beta1
-        if i == 2:
-            return self.d_alpha2, self.d_beta2
-        raise ConfigError(f"slot must be 1 or 2, got {i}")
-
-
-@dataclass
 class DeltaProjection:
     """Linear map from conditioning vectors to the four delta chunks."""
 
@@ -140,22 +118,20 @@ def viln_apply(
     return (params.alpha + d_alpha) * xhat + (params.beta + d_beta)
 
 
-def project_deltas(cond: np.ndarray, proj: DeltaProjection) -> ModulationDeltas:
+def project_deltas(
+    cond: np.ndarray, proj: DeltaProjection
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Swish-gate the conditioning vectors and map them to the four deltas.
 
-    Chunk order along the projected axis is fixed:
-    [d_alpha1, d_beta1, d_alpha2, d_beta2].
+    Returns ((d_alpha1, d_beta1), (d_alpha2, d_beta2)), the pairs of the
+    pre-attention and pre-FFN slots, (T, C) each. All four are views of one
+    fresh (T, 4C) array, whose chunk order is that of the return value.
     """
     if cond.ndim != 2 or cond.shape[1] != proj.w.shape[0]:
         raise ShapeError(f"conditioning shape {cond.shape} does not match projection {proj.w.shape}")
     flat = matmul(swish(cond), proj.w) + proj.b
     c = proj.channels
-    return ModulationDeltas(
-        d_alpha1=flat[:, 0 * c:1 * c],
-        d_beta1=flat[:, 1 * c:2 * c],
-        d_alpha2=flat[:, 2 * c:3 * c],
-        d_beta2=flat[:, 3 * c:4 * c],
-    )
+    return (flat[:, :c], flat[:, c:2 * c]), (flat[:, 2 * c:3 * c], flat[:, 3 * c:])
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +318,10 @@ def viln_pipeline_gradients(point: VilnPoint) -> dict[str, np.ndarray]:
     """Analytic gradients of the gradcheck objective at the given point."""
     params = LNParams(point.alpha, point.beta, point.eps)
     proj = DeltaProjection(point.w, point.b)
-    deltas = project_deltas(point.cond, proj)
+    slot1, slot2 = project_deltas(point.cond, proj)
     g_out = np.ones_like(point.x)
-    g1 = viln_backward(point.x, deltas.slot(1), params, g_out, point.mode)
-    g2 = viln_backward(point.x, deltas.slot(2), params, g_out, point.mode)
+    g1 = viln_backward(point.x, slot1, params, g_out, point.mode)
+    g2 = viln_backward(point.x, slot2, params, g_out, point.mode)
     g_flat = np.concatenate(
         [g1["d_alpha"], g1["d_beta"], g2["d_alpha"], g2["d_beta"]], axis=1
     )
@@ -373,7 +349,7 @@ def gradcheck_viln(point: VilnPoint, eps_fd: float = 1e-5) -> float:
                getattr(point, name))
         for name in ("x", "alpha", "beta", "cond", "w", "b")
     }
-    deltas = project_deltas(point.cond, DeltaProjection(point.w, point.b))
-    flat = np.concatenate([*deltas.slot(1), *deltas.slot(2)], axis=1)
+    slot1, slot2 = project_deltas(point.cond, DeltaProjection(point.w, point.b))
+    flat = np.concatenate([*slot1, *slot2], axis=1)
     perturbed["deltas"] = (lambda stack: _viln_pipeline_loss(point, stack), flat)
     return max_gradient_error(viln_pipeline_gradients(point), perturbed, eps_fd)

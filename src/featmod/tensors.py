@@ -176,9 +176,6 @@ def swish(x: np.ndarray) -> np.ndarray:
     return _check_finite("swish", x * sigmoid(x))
 
 
-silu = swish
-
-
 def swish_grad(x: np.ndarray) -> np.ndarray:
     s = sigmoid(np.asarray(x))
     return s + x * s * (1.0 - s)

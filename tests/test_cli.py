@@ -16,7 +16,7 @@ from featmod import criteria
 from featmod.cli import build_parser, main
 from featmod.configfile import read_kv, write_kv
 from featmod.criteria import CRITERIA
-from featmod.model import ModelConfig, config_to_kv, init_model, save_model
+from featmod.model import ModelConfig, config_from_kv, config_to_kv, init_model, save_model
 from featmod.tensors import load_tensors
 
 
@@ -134,6 +134,16 @@ class TestCost:
                 flops.append(next(csv.DictReader(fh))["flops_conditioner"])
         assert flops[0] != flops[1]
 
+    def test_config_with_the_priced_head_count_is_accepted(self, tmp_path):
+        """cond_heads equal to default_heads(C), the count the cost model prices, costs as if unset."""
+        tables = []
+        for heads in (None, 1):  # default_heads(32) is 1
+            _, cfg_path = write_config(tmp_path, C=32, h=4, cond_heads=heads)
+            out_dir = tmp_path / f"run{heads}"
+            assert main(["cost", "--config", str(cfg_path), "--out", str(out_dir), "--frames", "8"]) == 0
+            tables.append((out_dir / "cost.csv").read_bytes())
+        assert tables[0] == tables[1]
+
 
 class TestDiagnose:
     def test_writes_both_csvs(self, tmp_path):
@@ -219,14 +229,30 @@ class TestErrors:
         pytest.param(["diagnose", "--config", "{cfg}", "--out", "{tmp}"], "paradigm=crossattn",
                      id="diagnose-crossattn-config"),
         pytest.param(["forward", "--frames", "4", "--tile", "28", "--out", "{tmp}"], None, id="forward-frames-tile"),
+        pytest.param(["forward", "--paradigm", "base", "--frames", "3", "--out", "{tmp}"], None,
+                     id="forward-base-frames"),
+        pytest.param(["forward", "--config", "{cfg}", "--image-size", "56", "--out", "{tmp}"], "paradigm=base",
+                     id="forward-base-config-image-size"),
+        pytest.param(["forward", "--paradigm", "base", "--patch", "7", "--out", "{tmp}"], None,
+                     id="forward-base-patch"),
+        pytest.param(["forward", "--paradigm", "base", "--tile", "28", "--out", "{tmp}"], None,
+                     id="forward-base-tile"),
+        pytest.param(["forward", "--config", "{cfg}", "--video-len", "8", "--out", "{tmp}"], "paradigm=base",
+                     id="forward-base-config-video-len"),
+        pytest.param(["forward", "--config", "{cfg}", "--weights", "{weights}", "--image-size", "56", "--out", "{tmp}"],
+                     "paradigm=base\nL=2\nC=16\nh=2\nd_ff=32", id="forward-stored-base-image-size"),
+        pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "cond_heads=1", id="cost-unpriced-cond-heads"),
+        pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "C=32\nh=4\ncond_heads=8",
+                     id="cost-unpriced-cond-heads-c32"),
     ])
     def test_bad_input_exits_two_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         if config is not None:
             cfg.write_text(config + "\n")
         weights = tmp_path / "model.manifest"
-        if "{weights}" in argv:
-            save_model(init_model(write_config(tmp_path)[0]), cfg, weights)
+        if "{weights}" in argv:  # a stored model of the given config, else of write_config's
+            stored = config_from_kv(read_kv(cfg)) if config is not None else write_config(tmp_path)[0]
+            save_model(init_model(stored), cfg, weights)
         argv = [arg.format(tmp=tmp_path / "run", cfg=cfg, weights=weights) for arg in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

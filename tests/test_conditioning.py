@@ -18,14 +18,14 @@ from featmod.conditioning import (
     cond_mlp,
     cond_mlp_pertoken,
     _FORWARDS,
-    _PARAM_FIELDS,
     _mix_tiles,
     default_heads,
     gradcheck_conditioner,
+    param_arrays,
 )
 from featmod.costs import CostConfig, cost_paradigm, measured_flops
 from featmod.model import ModelConfig, cast_model, init_model
-from featmod.tensors import ConfigError, NumericError, count_macs, make_rng, silu
+from featmod.tensors import ConfigError, NumericError, count_macs, make_rng, swish
 
 
 def random_case(seed, tokens=3, vis=4, channels=8):
@@ -33,6 +33,15 @@ def random_case(seed, tokens=3, vis=4, channels=8):
     t = rng.normal(size=(tokens, channels))
     visual = VisualContext(rng.normal(size=(vis, channels)), "synthetic")
     return rng, t, visual
+
+
+# Parameter draws of the stacked-operand checks, and each kind's array fields.
+DRAWS = {
+    "mlp": lambda rng: MlpCondParams.init(rng, 6, 4, 2, 2, std=0.3),
+    "conv": lambda rng: ConvCondParams.init(rng, 6, kernel=5, std=0.3),
+    "attn": lambda rng: AttnCondParams.init(rng, 6, heads=2, std=0.3),
+}
+FIELDS = {kind: [name for name, _ in param_arrays(draw(make_rng(0)))] for kind, draw in DRAWS.items()}
 
 
 class TestMlpConditioner:
@@ -69,7 +78,7 @@ class TestConvConditioner:
             depthwise=np.tile(np.array([0.0, 1.0, 0.0]), (8, 1)),
             pointwise=np.eye(8),
         )
-        assert np.allclose(cond_conv(t, visual, p), silu(t), atol=1e-12)
+        assert np.allclose(cond_conv(t, visual, p), swish(t), atol=1e-12)
 
     def test_zero_pointwise_zero_output(self):
         rng, t, visual = random_case(5)
@@ -107,7 +116,7 @@ class TestAttnConditioner:
         rng, t, _ = random_case(7, tokens=4)
         visual = VisualContext(make_rng(70).normal(size=(1, 8)), "synthetic")
         p = AttnCondParams.init(rng, 8, heads=2, std=0.3)
-        expected = np.tile((visual.v @ p.w_v) @ p.w_o, (4, 1))
+        expected = np.tile((visual.v @ p.wv) @ p.wo, (4, 1))
         assert np.allclose(cond_attn(t, visual, p), expected, atol=1e-12)
 
     def test_duplicate_visual_tokens_match_single(self):
@@ -134,8 +143,8 @@ class TestAttnConditioner:
     def test_zero_query_weights_give_mean_value_path(self):
         rng, t, visual = random_case(10, vis=5)
         p = AttnCondParams.init(rng, 8, heads=2, std=0.3)
-        p.w_q[:] = 0.0
-        expected = np.tile(visual.v.mean(axis=0) @ p.w_v @ p.w_o, (t.shape[0], 1))
+        p.wq[:] = 0.0
+        expected = np.tile(visual.v.mean(axis=0) @ p.wv @ p.wo, (t.shape[0], 1))
         assert np.allclose(attn_oracle(t, visual, p), expected, atol=1e-12)
         assert np.allclose(cond_attn(t, visual, p), expected, atol=1e-12)
 
@@ -214,18 +223,12 @@ class TestBatchedForwards:
     """The forwards broadcast over a leading axis on any one operand, which
     is what the finite-difference check feeds them."""
 
-    CASES = {
-        "mlp": lambda rng: MlpCondParams.init(rng, 6, 4, 2, 2, std=0.3),
-        "conv": lambda rng: ConvCondParams.init(rng, 6, kernel=5, std=0.3),
-        "attn": lambda rng: AttnCondParams.init(rng, 6, heads=2, std=0.3),
-    }
-
     @pytest.mark.parametrize("kind, operand", [
-        (kind, operand) for kind in ("mlp", "conv", "attn") for operand in ("t", "v", *_PARAM_FIELDS[kind])
+        (kind, operand) for kind in ("mlp", "conv", "attn") for operand in ("t", "v", *FIELDS[kind])
     ])
     def test_stacked_operand_equals_slices(self, kind, operand):
         rng, t, visual = random_case(40, tokens=3, vis=4, channels=6)
-        p = self.CASES[kind](rng)
+        p = DRAWS[kind](rng)
         operands = {"t": t, "v": visual.v}
         base = operands[operand] if operand in operands else getattr(p, operand)
         stack = base + rng.normal(scale=0.1, size=(3,) + base.shape)
@@ -264,7 +267,7 @@ class TestGradchecks:
     @pytest.mark.parametrize("kind", ["attn", "conv", "mlp"])
     def test_nan_gradient_in_the_last_field_raises(self, kind, monkeypatch):
         backward = conditioning._BACKWARDS[kind]
-        last = _PARAM_FIELDS[kind][-1]  # attn w_o, conv pointwise, mlp channel_b2
+        last = FIELDS[kind][-1]  # attn wo, conv pointwise, mlp channel_b2
 
         def poisoned(*args):
             grads = dict(backward(*args))
@@ -311,7 +314,7 @@ class TestMlpTiles:
         assert np.max(np.abs(tiled - one_tile)) <= 1e-15 * np.max(np.abs(one_tile))
         assert np.max(np.abs(tiled - cond_mlp_pertoken(t, visual, p))) <= 1e-12
 
-    @pytest.mark.parametrize("operand", ["t", "v", *_PARAM_FIELDS["mlp"]])
+    @pytest.mark.parametrize("operand", ["t", "v", *FIELDS["mlp"]])
     def test_stacked_operand_under_tiny_tiles(self, operand, monkeypatch):
         monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
         TestBatchedForwards().test_stacked_operand_equals_slices("mlp", operand)
@@ -324,7 +327,7 @@ class TestMlpTiles:
     def test_float32_keeps_dtype(self, monkeypatch):
         monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
         t, visual, p = self.case(52)
-        p32 = replace(p, **{f: getattr(p, f).astype(np.float32) for f in _PARAM_FIELDS["mlp"]})
+        p32 = replace(p, **{name: arr.astype(np.float32) for name, arr in param_arrays(p)})
         visual32 = VisualContext(visual.v.astype(np.float32), "synthetic")
         out32 = cond_mlp(t.astype(np.float32), visual32, p32)
         assert out32.dtype == np.float32

@@ -53,11 +53,11 @@ class TestSelectLayers:
     """Criterion 6 checks uniform 32@0.25, deep 8@0.25 and full coverage."""
 
     def test_shallow_and_middle(self):
-        assert select_layers(8, 0.25, "shallow").modulated == (0, 1)
-        assert select_layers(8, 0.25, "middle").modulated == (3, 4)
+        assert select_layers(8, 0.25, "shallow") == (0, 1)
+        assert select_layers(8, 0.25, "middle") == (3, 4)
 
     def test_uniform_non_divisible(self):
-        assert select_layers(10, 0.3, "uniform").modulated == (0, 3, 7)
+        assert select_layers(10, 0.3, "uniform") == (0, 3, 7)
 
     def test_zero_selection_rejected(self):
         with pytest.raises(ConfigError):
@@ -246,10 +246,34 @@ class TestZeroInitEquivalence:
         model.blocks[0].wq += make_rng(7).normal(scale=0.1, size=model.blocks[0].wq.shape)
         twin = base_twin(model)
         assert np.array_equal(twin.blocks[0].wq, model.blocks[0].wq)
-        assert twin.cfg.paradigm == "base" and twin.plan.modulated == ()
+        assert twin.cfg.paradigm == "base"
         assert all(b.delta_proj is None and b.cond_params is None and b.insert is None for b in twin.blocks)
         t_emb, visual = make_inputs(cfg)
         assert np.array_equal(forward(model, t_emb, visual), forward(twin, t_emb))
+
+
+def fmi_composition_reference(model, t_emb, visual):
+    """An fmi forward composed from its parts, honouring the config's slot and delta flags."""
+    cfg = model.cfg
+
+    def norm(x, ln, deltas):
+        return layer_norm(x, ln)[0] if deltas is None else viln_apply(x, deltas, ln)
+
+    def masked(d_alpha, d_beta):
+        return (d_alpha if cfg.use_delta_alpha else np.zeros_like(d_alpha),
+                d_beta if cfg.use_delta_beta else np.zeros_like(d_beta))
+
+    h = t_emb + sinusoid_positions(np.arange(t_emb.shape[0]), cfg.C)
+    for p in model.blocks:
+        slot1 = slot2 = None
+        if p.cond_params is not None:
+            deltas = project_deltas(apply_conditioner(cfg.cond_kind, h, visual, p.cond_params), p.delta_proj)
+            slot1, slot2 = (masked(*pair) for pair in deltas)
+            slot1 = slot1 if cfg.modulate_attn else None
+            slot2 = slot2 if cfg.modulate_ffn else None
+        h = h + _causal_self_attention(norm(h, p.ln1, slot1), p, cfg.h)
+        h = h + _ffn(norm(h, p.ln2, slot2), p)
+    return h
 
 
 class TestFmiForward:
@@ -264,7 +288,7 @@ class TestFmiForward:
 
     def test_frequency_one_modulates_every_block(self):
         model = init_model(small_cfg(frequency=1.0))
-        assert model.plan.modulated == tuple(range(4))
+        assert all(b.cond_params is not None and b.delta_proj is not None for b in model.blocks)
 
     def test_randomized_modulation_depends_on_visual_input(self):
         cfg = small_cfg()
@@ -287,6 +311,16 @@ class TestFmiForward:
         diff = np.abs(forward(model, t_emb, visual) - forward(base_twin(model), t_emb))
         assert np.max(diff) == 0.0
 
+    @pytest.mark.parametrize("flag", ["use_delta_alpha", "use_delta_beta"])
+    def test_delta_flag_zeroes_its_own_chunks(self, flag):
+        cfg = small_cfg(**{flag: False})
+        model = init_model(cfg)
+        randomize_modulation(model, make_rng(10), scale=0.2)
+        weights = {name: arr.tobytes() for name, arr in model_tensors(model).items()}
+        t_emb, visual = make_inputs(cfg)
+        assert np.array_equal(forward(model, t_emb, visual), fmi_composition_reference(model, t_emb, visual))
+        assert {name: arr.tobytes() for name, arr in model_tensors(model).items()} == weights
+
     def test_sublayer_flags_change_behavior(self):
         outs = {}
         for name, flags in {
@@ -302,13 +336,6 @@ class TestFmiForward:
         assert np.max(np.abs(outs["attn_only"] - outs["ffn_only"])) > 1e-9
         assert np.max(np.abs(outs["attn_only"] - outs["both"])) > 1e-9
 
-    def test_missing_conditioner_rejected(self):
-        model = init_model(small_cfg())
-        model.blocks[model.plan.modulated[0]].delta_proj = None
-        t_emb, visual = make_inputs(model.cfg)
-        with pytest.raises(ConfigError, match="no conditioner attached"):
-            forward(model, t_emb, visual)
-
     @pytest.mark.parametrize("kind", ["attn", "conv", "mlp"])
     @pytest.mark.parametrize("modulate_attn, modulate_ffn", [(True, True), (True, False), (False, True)])
     def test_matches_composition_reference(self, kind, modulate_attn, modulate_ffn):
@@ -318,20 +345,7 @@ class TestFmiForward:
         model = init_model(cfg)
         randomize_modulation(model, make_rng(15), scale=0.2)
         t_emb, visual = make_inputs(cfg)
-
-        def norm(x, ln, deltas):
-            return layer_norm(x, ln)[0] if deltas is None else viln_apply(x, deltas, ln)
-
-        h = t_emb + sinusoid_positions(np.arange(t_emb.shape[0]), cfg.C)
-        for l, p in enumerate(model.blocks):
-            slot1 = slot2 = None
-            if l in model.plan:
-                deltas = project_deltas(apply_conditioner(kind, h, visual, p.cond_params), p.delta_proj)
-                slot1 = deltas.slot(1) if modulate_attn else None
-                slot2 = deltas.slot(2) if modulate_ffn else None
-            h = h + _causal_self_attention(norm(h, p.ln1, slot1), p, cfg.h)
-            h = h + _ffn(norm(h, p.ln2, slot2), p)
-        assert np.array_equal(forward(model, t_emb, visual), h)
+        assert np.array_equal(forward(model, t_emb, visual), fmi_composition_reference(model, t_emb, visual))
 
 
 class TestInContext:
@@ -405,20 +419,13 @@ class TestCrossAttn:
         t_emb, visual = make_inputs(cfg)
 
         h = t_emb + sinusoid_positions(np.arange(t_emb.shape[0]), cfg.C)
-        for l, p in enumerate(model.blocks):
-            if l in model.plan:
+        for p in model.blocks:
+            if p.insert is not None:
                 h = h + attn_oracle(h, visual, p.insert.attn)
                 h = h + (gelu(h @ p.insert.w1 + p.insert.b1) @ p.insert.w2 + p.insert.b2)
             h = block_forward(h, p, cfg)
         ours = forward(model, t_emb, visual)
         assert np.max(np.abs(ours - h)) < 1e-10
-
-    def test_missing_insert_rejected(self):
-        model = init_model(small_cfg(paradigm="crossattn"))
-        model.blocks[model.plan.modulated[0]].insert = None
-        t_emb, visual = make_inputs(model.cfg)
-        with pytest.raises(ConfigError, match="no insert attached"):
-            forward(model, t_emb, visual)
 
 
 @pytest.mark.parametrize("overrides, pairs_per_layer", [
@@ -443,7 +450,7 @@ def test_capture_contract(overrides, pairs_per_layer):
     if pairs_per_layer is None:
         assert capture.modulation == {}
     else:
-        assert tuple(sorted(capture.modulation)) == model.plan.modulated
+        assert tuple(sorted(capture.modulation)) == select_layers(cfg.L, cfg.frequency, cfg.location)
         assert all(len(pairs) == pairs_per_layer for pairs in capture.modulation.values())
 
 
@@ -491,6 +498,40 @@ class TestDeterminismAndSeeding:
             assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w1, c.w1)
 
 
+_BLOCK_WEIGHT_LINES = (
+    "ln1.alpha shape=4 dtype=f64", "ln1.beta shape=4 dtype=f64",
+    "ln2.alpha shape=4 dtype=f64", "ln2.beta shape=4 dtype=f64",
+    "attn.wq shape=4x4 dtype=f64", "attn.wk shape=4x4 dtype=f64",
+    "attn.wv shape=4x4 dtype=f64", "attn.wo shape=4x4 dtype=f64",
+    "ffn.w1 shape=4x8 dtype=f64", "ffn.b1 shape=8 dtype=f64",
+    "ffn.w2 shape=8x4 dtype=f64", "ffn.b2 shape=4 dtype=f64",
+)
+_DELTA_PROJ_LINES = ("delta_proj.W shape=4x16 dtype=f64", "delta_proj.b shape=16 dtype=f64")
+# block 0's extras at L=2, C=4, d_ff=8, frequency 0.5 (V=2 for mlp)
+_EXTRA_WEIGHT_LINES = {
+    "fmi_attn": _DELTA_PROJ_LINES + (
+        "cond.attn.wq shape=4x4 dtype=f64", "cond.attn.wk shape=4x4 dtype=f64",
+        "cond.attn.wv shape=4x4 dtype=f64", "cond.attn.wo shape=4x4 dtype=f64",
+    ),
+    "fmi_conv": _DELTA_PROJ_LINES + (
+        "cond.conv.depthwise shape=4x3 dtype=f64", "cond.conv.pointwise shape=4x4 dtype=f64",
+    ),
+    "fmi_mlp": _DELTA_PROJ_LINES + (
+        "cond.mlp.token_w1 shape=3x12 dtype=f64", "cond.mlp.token_b1 shape=12 dtype=f64",
+        "cond.mlp.token_w2 shape=12x3 dtype=f64", "cond.mlp.token_b2 shape=3 dtype=f64",
+        "cond.mlp.channel_w1 shape=4x16 dtype=f64", "cond.mlp.channel_b1 shape=16 dtype=f64",
+        "cond.mlp.channel_w2 shape=16x4 dtype=f64", "cond.mlp.channel_b2 shape=4 dtype=f64",
+    ),
+    "crossattn": (
+        "insert.attn.wq shape=4x4 dtype=f64", "insert.attn.wk shape=4x4 dtype=f64",
+        "insert.attn.wv shape=4x4 dtype=f64", "insert.attn.wo shape=4x4 dtype=f64",
+        "insert.ffn.w1 shape=4x8 dtype=f64", "insert.ffn.b1 shape=8 dtype=f64",
+        "insert.ffn.w2 shape=8x4 dtype=f64", "insert.ffn.b2 shape=4 dtype=f64",
+    ),
+    "incontext": (),
+}
+
+
 class TestSerialization:
     def test_config_round_trip(self):
         cfg = small_cfg(cond_kind="mlp", cond_visual_tokens=6, norm_mode="rms", cond_heads=None)
@@ -509,6 +550,32 @@ class TestSerialization:
         assert "block0.delta_proj.W" in names  # layer 0 modulated under uniform 0.5
         assert "block0.cond.attn.wq" in names
         assert "block1.delta_proj.W" not in names
+
+    @pytest.mark.parametrize("variant", list(_EXTRA_WEIGHT_LINES))
+    def test_weight_manifest_is_pinned(self, variant, tmp_path):
+        """Every weight name, in order, with its shape: saved files keep them."""
+        paradigm, _, kind = variant.partition("_")
+        cfg = ModelConfig(L=2, C=4, h=2, d_ff=8, paradigm=paradigm, cond_kind=kind or "attn",
+                          frequency=0.5, cond_visual_tokens=2 if kind == "mlp" else None)
+        lines = [f"block0.{line}" for line in _BLOCK_WEIGHT_LINES + _EXTRA_WEIGHT_LINES[variant]]
+        lines += [f"block1.{line}" for line in _BLOCK_WEIGHT_LINES]
+        if paradigm == "incontext":
+            lines += ["connector.w shape=4x4 dtype=f64", "connector.b shape=4 dtype=f64"]
+        model = init_model(cfg)
+        assert list(model_tensors(model)) == [line.split(" ")[0] for line in lines]
+        save_model(model, tmp_path / "model.cfg", tmp_path / "model.manifest")
+        assert (tmp_path / "model.manifest").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("variant", ["base", "fmi_attn", "fmi_conv", "fmi_mlp", "incontext", "crossattn"])
+    def test_cast_model_casts_every_array(self, variant):
+        paradigm, _, kind = variant.partition("_")
+        cfg = small_cfg(paradigm=paradigm, cond_kind=kind or "attn", cond_visual_tokens=6 if kind == "mlp" else None)
+        model = init_model(cfg)
+        cast = cast_model(model, np.float32)
+        arrays = model_tensors(cast)
+        assert list(arrays) == list(model_tensors(model))
+        assert {arr.dtype for arr in arrays.values()} == {np.dtype(np.float32)}
+        assert all(arr.dtype == np.float64 for arr in model_tensors(model).values())
 
     def test_model_round_trip(self, tmp_path):
         cfg = small_cfg()

@@ -113,22 +113,22 @@ class TestProjectDeltas:
     def test_fresh_projection_gives_exact_zeros(self):
         rng = make_rng(5)
         proj = DeltaProjection.zero_init(6, 4)
-        deltas = project_deltas(rng.normal(size=(3, 6)), proj)
-        for arr in (deltas.d_alpha1, deltas.d_beta1, deltas.d_alpha2, deltas.d_beta2):
-            assert np.array_equal(arr, np.zeros((3, 4)))
+        for pair in project_deltas(rng.normal(size=(3, 6)), proj):
+            for arr in pair:
+                assert np.array_equal(arr, np.zeros((3, 4)))
 
     def test_zero_conditioning_gives_zero_deltas(self):
         rng = make_rng(6)
         proj = DeltaProjection(rng.normal(size=(6, 16)), np.zeros(16))
-        deltas = project_deltas(np.zeros((2, 6)), proj)
-        assert np.array_equal(deltas.d_alpha1, np.zeros((2, 4)))
-        assert np.array_equal(deltas.d_beta2, np.zeros((2, 4)))
+        (d_alpha1, _), (_, d_beta2) = project_deltas(np.zeros((2, 6)), proj)
+        assert np.array_equal(d_alpha1, np.zeros((2, 4)))
+        assert np.array_equal(d_beta2, np.zeros((2, 4)))
 
     def test_unit_case(self):
         proj = DeltaProjection(np.ones((1, 4)), np.zeros(4))
-        deltas = project_deltas(np.array([[1.0]]), proj)
-        for arr in (deltas.d_alpha1, deltas.d_beta1, deltas.d_alpha2, deltas.d_beta2):
-            assert np.allclose(arr, 0.73106, atol=1e-5)
+        for pair in project_deltas(np.array([[1.0]]), proj):
+            for arr in pair:
+                assert np.allclose(arr, 0.73106, atol=1e-5)
 
     def test_chunk_order(self):
         # columns 0..C-1 feed d_alpha1, then d_beta1, d_alpha2, d_beta2
@@ -138,11 +138,12 @@ class TestProjectDeltas:
         w[0, 5] = 3.0   # d_alpha2 channel 1
         w[0, 6] = 4.0   # d_beta2 channel 0
         deltas = project_deltas(np.array([[1.0]]), DeltaProjection(w, np.zeros(8)))
+        (d_alpha1, d_beta1), (d_alpha2, d_beta2) = deltas
         gate = 0.7310585786300049
-        assert np.isclose(deltas.d_alpha1[0, 0], gate * 1.0)
-        assert np.isclose(deltas.d_beta1[0, 1], gate * 2.0)
-        assert np.isclose(deltas.d_alpha2[0, 1], gate * 3.0)
-        assert np.isclose(deltas.d_beta2[0, 0], gate * 4.0)
+        assert np.isclose(d_alpha1[0, 0], gate * 1.0)
+        assert np.isclose(d_beta1[0, 1], gate * 2.0)
+        assert np.isclose(d_alpha2[0, 1], gate * 3.0)
+        assert np.isclose(d_beta2[0, 0], gate * 4.0)
 
     def test_width_not_divisible_rejected(self):
         with pytest.raises(ConfigError):
@@ -164,8 +165,8 @@ class TestGradcheck:
         # while the output still equals the base normalization
         params = LNParams(point.alpha, point.beta, point.eps)
         plain, _ = layer_norm(point.x, params)
-        deltas = project_deltas(point.cond, DeltaProjection(point.w, point.b))
-        assert np.array_equal(viln_apply(point.x, deltas.slot(1), params), plain)
+        slot1, _ = project_deltas(point.cond, DeltaProjection(point.w, point.b))
+        assert np.array_equal(viln_apply(point.x, slot1, params), plain)
 
     def test_random_points(self):
         rng = make_rng(8)
@@ -198,8 +199,8 @@ class TestGradcheck:
         rng = make_rng(13)
         point = random_viln_point(rng)
         params = LNParams(point.alpha, point.beta, point.eps)
-        deltas = project_deltas(point.cond, DeltaProjection(point.w, point.b))
-        slots = viln_apply(point.x, deltas.slot(1), params) + viln_apply(point.x, deltas.slot(2), params)
+        slot1, slot2 = project_deltas(point.cond, DeltaProjection(point.w, point.b))
+        slots = viln_apply(point.x, slot1, params) + viln_apply(point.x, slot2, params)
         assert abs(_viln_pipeline_loss(point) - np.sum(slots)) <= 1e-12
         for name in ("x", "alpha", "beta", "cond", "w", "b"):
             arr = getattr(point, name)
