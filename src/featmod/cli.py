@@ -16,9 +16,9 @@ Subcommands:
 Exit codes: 0 success, 1 failed check or runtime error (one-line reason on
 stderr), 2 usage or config errors, written before any output: these include
 equivalence of a base or incontext model, diagnose of a non-fmi model,
-forward --tile with --frames K > 1, forward of a base model with any
-visual-input flag, and cost --config with a cond_heads the cost model does
-not price.
+forward --tile with --frames K, forward --video-len without --frames K or
+shorter than K, forward of a base model with any visual-input flag, and cost
+--config with a cond_heads the cost model does not price.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def _synthetic_visual(cfg: ModelConfig, args) -> VisualContext:
     proj = vision.make_patch_projection(cfg.seed, args.patch, 3, cfg.C)
     if args.frames > 1:
         k = args.frames
-        picks = vision.sample_frames(max(k, args.video_len), k)
+        picks = vision.sample_frames(args.video_len, k)
         frames = vision.FrameSet(
             frames=[
                 vision.ImageGrid(vision.gradient_image(args.image_size, args.image_size).data * (1.0 + idx))
@@ -154,6 +154,8 @@ def cmd_forward(args) -> int:
     if cfg.paradigm == "base" and given:
         flags = ", ".join("--" + name.replace("_", "-") for name in given)
         raise ConfigError(f"a base model takes no visual input, so {flags} cannot apply")
+    if args.video_len is not None and args.frames is None:
+        raise ConfigError("--video-len is the length of the video that --frames K samples, so it needs --frames")
     for name, default in _VISUAL_FLAGS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -330,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-size", type=_positive_int, dest="image_size", help="default 336")
     p.add_argument("--patch", type=_positive_int, help="default 14")
     p.add_argument("--tile", type=_non_negative_int, help="N px image tiles; not with --frames")
-    p.add_argument("--frames", type=_non_negative_int, help="encode K > 1 pooled video frames")
-    p.add_argument("--video-len", type=_positive_int, dest="video_len", help="default 64")
+    p.add_argument("--frames", type=_int_at_least(2), help="encode K > 1 pooled video frames")
+    p.add_argument("--video-len", type=_positive_int, dest="video_len", help="frames in the video; default 64")
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("equivalence", help="zero-init forward equality check (criterion 1)")

@@ -373,27 +373,11 @@ CSV_COLUMNS = (
 
 
 def report_row(report: CostReport) -> dict[str, str]:
-    return {
-        "paradigm": report.paradigm,
-        "cond_kind": report.cond_kind,
-        "k": str(report.k),
-        "T": str(report.T),
-        "V": str(report.V),
-        "v_total": str(report.v_total),
-        "seq_len": str(report.seq_len),
-        "flops_projections": str(report.breakdown["projections"]),
-        "flops_self_attention": str(report.breakdown["self_attention"]),
-        "flops_ffn": str(report.breakdown["ffn"]),
-        "flops_conditioner": str(report.breakdown["conditioner"]),
-        "flops_connector": str(report.breakdown["connector"]),
-        "flops_inserted_crossattn": str(report.breakdown["inserted_crossattn"]),
-        "flops_total": str(report.total_flops),
-        "decode_flops_per_token": str(report.decode_flops_per_token),
-        "kv_cache_bytes": str(report.kv_cache_bytes),
-        "peak_activation_bytes": str(report.peak_activation_bytes),
-        "weight_bytes": str(report.weight_bytes),
-        "memory_total_bytes": str(report.memory_total_bytes),
-    }
+    """One CSV row: flops_<key> from the breakdown, flops_total, and the
+    CostReport field or property of every other column."""
+    flops = {f"flops_{key}": value for key, value in report.breakdown.items()}
+    flops["flops_total"] = report.total_flops
+    return {name: str(flops[name] if name in flops else getattr(report, name)) for name in CSV_COLUMNS}
 
 
 def write_cost_csv(path: str | Path, reports: list[CostReport]) -> None:

@@ -15,10 +15,11 @@
 * ``base``      - the text-only stack.
 
 ``select_layers`` picks the blocks that receive vision, and ``init_model``
-attaches the paradigm's extras (a conditioner with its delta projection, or
-an insert) to those blocks only. The extras are the one record of where
-vision enters: ``forward`` runs a block's insert when it has one and
-modulates a block when it has a conditioner.
+attaches the paradigm's extras to those blocks only: a ``Modulation`` (the
+conditioner with its delta projection) for fmi, an ``InsertParams`` for
+crossattn. The extras are the one record of where vision enters, and
+``block_forward`` is the one place that runs them: it runs a block's insert
+when it has one and modulates a block when it has a ``Modulation``.
 
 Weight draws are keyed by (seed, block index, component) so the base weights
 of every paradigm built from one seed are bit-identical; paradigm extras
@@ -41,7 +42,6 @@ from .conditioning import (
     VisualContext,
     apply_conditioner,
     cond_attn,
-    default_heads,
     param_arrays,
 )
 from .configfile import read_kv, write_kv
@@ -174,6 +174,14 @@ class InsertParams:
 
 
 @dataclass
+class Modulation:
+    """A modulated block's conditioner and the projection of its output to affine deltas."""
+
+    cond: AttnCondParams | ConvCondParams | MlpCondParams
+    proj: DeltaProjection
+
+
+@dataclass
 class BlockParams:
     wq: np.ndarray
     wk: np.ndarray
@@ -185,8 +193,7 @@ class BlockParams:
     b2: np.ndarray
     ln1: LNParams
     ln2: LNParams
-    delta_proj: DeltaProjection | None = None
-    cond_params: object | None = None
+    modulation: Modulation | None = None
     insert: InsertParams | None = None
 
 
@@ -219,20 +226,17 @@ def _component_rng(seed: int, block: int, component: int) -> np.random.Generator
 
 def _init_cond_params(cfg: ModelConfig, rng: np.random.Generator):
     if cfg.cond_kind == "attn":
-        heads = cfg.cond_heads if cfg.cond_heads is not None else default_heads(cfg.C)
-        return AttnCondParams.init(rng, cfg.C, heads=heads, std=_WEIGHT_STD)
+        return AttnCondParams.init(rng, cfg.C, heads=cfg.cond_heads, std=_WEIGHT_STD)
     if cfg.cond_kind == "conv":
         return ConvCondParams.init(rng, cfg.C, kernel=cfg.cond_kernel, std=_WEIGHT_STD)
-    if cfg.cond_kind == "mlp":
-        return MlpCondParams.init(
-            rng,
-            cfg.C,
-            cfg.cond_visual_tokens,
-            token_exp=cfg.cond_token_exp,
-            channel_exp=cfg.cond_channel_exp,
-            std=_WEIGHT_STD,
-        )
-    raise ConfigError(f"unknown conditioner kind {cfg.cond_kind!r}")
+    return MlpCondParams.init(
+        rng,
+        cfg.C,
+        cfg.cond_visual_tokens,
+        token_exp=cfg.cond_token_exp,
+        channel_exp=cfg.cond_channel_exp,
+        std=_WEIGHT_STD,
+    )
 
 
 def init_model(cfg: ModelConfig) -> Model:
@@ -256,13 +260,11 @@ def init_model(cfg: ModelConfig) -> Model:
             ln2=LNParams.identity(c, cfg.eps),
         )
         if cfg.paradigm == "fmi" and l in selected:
-            extra = _component_rng(cfg.seed, l, 1)
-            block.delta_proj = DeltaProjection.zero_init(c, c)
-            block.cond_params = _init_cond_params(cfg, extra)
+            cond = _init_cond_params(cfg, _component_rng(cfg.seed, l, 1))
+            block.modulation = Modulation(cond, DeltaProjection.zero_init(c, c))
         if cfg.paradigm == "crossattn" and l in selected:
             extra = _component_rng(cfg.seed, l, 2)
-            heads = cfg.cond_heads if cfg.cond_heads is not None else default_heads(c)
-            attn = AttnCondParams.init(extra, c, heads=heads, std=_WEIGHT_STD)
+            attn = AttnCondParams.init(extra, c, heads=cfg.cond_heads, std=_WEIGHT_STD)
             attn.wo = np.zeros((c, c))
             block.insert = InsertParams(
                 attn=attn,
@@ -283,12 +285,12 @@ def init_model(cfg: ModelConfig) -> Model:
 def randomize_modulation(model: Model, rng: np.random.Generator, scale: float = 0.05) -> None:
     """Replace the zero delta projections with random ones (diagnostics use)."""
     for block in model.blocks:
-        if block.delta_proj is not None:
-            c_cond, width = block.delta_proj.w.shape
-            block.delta_proj = DeltaProjection(
+        if block.modulation is not None:
+            c_cond, width = block.modulation.proj.w.shape
+            block.modulation = Modulation(block.modulation.cond, DeltaProjection(
                 rng.normal(scale=scale, size=(c_cond, width)),
                 rng.normal(scale=scale, size=width),
-            )
+            ))
 
 
 def randomize_insert(model: Model, rng: np.random.Generator, scale: float = 0.05) -> None:
@@ -334,7 +336,7 @@ def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.n
     return matmul(merge_heads(ctx), p.wo)
 
 
-def _ffn(x: np.ndarray, p: BlockParams) -> np.ndarray:
+def _ffn(x: np.ndarray, p: BlockParams | InsertParams) -> np.ndarray:
     z = matmul(x, p.w1)
     z += p.b1
     return matmul(gelu(z, out=z), p.w2) + p.b2
@@ -363,17 +365,21 @@ def block_forward(
     visual: VisualContext | None = None,
     pairs: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> np.ndarray:
-    """Pre-norm block: h + Att(N1(h)), then h + FFN(N2(h)).
+    """Pre-norm block with its vision extras: h + Att(N1(h)), then h + FFN(N2(h)).
 
-    With visual input the block is modulated: it conditions on the incoming
-    hidden states, projects per-token affine deltas and applies them at the
-    normalization slots the config enables. pairs, when given, receives the
-    (plain, modulated) output of every modulated slot.
+    A block with an insert (crossattn) first runs it over visual. A block
+    with a Modulation (fmi) conditions on its incoming hidden states and
+    visual, projects per-token affine deltas and applies them at the
+    normalization slots the config enables. A block with neither ignores
+    visual. pairs, when given, receives the (plain, modulated) output of
+    every modulated slot.
     """
+    if p.insert is not None:
+        h = _insert_forward(h, visual, p.insert)
     slot1 = slot2 = None
-    if visual is not None:
-        cond = apply_conditioner(cfg.cond_kind, h, visual, p.cond_params)
-        slot1, slot2 = project_deltas(cond, p.delta_proj)
+    if p.modulation is not None:
+        cond = apply_conditioner(cfg.cond_kind, h, visual, p.modulation.cond)
+        slot1, slot2 = project_deltas(cond, p.modulation.proj)
         for d_alpha, d_beta in (slot1, slot2):  # views of one fresh array
             if not cfg.use_delta_alpha:
                 d_alpha[...] = 0.0
@@ -387,9 +393,7 @@ def block_forward(
 
 def _insert_forward(h: np.ndarray, visual: VisualContext, ins: InsertParams) -> np.ndarray:
     h = h + cond_attn(h, visual, ins.attn)
-    z = matmul(h, ins.w1)
-    z += ins.b1
-    return h + (matmul(gelu(z, out=z), ins.w2) + ins.b2)
+    return h + _ffn(h, ins)
 
 
 def forward(
@@ -401,9 +405,10 @@ def forward(
     """Run the block stack over the text embeddings, one loop for every paradigm.
 
     incontext prefixes the connected visual tokens (output length V + T; no
-    visual input, no prefix). A block with an insert (crossattn) runs it
-    first, and a block with a conditioner (fmi) modulates its normalization
-    slots. Positions are added after the prefix.
+    visual input, no prefix), and positions are added after the prefix.
+    Every block gets visual and runs its own extras (see block_forward).
+    capture, when given, records every block's output and the slot pairs of
+    every modulated block.
     """
     cfg = model.cfg
     if visual is None and cfg.paradigm in ("fmi", "crossattn"):
@@ -414,27 +419,23 @@ def forward(
         h = np.concatenate([prefix, t_emb], axis=0)
     h = h + sinusoid_positions(np.arange(h.shape[0]), h.shape[1]).astype(h.dtype)
     for l, p in enumerate(model.blocks):
-        if p.insert is not None:
-            h = _insert_forward(h, visual, p.insert)
-        block_visual = pairs = None
-        if p.cond_params is not None:
-            block_visual = visual
-            if capture is not None:
-                pairs = capture.modulation[l] = []
-        h = block_forward(h, p, cfg, block_visual, pairs)
+        pairs = None if capture is None else []
+        h = block_forward(h, p, cfg, visual, pairs)
         if capture is not None:
             capture.hidden.append(h.copy())
+            if pairs:
+                capture.modulation[l] = pairs
     return h
 
 
 def base_twin(model: Model) -> Model:
     """The text-only stack over this model's own base weights.
 
-    The twin's blocks drop the conditioners, delta projections and inserts
-    but share every base array with this model, uncopied: treat the twin as
-    read-only, since writing to a weight of either model changes both.
+    The twin's blocks drop their modulations and inserts but share every
+    base array with this model, uncopied: treat the twin as read-only, since
+    writing to a weight of either model changes both.
     """
-    blocks = [replace(p, delta_proj=None, cond_params=None, insert=None) for p in model.blocks]
+    blocks = [replace(p, modulation=None, insert=None) for p in model.blocks]
     return Model(cfg=replace(model.cfg, paradigm="base"), blocks=blocks)
 
 
@@ -516,10 +517,10 @@ def model_tensors(model: Model) -> dict[str, np.ndarray]:
         named[f"{prefix}.ffn.b1"] = p.b1
         named[f"{prefix}.ffn.w2"] = p.w2
         named[f"{prefix}.ffn.b2"] = p.b2
-        if p.delta_proj is not None:
-            named[f"{prefix}.delta_proj.W"] = p.delta_proj.w
-            named[f"{prefix}.delta_proj.b"] = p.delta_proj.b
-            for field_name, arr in param_arrays(p.cond_params):
+        if p.modulation is not None:
+            named[f"{prefix}.delta_proj.W"] = p.modulation.proj.w
+            named[f"{prefix}.delta_proj.b"] = p.modulation.proj.b
+            for field_name, arr in param_arrays(p.modulation.cond):
                 named[f"{prefix}.cond.{model.cfg.cond_kind}.{field_name}"] = arr
         if p.insert is not None:
             for field_name, arr in param_arrays(p.insert.attn):

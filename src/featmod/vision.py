@@ -64,7 +64,7 @@ class FrameSet:
 def sample_frames(video_len: int, k: int) -> list[int]:
     """Uniformly spaced frame indices: round(j * (video_len - 1) / (k - 1))."""
     if k < 1 or k > video_len:
-        raise ValueError(f"cannot pick {k} frames from {video_len}")
+        raise ConfigError(f"cannot pick {k} frames from a video of {video_len}")
     if k == 1:
         return [0]
     picks = [int(np.floor(j * (video_len - 1) / (k - 1) + 0.5)) for j in range(k)]

@@ -239,6 +239,10 @@ class TestErrors:
                      id="forward-base-tile"),
         pytest.param(["forward", "--config", "{cfg}", "--video-len", "8", "--out", "{tmp}"], "paradigm=base",
                      id="forward-base-config-video-len"),
+        pytest.param(["forward", "--video-len", "8", "--out", "{tmp}"], None, id="forward-video-len-without-frames"),
+        pytest.param(["forward", "--frames", "1", "--out", "{tmp}"], None, id="forward-one-frame"),
+        pytest.param(["forward", "--frames", "3", "--video-len", "2", "--out", "{tmp}"], None,
+                     id="forward-video-shorter-than-frames"),
         pytest.param(["forward", "--config", "{cfg}", "--weights", "{weights}", "--image-size", "56", "--out", "{tmp}"],
                      "paradigm=base\nL=2\nC=16\nh=2\nd_ff=32", id="forward-stored-base-image-size"),
         pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "cond_heads=1", id="cost-unpriced-cond-heads"),

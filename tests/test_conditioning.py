@@ -190,9 +190,9 @@ class TestSharedContracts:
         cfg = ModelConfig(L=2, C=8, h=2, d_ff=16, paradigm="fmi", cond_kind=kind,
                           frequency=0.5, cond_visual_tokens=4 if kind == "mlp" else None)
         model = init_model(cfg)
-        params = next(b.cond_params for b in model.blocks if b.cond_params is not None)
-        params32 = next(b.cond_params for b in cast_model(model, np.float32).blocks
-                        if b.cond_params is not None)
+        params = next(b.modulation.cond for b in model.blocks if b.modulation is not None)
+        params32 = next(b.modulation.cond for b in cast_model(model, np.float32).blocks
+                        if b.modulation is not None)
         _, t, visual = random_case(22, tokens=3, vis=4, channels=8)
         visual32 = VisualContext(visual.v.astype(np.float32), "synthetic")
         out32 = apply_conditioner(kind, t.astype(np.float32), visual32, params32)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from featmod.costs import (
     BREAKDOWN_KEYS,
     FLOPS_RATIO_CASES,
+    MODEL_FIELDS,
     VIDEO_SWEEP_BASE,
     CostConfig,
     cost_paradigm,
@@ -20,6 +21,7 @@ from featmod.costs import (
     write_cost_csv,
 )
 from featmod.criteria import ORACLE_CONFIGS
+from featmod.model import ModelConfig, init_model, model_tensors
 from featmod.tensors import ConfigError
 
 GOLDEN = Path(__file__).parent / "data" / "cost_video_golden.csv"
@@ -65,6 +67,17 @@ class TestOpWalkOracle:
     def test_base_paradigm(self):
         cfg = CostConfig(L=2, C=8, h=2, d_ff=16, T=5, V=1, paradigm="base")
         assert cost_paradigm(cfg).total_flops == measured_flops(cfg)
+
+
+@pytest.mark.parametrize("cfg", [*ORACLE_CONFIGS, CostConfig(L=2, C=8, h=2, d_ff=16, T=5, V=1, paradigm="base")])
+def test_weight_bytes_price_every_model_parameter(cfg):
+    """weight_bytes against the arrays of the model the op-walk builds for cfg."""
+    model_cfg = ModelConfig(
+        **{name: getattr(cfg, name) for name in MODEL_FIELDS},
+        cond_visual_tokens=cfg.v_total if cfg.cond_kind == "mlp" else None,
+    )
+    params = sum(a.size for a in model_tensors(init_model(model_cfg)).values())
+    assert cost_paradigm(cfg).weight_bytes == cfg.bytes_per_elem * params
 
 
 class TestReportStructure:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -247,7 +249,7 @@ class TestZeroInitEquivalence:
         twin = base_twin(model)
         assert np.array_equal(twin.blocks[0].wq, model.blocks[0].wq)
         assert twin.cfg.paradigm == "base"
-        assert all(b.delta_proj is None and b.cond_params is None and b.insert is None for b in twin.blocks)
+        assert all(b.modulation is None and b.insert is None for b in twin.blocks)
         t_emb, visual = make_inputs(cfg)
         assert np.array_equal(forward(model, t_emb, visual), forward(twin, t_emb))
 
@@ -266,8 +268,9 @@ def fmi_composition_reference(model, t_emb, visual):
     h = t_emb + sinusoid_positions(np.arange(t_emb.shape[0]), cfg.C)
     for p in model.blocks:
         slot1 = slot2 = None
-        if p.cond_params is not None:
-            deltas = project_deltas(apply_conditioner(cfg.cond_kind, h, visual, p.cond_params), p.delta_proj)
+        if p.modulation is not None:
+            cond = apply_conditioner(cfg.cond_kind, h, visual, p.modulation.cond)
+            deltas = project_deltas(cond, p.modulation.proj)
             slot1, slot2 = (masked(*pair) for pair in deltas)
             slot1 = slot1 if cfg.modulate_attn else None
             slot2 = slot2 if cfg.modulate_ffn else None
@@ -288,7 +291,7 @@ class TestFmiForward:
 
     def test_frequency_one_modulates_every_block(self):
         model = init_model(small_cfg(frequency=1.0))
-        assert all(b.cond_params is not None and b.delta_proj is not None for b in model.blocks)
+        assert all(b.modulation is not None for b in model.blocks)
 
     def test_randomized_modulation_depends_on_visual_input(self):
         cfg = small_cfg()
@@ -403,6 +406,12 @@ class TestBaseCausality:
                 assert np.array_equal(out[:j], out_b[:j])
 
 
+def insert_oracle(h, visual, ins):
+    """The inserted module from its parts: residual cross-attention, then a residual FFN."""
+    h = h + attn_oracle(h, visual, ins.attn)
+    return h + (gelu(h @ ins.w1 + ins.b1) @ ins.w2 + ins.b2)
+
+
 class TestCrossAttn:
     def test_sequence_length_stays_t(self):
         cfg = small_cfg(paradigm="crossattn")
@@ -421,11 +430,19 @@ class TestCrossAttn:
         h = t_emb + sinusoid_positions(np.arange(t_emb.shape[0]), cfg.C)
         for p in model.blocks:
             if p.insert is not None:
-                h = h + attn_oracle(h, visual, p.insert.attn)
-                h = h + (gelu(h @ p.insert.w1 + p.insert.b1) @ p.insert.w2 + p.insert.b2)
-            h = block_forward(h, p, cfg)
+                h = insert_oracle(h, visual, p.insert)
+            h = block_forward(h, replace(p, insert=None), cfg)
         ours = forward(model, t_emb, visual)
         assert np.max(np.abs(ours - h)) < 1e-10
+
+    def test_block_runs_its_insert_before_the_plain_block(self):
+        cfg = small_cfg(paradigm="crossattn")
+        model = init_model(cfg)
+        randomize_insert(model, make_rng(14), scale=0.2)
+        l, p = next((l, b) for l, b in enumerate(model.blocks) if b.insert is not None)
+        h, visual = make_inputs(cfg)
+        ref = block_forward(insert_oracle(h, visual, p.insert), base_twin(model).blocks[l], cfg)
+        assert np.max(np.abs(block_forward(h, p, cfg, visual) - ref)) < 1e-10
 
 
 @pytest.mark.parametrize("overrides, pairs_per_layer", [
