@@ -44,6 +44,7 @@ from .norm import max_gradient_error
 from .tensors import (
     ConfigError,
     ShapeError,
+    check_finite,
     depthwise_conv1d,
     gelu,
     gelu_grad,
@@ -403,7 +404,8 @@ def _cond_attn_forward(t: np.ndarray, v: np.ndarray, p: AttnCondParams):
     q = split_heads(matmul(t, p.wq), heads)
     k = split_heads(matmul(v, p.wk), heads)
     val = split_heads(matmul(v, p.wv), heads)
-    logits = matmul(q, k.swapaxes(-1, -2))
+    # checked even inside checks_at_boundaries: softmax maps a -inf logit to an exact 0
+    logits = check_finite("attention logits", matmul(q, k.swapaxes(-1, -2)))
     logits *= float(1.0 / np.sqrt(t.shape[-1] // heads))
     weights = softmax_lastdim(logits)
     merged = merge_heads(matmul(weights, val))

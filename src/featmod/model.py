@@ -49,6 +49,8 @@ from .norm import DeltaProjection, LNParams, layer_norm, project_deltas, viln_ap
 from .tensors import (
     ConfigError,
     ShapeError,
+    check_finite,
+    checks_at_boundaries,
     gelu,
     matmul,
     merge_heads,
@@ -328,8 +330,9 @@ def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.n
     ctx = np.empty_like(v)  # (heads, s, dk), laid out like v so merge_heads is a view
     for a in range(0, s, _QUERY_TILE):
         b = min(a + _QUERY_TILE, s)
-        # (heads, b - a, b) logits scaled and masked in place: no second logits-sized array
-        logits = matmul(q[:, a:b], k[:, :b].swapaxes(-1, -2))
+        # (heads, b - a, b) logits scaled and masked in place: no second logits-sized array.
+        # Checked even inside checks_at_boundaries: softmax maps a -inf logit to an exact 0.
+        logits = check_finite("attention logits", matmul(q[:, a:b], k[:, :b].swapaxes(-1, -2)))
         logits *= scale
         logits[:, :, a:] += _TILE_MASK[: b - a, : b - a]
         ctx[:, a:b] = matmul(softmax_lastdim(logits), v[:, :b])
@@ -374,6 +377,8 @@ def block_forward(
     visual. pairs, when given, receives the (plain, modulated) output of
     every modulated slot.
     """
+    if visual is None and (p.insert is not None or p.modulation is not None):
+        raise ConfigError("a block with an insert or a Modulation requires visual input")
     if p.insert is not None:
         h = _insert_forward(h, visual, p.insert)
     slot1 = slot2 = None
@@ -409,22 +414,29 @@ def forward(
     Every block gets visual and runs its own extras (see block_forward).
     capture, when given, records every block's output and the slot pairs of
     every modulated block.
+
+    The pass runs inside tensors.checks_at_boundaries, so its ops skip their
+    own finite checks. NumericError is raised instead at the boundaries a
+    NaN or Inf must cross: each attention tile's raw logits (self, conditioner
+    and insert), each block's deltas as project_deltas returns them, and each
+    block's output.
     """
     cfg = model.cfg
     if visual is None and cfg.paradigm in ("fmi", "crossattn"):
         raise ConfigError(f"paradigm {cfg.paradigm!r} requires visual input")
-    h = t_emb
-    if cfg.paradigm == "incontext" and visual is not None:
-        prefix = matmul(visual.v, model.connector_w) + model.connector_b
-        h = np.concatenate([prefix, t_emb], axis=0)
-    h = h + sinusoid_positions(np.arange(h.shape[0]), h.shape[1]).astype(h.dtype)
-    for l, p in enumerate(model.blocks):
-        pairs = None if capture is None else []
-        h = block_forward(h, p, cfg, visual, pairs)
-        if capture is not None:
-            capture.hidden.append(h.copy())
-            if pairs:
-                capture.modulation[l] = pairs
+    with checks_at_boundaries():
+        h = t_emb
+        if cfg.paradigm == "incontext" and visual is not None:
+            prefix = matmul(visual.v, model.connector_w) + model.connector_b
+            h = np.concatenate([prefix, t_emb], axis=0)
+        h = h + sinusoid_positions(np.arange(h.shape[0]), h.shape[1]).astype(h.dtype)
+        for l, p in enumerate(model.blocks):
+            pairs = None if capture is None else []
+            h = check_finite(f"block {l}", block_forward(h, p, cfg, visual, pairs))
+            if capture is not None:
+                capture.hidden.append(h.copy())
+                if pairs:
+                    capture.modulation[l] = pairs
     return h
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensors import ConfigError, NumericError, ShapeError, matmul, swish, swish_grad
+from .tensors import ConfigError, NumericError, ShapeError, check_finite, matmul, swish, swish_grad
 
 NormMode = str  # "ln" (mean subtracted) or "rms" (mean kept at zero)
 
@@ -125,11 +125,13 @@ def project_deltas(
 
     Returns ((d_alpha1, d_beta1), (d_alpha2, d_beta2)), the pairs of the
     pre-attention and pre-FFN slots, (T, C) each. All four are views of one
-    fresh (T, 4C) array, whose chunk order is that of the return value.
+    fresh (T, 4C) array, whose chunk order is that of the return value. That
+    array is checked finite even inside checks_at_boundaries: a caller may
+    zero or drop a chunk, and a NaN there would then reach nothing else.
     """
     if cond.ndim != 2 or cond.shape[1] != proj.w.shape[0]:
         raise ShapeError(f"conditioning shape {cond.shape} does not match projection {proj.w.shape}")
-    flat = matmul(swish(cond), proj.w) + proj.b
+    flat = check_finite("project_deltas", matmul(swish(cond), proj.w) + proj.b)
     c = proj.channels
     return (flat[:, :c], flat[:, c:2 * c]), (flat[:, 2 * c:3 * c], flat[:, 3 * c:])
 

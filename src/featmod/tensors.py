@@ -1,9 +1,15 @@
 """Deterministic dense-tensor substrate.
 
 All values travel as row-major numpy arrays, float64 on verification paths
-(float32 is accepted for bulk forward passes). Every public operation checks
-its output for NaN/Inf and raises NumericError on violation; shape problems
-raise ShapeError before any arithmetic runs.
+(float32 is accepted for bulk forward passes). Called on their own, the
+public operations check their output for NaN/Inf and raise NumericError on
+violation; shape problems raise ShapeError before any arithmetic runs.
+
+Inside ``checks_at_boundaries()``, which ``model.forward`` enters once per
+pass, those per-op checks are skipped and the caller checks the boundaries
+that a NaN or Inf has to cross instead, with ``check_finite``, which always
+runs. The scope also enters numpy's ``errstate(over="ignore",
+invalid="ignore")`` once, so ``matmul`` does not enter its own.
 
 Seeded randomness uses numpy's PCG64 generator exclusively: equal seeds give
 bit-identical streams on every platform numpy supports.
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -83,10 +90,35 @@ def _record_macs(n: int) -> None:
         counter.macs += n
 
 
-def _check_finite(name: str, out: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
+_AT_BOUNDARIES: ContextVar[bool] = ContextVar("featmod_checks_at_boundaries", default=False)
+
+
+@contextmanager
+def checks_at_boundaries() -> Iterator[None]:
+    """Skip the per-op finite checks for the duration of the block.
+
+    The caller takes on checking, with check_finite, every boundary a NaN or
+    Inf could otherwise slip past; overflow and invalid-operation warnings
+    are silenced for the block, since the checks report them instead.
+    """
+    token = _AT_BOUNDARIES.set(True)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    finally:
+        _AT_BOUNDARIES.reset(token)
+
+
+def check_finite(name: str, out: np.ndarray) -> np.ndarray:
+    """Raise NumericError if out holds a NaN or Inf, in or out of checks_at_boundaries."""
+    if not np.isfinite(out).all():
         raise NumericError(f"{name} produced non-finite values")
     return out
+
+
+def _check_finite(name: str, out: np.ndarray) -> np.ndarray:
+    """A public op's own output check, skipped inside checks_at_boundaries."""
+    return out if _AT_BOUNDARIES.get() else check_finite(name, out)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +144,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim > 2 or b.ndim > 2:
         batch = math.prod(_batch_shape("matmul", a, b))
     _record_macs(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
+    if _AT_BOUNDARIES.get():
+        return a @ b
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
-    return _check_finite("matmul", out)
+    return check_finite("matmul", out)
 
 
 def softmax_lastdim(x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from featmod import conditioning, model as model_module, norm
 from featmod.conditioning import VisualContext, apply_conditioner, attn_oracle
 from featmod.diagnostics import feature_drift, modulation_influence
 from featmod.model import (
@@ -27,6 +29,7 @@ from featmod.model import (
 from featmod.norm import layer_norm, project_deltas, viln_apply
 from featmod.tensors import (
     ConfigError,
+    NumericError,
     count_macs,
     gelu,
     make_rng,
@@ -610,3 +613,121 @@ class TestSerialization:
         t_emb, _ = make_inputs(model.cfg)
         with pytest.raises(ConfigError):
             forward(model, t_emb, None)
+
+
+def test_block_forward_without_visual_is_config_error():
+    for paradigm in ("fmi", "crossattn"):
+        model = init_model(small_cfg(paradigm=paradigm))
+        t_emb, _ = make_inputs(model.cfg)
+        with count_macs() as counter, pytest.raises(ConfigError):
+            block_forward(t_emb, model.blocks[0], model.cfg)
+        assert counter.macs == 0  # raised before any work
+
+
+_VARIANTS = ("base", "fmi_attn", "fmi_conv", "fmi_mlp", "incontext", "crossattn")
+# fmi flags under which block_forward zeroes or drops delta chunks
+_DELTA_FLAGS = {"no_alpha": dict(use_delta_alpha=False), "ffn_only": dict(modulate_attn=False)}
+
+
+def _variant_case(variant):
+    variant, _, flags = variant.partition("/")
+    paradigm, _, kind = variant.partition("_")
+    cfg = small_cfg(paradigm=paradigm, cond_kind=kind or "attn", cond_visual_tokens=6 if kind == "mlp" else None,
+                    **_DELTA_FLAGS.get(flags, {}))
+    model = init_model(cfg)
+    randomize_modulation(model, make_rng(16), scale=0.2)
+    randomize_insert(model, make_rng(17), scale=0.2)
+    t_emb, visual = make_inputs(cfg)
+    return model, t_emb, None if paradigm == "base" else visual
+
+
+def _raises(model, t_emb, visual) -> bool:
+    try:
+        forward(model, t_emb, visual)
+    except NumericError:
+        return True
+    return False
+
+
+class TestBoundaryChecks:
+    """forward checks finiteness at its boundaries, not after every op; it
+    must give the verdict of every-op checking on every non-finite input."""
+
+    @pytest.mark.parametrize("variant", _VARIANTS + tuple(f"fmi_attn/{flags}" for flags in _DELTA_FLAGS))
+    def test_same_verdict_as_every_op_checking(self, variant, monkeypatch):
+        model, t_emb, visual = _variant_case(variant)
+        arrays = {"t_emb": t_emb, **model_tensors(model)}
+        if visual is not None:
+            arrays["v"] = visual.v
+        every_op = []
+        boundaries = []
+        for name, arr in arrays.items():
+            for index in (0, arr.size - 1):
+                kept = arr.flat[index]
+                for bad in (np.nan, np.inf, -np.inf):
+                    arr.flat[index] = bad
+                    # with the scope a no-op every op checks its output, and warns on the way
+                    with monkeypatch.context() as patch, np.errstate(all="ignore"):
+                        patch.setattr(model_module, "checks_at_boundaries", nullcontext)
+                        every_op.append((name, index, bad, _raises(model, t_emb, visual)))
+                    boundaries.append((name, index, bad, _raises(model, t_emb, visual)))
+                arr.flat[index] = kept
+        assert [b for a, b in zip(every_op, boundaries) if a != b] == []
+        assert ("t_emb", 0, np.nan, True) in boundaries
+        if variant == "fmi_mlp":  # only column 0 of token_w2 reaches the output
+            name = "block0.cond.mlp.token_w2"
+            assert (name, arrays[name].size - 1, np.nan, False) in boundaries
+
+    @staticmethod
+    def _overflowing_logits_case(where):
+        """A model whose logits overflow to -inf in one entry that softmax
+        maps to an exact 0, so its output stays finite; T=2, C=4, one head.
+
+        self_attention: query 0 against key 1, in the masked upper triangle;
+        its q and k scale by about 1 at one of the two rows and 1e-10 at the
+        other, so only that entry reaches -1e310. fmi/crossattn: each text
+        token against the second of two visual tokens."""
+        paradigm = "base" if where == "self_attention" else where
+        cfg = ModelConfig(L=1, C=4, h=1, d_ff=8, paradigm=paradigm, frequency=1.0, cond_heads=1)
+        model = init_model(cfg)
+        rng = make_rng(5)
+        t_emb = rng.normal(size=(2, 4))
+        h = t_emb + sinusoid_positions(np.arange(2), 4)
+        visual = VisualContext(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+        big = 1e155
+        block = model.blocks[0]
+        if where == "self_attention":
+            x = layer_norm(h, block.ln1)[0]
+            u = np.linalg.lstsq(x, np.array([-1.0, 1e-10]), rcond=None)[0]
+            w = np.linalg.lstsq(x, np.array([1e-10, 1.0]), rcond=None)[0]
+            block.wq = np.zeros((4, 4))
+            block.wk = np.zeros((4, 4))
+            block.wq[:, 0] = big * u
+            block.wk[:, 0] = big * w
+            return model, t_emb, None
+        attn = block.modulation.cond if where == "fmi" else block.insert.attn
+        attn.wq = np.zeros((4, 4))
+        attn.wq[:, 0] = big * np.linalg.lstsq(h, np.ones(2), rcond=None)[0]
+        attn.wk = np.diag([-big, 1.0, 1.0, 1.0])
+        return model, t_emb, visual
+
+    @pytest.mark.parametrize("where", ["self_attention", "fmi", "crossattn"])
+    def test_logits_overflow_hidden_by_softmax_raises(self, where, monkeypatch):
+        model, t_emb, visual = self._overflowing_logits_case(where)
+        with pytest.raises(NumericError, match="attention logits"):
+            forward(model, t_emb, visual)
+        # the overflow is hidden downstream: without the boundary checks the output is finite
+        for module in (model_module, conditioning, norm):
+            monkeypatch.setattr(module, "check_finite", lambda name, out: out)
+        assert np.isfinite(forward(model, t_emb, visual)).all()
+
+    def test_scope_and_errstate_are_restored_after_numeric_error(self):
+        model, t_emb, visual = _variant_case("fmi_attn")
+        t_emb[3, 5] = np.inf
+        outside = np.geterr()
+        with pytest.raises(NumericError):
+            forward(model, t_emb, visual)
+        assert np.geterr() == outside
+        big = np.full((2, 2), 1e308)
+        with pytest.raises(NumericError):
+            matmul(big, big)

@@ -10,6 +10,8 @@ from featmod.tensors import (
     ConfigError,
     NumericError,
     ShapeError,
+    check_finite,
+    checks_at_boundaries,
     count_macs,
     depthwise_conv1d,
     gelu,
@@ -327,6 +329,39 @@ class TestMacCounting:
             pass
         matmul(np.zeros((2, 2)), np.zeros((2, 2)))
         assert counter.macs == 0
+
+
+class TestChecksAtBoundaries:
+    """Inside the scope the ops skip their own finite checks and leave them
+    to the caller's check_finite; outside it every op checks again."""
+
+    def test_ops_skip_their_checks_inside_the_scope(self):
+        big = np.full((2, 2), 1e308)
+        with checks_at_boundaries():
+            assert np.isposinf(matmul(big, big)).all()
+            assert np.isnan(gelu(np.array([0.0, np.nan]))[1])
+            assert np.isnan(swish(np.array([np.nan]))).all()
+            assert np.isnan(softmax_lastdim(np.array([[0.0, np.nan]]))).all()
+            assert np.isnan(depthwise_conv1d(np.array([[np.nan, 1.0]]), np.ones((1, 3)))).all()
+        with pytest.raises(NumericError):
+            matmul(big, big)
+
+    def test_check_finite_runs_inside_the_scope(self):
+        with checks_at_boundaries(), pytest.raises(NumericError, match="block 3"):
+            check_finite("block 3", np.array([1.0, -np.inf]))
+        assert check_finite("x", np.ones(2)).sum() == 2.0
+
+    def test_scope_and_errstate_are_restored_after_an_error(self):
+        outside = np.geterr()
+        with pytest.raises(NumericError), checks_at_boundaries():
+            with checks_at_boundaries():  # nested scopes end with the outer one
+                pass
+            assert np.geterr()["over"] == "ignore"
+            assert np.isposinf(matmul(np.full((1, 1), 1e308), np.full((1, 1), 1e308))).all()
+            check_finite("inner", np.array([np.nan]))
+        assert np.geterr() == outside
+        with pytest.raises(NumericError):
+            gelu(np.array([np.nan]))
 
 
 class TestSinusoid:
