@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 failed check or runtime error (one-line reason on
 stderr), 2 usage or config errors, written before any output: these include
 equivalence of a base or incontext model, diagnose of a non-fmi model,
 forward --tile with --frames K, forward --video-len without --frames K or
-shorter than K, forward of a base model with any visual-input flag, and cost
+shorter than K, a flag that the paradigm cannot apply (forward's visual
+flags on base; --frequency or --location on base and incontext), and cost
 --config with a cond_heads the cost model does not price.
 """
 
@@ -146,14 +147,20 @@ def _write_meta(out_dir: Path, entries: dict[str, str]) -> None:
 
 # forward's visual-input flags and their defaults; a base model takes none of them.
 _VISUAL_FLAGS = {"image_size": 336, "patch": 14, "tile": 0, "frames": 0, "video_len": 64}
+# forward's flags that cannot apply to a paradigm, and why.
+_INAPPLICABLE = {
+    "base": ((*_VISUAL_FLAGS, "frequency", "location"), "takes no visual input"),
+    "incontext": (("frequency", "location"), "selects no blocks for vision"),
+}
 
 
 def cmd_forward(args) -> int:
     cfg = _load_config(args)
-    given = [name for name in _VISUAL_FLAGS if getattr(args, name) is not None]
-    if cfg.paradigm == "base" and given:
+    names, reason = _INAPPLICABLE.get(cfg.paradigm, ((), ""))
+    given = [name for name in names if getattr(args, name) is not None]
+    if given:
         flags = ", ".join("--" + name.replace("_", "-") for name in given)
-        raise ConfigError(f"a base model takes no visual input, so {flags} cannot apply")
+        raise ConfigError(f"the {cfg.paradigm} paradigm {reason}, so {flags} cannot apply")
     if args.video_len is not None and args.frames is None:
         raise ConfigError("--video-len is the length of the video that --frames K samples, so it needs --frames")
     for name, default in _VISUAL_FLAGS.items():
@@ -214,11 +221,13 @@ def cmd_cost(args) -> int:
                 f"for C={cfg.C}; cond_heads={cfg.cond_heads} cannot be priced"
             )
         base = replace(base, **{name: getattr(cfg, name) for name in costs.MODEL_FIELDS})
+    paradigms = [args.paradigm] if args.paradigm else costs.SWEEP_PARADIGMS
     if args.frequency is not None:
+        if paradigms == ["incontext"]:
+            raise ConfigError("the incontext paradigm selects no blocks for vision, so --frequency cannot apply")
         base = replace(base, frequency=args.frequency)
     if args.tokens is not None:
         base = replace(base, T=args.tokens)
-    paradigms = [args.paradigm] if args.paradigm else costs.SWEEP_PARADIGMS
     reports = []
     for paradigm in paradigms:
         reports.extend(costs.sweep_frames(replace(base, paradigm=paradigm), frames))

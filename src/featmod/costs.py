@@ -16,9 +16,10 @@ Conventions, chosen so the golden numbers are stable and reproducible:
   pre-activation T*C*(V+1)*token_exp, of which the executable forward holds
   one tile of at most 512 KiB at a time
 
-Every analytic total is validated against an op-walk oracle: the executable
-model runs under the MAC counter and must agree within 1 percent
-(``measured_flops``).
+A CostConfig is valid exactly when the model it prices is
+(``CostConfig.model_config``). Every analytic total is validated against an
+op-walk oracle: that model runs under the MAC counter and must agree within
+1 percent (``measured_flops``).
 
 Per-block costs at sequence length S: QKV and output projections 8*S*C^2,
 attention scores and mixing 4*S^2*C, and the FFN 4*S*C*d_ff. The attention
@@ -49,8 +50,8 @@ import csv
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .conditioning import COND_KINDS, VisualContext, default_heads
-from .model import PARADIGMS, ModelConfig, forward, init_model, round_half_up
+from .conditioning import VisualContext, default_heads
+from .model import PARADIGMS, ModelConfig, forward, init_model, select_layers
 from .tensors import ConfigError, count_macs, make_rng
 
 BREAKDOWN_KEYS = (
@@ -81,15 +82,18 @@ class CostConfig:
     cond_kernel: int = 3
 
     def validate(self) -> None:
-        for name in ("L", "C", "h", "d_ff", "T", "V", "k", "bytes_per_elem"):
+        for name in ("T", "V", "k", "bytes_per_elem"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not 0.0 < self.frequency <= 1.0:
-            raise ConfigError(f"frequency {self.frequency} outside (0, 1]")
-        if self.paradigm not in PARADIGMS:
-            raise ConfigError(f"unknown paradigm {self.paradigm!r}")
-        if self.cond_kind not in COND_KINDS:
-            raise ConfigError(f"unknown conditioner kind {self.cond_kind!r}")
+        self.model_config().validate()
+
+    def model_config(self, seed: int = 0) -> ModelConfig:
+        """The model this config prices, as the op-walk builds it."""
+        return ModelConfig(
+            **{name: getattr(self, name) for name in MODEL_FIELDS},
+            cond_visual_tokens=self.v_total if self.cond_kind == "mlp" else None,
+            seed=seed,
+        )
 
     @property
     def v_total(self) -> int:
@@ -102,7 +106,7 @@ class CostConfig:
     @property
     def n_injected(self) -> int:
         if self.paradigm in ("fmi", "crossattn"):
-            return round_half_up(self.frequency * self.L)
+            return len(select_layers(self.L, self.frequency, "uniform"))
         return 0
 
 
@@ -289,12 +293,7 @@ def measured_flops(cfg: CostConfig, seed: int = 0) -> int:
     desk-scale configs.
     """
     cfg.validate()
-    model_cfg = ModelConfig(
-        **{name: getattr(cfg, name) for name in MODEL_FIELDS},
-        cond_visual_tokens=cfg.v_total if cfg.cond_kind == "mlp" else None,
-        seed=seed,
-    )
-    model = init_model(model_cfg)
+    model = init_model(cfg.model_config(seed))
     rng = make_rng(seed + 1)
     t_emb = rng.normal(size=(cfg.T, cfg.C))
     visual = None

@@ -192,8 +192,7 @@ def viln_backward(
         "d_beta": g_out.copy(),
     }
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
+        check_finite(f"gradient for {name}", g)
     return grads
 
 

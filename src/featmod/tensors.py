@@ -17,19 +17,18 @@ bit-identical streams on every platform numpy supports.
 ``matmul`` and ``depthwise_conv1d`` take leading batch axes that broadcast
 numpy-style: (..., m, k) @ (..., k, n) and (..., C, L) signals against
 (..., C, K) kernels, so multi-head attention is one batched product and a
-stack of perturbed copies runs in one call. Incompatible batch axes raise
-ShapeError before any arithmetic.
+stack of perturbed copies runs in one call. ``matmul``'s inner and batch axes
+are checked by numpy's ``@`` before it computes; a mismatch raises ShapeError.
 
 A process-global multiply-accumulate counter can be armed with
 ``count_macs()``; while armed, ``matmul`` records ``out.size * k`` MACs and
-``depthwise_conv1d`` records ``out.size * K``, batch axes included. The
-analytic cost model is validated against forward passes traversed under this
-counter.
+``depthwise_conv1d`` records ``out.size * K``, batch axes included, once the
+output exists. The analytic cost model is validated against forward passes
+traversed under this counter.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
@@ -124,31 +123,22 @@ def _check_finite(name: str, out: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Core ops
 
-def _batch_shape(op: str, a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
-    """Broadcast shape of the leading axes of two operands of rank >= 2."""
-    try:
-        return np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"{op} batch axes do not broadcast: {a.shape} vs {b.shape}") from None
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product (..., m, k) @ (..., k, n); leading batch axes broadcast."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul expects operands of at least 2-D, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    batch = 1
-    if a.ndim > 2 or b.ndim > 2:
-        batch = math.prod(_batch_shape("matmul", a, b))
-    _record_macs(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
-    if _AT_BOUNDARIES.get():
-        return a @ b
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    return check_finite("matmul", out)
+    try:
+        if _AT_BOUNDARIES.get():
+            out = a @ b
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = a @ b
+    except ValueError:
+        raise ShapeError(f"matmul operands do not match: {a.shape} @ {b.shape}") from None
+    _record_macs(out.size * a.shape[-1])
+    return _check_finite("matmul", out)
 
 
 def softmax_lastdim(x: np.ndarray) -> np.ndarray:
@@ -182,7 +172,10 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     k = kernel.shape[-1]
     if k % 2 == 0:
         raise ConfigError(f"kernel width must be odd, got {k}")
-    batch = _batch_shape("depthwise_conv1d", x, kernel)
+    try:
+        batch = np.broadcast_shapes(x.shape[:-2], kernel.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"depthwise_conv1d batch axes do not broadcast: {x.shape} vs {kernel.shape}") from None
     channels, length = x.shape[-2:]
     pad = k // 2
     padded = np.zeros(x.shape[:-1] + (length + 2 * pad,), dtype=x.dtype)
@@ -195,13 +188,10 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1."""
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def swish(x: np.ndarray) -> np.ndarray:

@@ -248,6 +248,27 @@ class TestErrors:
         pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "cond_heads=1", id="cost-unpriced-cond-heads"),
         pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "C=32\nh=4\ncond_heads=8",
                      id="cost-unpriced-cond-heads-c32"),
+        pytest.param(["cost", "--frequency", "0.01", "--out", "{tmp}"], None, id="cost-frequency-selects-no-block"),
+        pytest.param(["cost", "--paradigm", "crossattn", "--frequency", "0.01", "--out", "{tmp}"], None,
+                     id="cost-crossattn-frequency-selects-no-block"),
+        pytest.param(["cost", "--paradigm", "incontext", "--frequency", "0", "--out", "{tmp}"], None,
+                     id="cost-incontext-frequency-zero"),
+        pytest.param(["cost", "--paradigm", "incontext", "--frequency", "0.5", "--out", "{tmp}"], None,
+                     id="cost-incontext-frequency"),
+        pytest.param(["forward", "--paradigm", "incontext", "--frequency", "5", "--image-size", "28",
+                      "--out", "{tmp}"], None, id="forward-incontext-frequency"),
+        pytest.param(["forward", "--paradigm", "base", "--location", "deep", "--out", "{tmp}"], None,
+                     id="forward-base-location"),
+        pytest.param(["forward", "--paradigm", "base", "--frequency", "0", "--location", "deep", "--out", "{tmp}"],
+                     None, id="forward-base-frequency-location"),
+        pytest.param(["forward", "--config", "{cfg}", "--frequency", "0.5", "--out", "{tmp}"], "paradigm=incontext",
+                     id="forward-incontext-config-frequency"),
+        pytest.param(["forward", "--config", "{cfg}", "--weights", "{weights}", "--location", "uniform",
+                      "--out", "{tmp}"], "paradigm=incontext\nL=2\nC=16\nh=2\nd_ff=32",
+                     id="forward-stored-incontext-location"),
+        pytest.param(["forward", "--config", "{cfg}", "--weights", "{weights}", "--frequency", "0.25",
+                      "--out", "{tmp}"], "paradigm=base\nL=2\nC=16\nh=2\nd_ff=32",
+                     id="forward-stored-base-frequency"),
     ])
     def test_bad_input_exits_two_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

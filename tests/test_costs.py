@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from featmod.costs import (
     write_cost_csv,
 )
 from featmod.criteria import ORACLE_CONFIGS
-from featmod.model import ModelConfig, init_model, model_tensors
+from featmod.model import PARADIGMS, ModelConfig, init_model, model_tensors, select_layers
 from featmod.tensors import ConfigError
 
 GOLDEN = Path(__file__).parent / "data" / "cost_video_golden.csv"
@@ -186,3 +187,43 @@ class TestGoldenCsv:
         out = tmp_path / "cost.csv"
         write_cost_csv(out, reports)
         assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def _rejects(check) -> bool:
+    try:
+        check()
+    except ConfigError:
+        return True
+    return False
+
+
+class TestValidation:
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    def test_valid_exactly_when_the_priced_model_is(self, paradigm):
+        grid = itertools.product(
+            range(1, 9), (0.01, 0.1, 0.25, 0.5, 1.0, 1.5), (32, 30), (0, 2), ("attn", "mlp")
+        )
+        for layers, frequency, c, token_exp, kind in grid:
+            cfg = CostConfig(
+                L=layers, C=c, h=4, d_ff=64, T=3, V=2, paradigm=paradigm,
+                cond_kind=kind, frequency=frequency, cond_token_exp=token_exp,
+            )
+            model_rejects = _rejects(cfg.model_config().validate)
+            assert _rejects(cfg.validate) == model_rejects, cfg
+            if paradigm in ("fmi", "crossattn") and not model_rejects:
+                assert cfg.n_injected == len(select_layers(layers, frequency, "uniform"))
+
+    @pytest.mark.parametrize("name", ["T", "V", "k", "bytes_per_elem"])
+    def test_own_sizes_below_one_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            replace(VIDEO_SWEEP_BASE, **{name: 0}).validate()
+
+    def test_incontext_price_ignores_frequency(self):
+        cfg = replace(VIDEO_SWEEP_BASE, paradigm="incontext", k=8)
+        assert cost_paradigm(replace(cfg, frequency=0)) == cost_paradigm(cfg)
+
+    def test_mlp_model_config_takes_all_visual_tokens(self):
+        cfg = CostConfig(L=2, C=8, h=2, d_ff=16, T=5, V=3, k=2, cond_kind="mlp")
+        assert cfg.model_config(seed=4) == ModelConfig(
+            L=2, C=8, h=2, d_ff=16, cond_kind="mlp", cond_visual_tokens=6, seed=4
+        )

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from featmod.tensors import (
     matmul,
     merge_heads,
     save_tensors,
+    sigmoid,
     sinusoid_positions,
     softmax_lastdim,
     split_heads,
@@ -112,10 +114,15 @@ class TestMatmul:
         ((3,), (3, 4)),
         ((2, 3), (3,)),
         ((), (1, 1)),
+        ((2, 3), (4, 5)),
+        ((2, 2, 3), (2, 4, 5)),
     ])
     def test_bad_batch_or_rank_is_shape_error(self, a_shape, b_shape):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(a_shape), np.zeros(b_shape))
+        """Raised in or out of checks_at_boundaries, with no MACs recorded."""
+        for scope in (contextlib.nullcontext, checks_at_boundaries):
+            with count_macs() as counter, scope(), pytest.raises(ShapeError):
+                matmul(np.zeros(a_shape), np.zeros(b_shape))
+            assert counter.macs == 0
 
     def test_rejects_nonfinite_result(self):
         big = np.full((2, 2), 1e308)
@@ -209,6 +216,41 @@ class TestDepthwiseConv:
         combined = depthwise_conv1d(a * x + b * y, kernel)
         split = a * depthwise_conv1d(x, kernel) + b * depthwise_conv1d(y, kernel)
         assert np.max(np.abs(combined - split)) < 1e-10
+
+
+def _two_branch_sigmoid(x):
+    """1 / (1 + exp(-x)) on x >= 0 and exp(x) / (1 + exp(x)) on the rest,
+    each branch gathered and scattered on its own."""
+    x = np.asarray(x)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bits_of_the_two_branch_formula(self, dtype):
+        rng = make_rng(11)
+        draws = rng.normal(size=(16, 256))
+        inputs = [
+            np.array([0.0, -0.0, np.inf, -np.inf]),
+            5.0 * draws,
+            20.0 * draws,
+            np.array(-3.0),
+            np.array(2.5),
+            np.array(-0.0),
+        ]
+        for x in inputs:
+            x = x.astype(dtype)
+            got, want = sigmoid(x), _two_branch_sigmoid(x)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, 1.0])))[0]
 
 
 class TestSwish:
