@@ -7,7 +7,9 @@ Subcommands:
                 fmi or crossattn model against its base twin
 * gradcheck   - criterion 3's finite-difference checks of every analytic
                 gradient, at --points N random points per path
-* cost        - analytic cost sweep to cost.csv
+* cost        - analytic cost sweep to cost.csv: the paradigm of --paradigm,
+                else that of a --config that sets one, else fmi, incontext
+                and crossattn
 * diagnose    - modulation influence and feature drift of an fmi model to CSV
 * selftest    - the 11 release criteria (featmod.criteria) plus deterministic
                 CSV artifacts; --seed s runs each criterion at its release
@@ -18,8 +20,9 @@ stderr), 2 usage or config errors, written before any output: these include
 equivalence of a base or incontext model, diagnose of a non-fmi model,
 forward --tile with --frames K, forward --video-len without --frames K or
 shorter than K, a flag that the paradigm cannot apply (forward's visual
-flags on base; --frequency or --location on base and incontext), and cost
---config with a cond_heads the cost model does not price.
+flags on base; --frequency or --location on base and incontext; cost
+--frequency on a base or incontext paradigm), and cost --config with a
+cond_heads the cost model does not price.
 """
 
 from __future__ import annotations
@@ -213,18 +216,25 @@ def cmd_gradcheck(args) -> int:
 def cmd_cost(args) -> int:
     frames = _parse_frames(args.frames)
     base = costs.VIDEO_SWEEP_BASE
+    paradigms = costs.SWEEP_PARADIGMS
     if args.config:
-        cfg = config_from_kv(read_kv(args.config))
+        kv = read_kv(args.config)
+        cfg = config_from_kv(kv)
         if cfg.cond_heads not in (None, default_heads(cfg.C)):
             raise ConfigError(
                 f"the cost model prices attention conditioners at {default_heads(cfg.C)} heads "
                 f"for C={cfg.C}; cond_heads={cfg.cond_heads} cannot be priced"
             )
         base = replace(base, **{name: getattr(cfg, name) for name in costs.MODEL_FIELDS})
-    paradigms = [args.paradigm] if args.paradigm else costs.SWEEP_PARADIGMS
+        if "paradigm" in kv:
+            paradigms = (cfg.paradigm,)
+    if args.paradigm:
+        paradigms = (args.paradigm,)
     if args.frequency is not None:
-        if paradigms == ["incontext"]:
-            raise ConfigError("the incontext paradigm selects no blocks for vision, so --frequency cannot apply")
+        if len(paradigms) == 1 and paradigms[0] in ("base", "incontext"):
+            raise ConfigError(
+                f"the {paradigms[0]} paradigm selects no blocks for vision, so --frequency cannot apply"
+            )
         base = replace(base, frequency=args.frequency)
     if args.tokens is not None:
         base = replace(base, T=args.tokens)
@@ -359,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="analytic cost sweep to CSV")
     p.add_argument("--config", help="model descriptor supplying the architecture and conditioner sizes")
     p.add_argument("--out", default="out")
-    p.add_argument("--paradigm", choices=costs.SWEEP_PARADIGMS)
+    p.add_argument("--paradigm", choices=costs.SWEEP_PARADIGMS, help="overrides the config's paradigm")
     p.add_argument("--frames", default=",".join(str(k) for k in costs.SWEEP_FRAMES))
     p.add_argument("--frequency", type=float, default=None)
     p.add_argument("--tokens", type=_positive_int, default=None)

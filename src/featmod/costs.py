@@ -12,9 +12,11 @@ Conventions, chosen so the golden numbers are stable and reproducible:
   embeddings are out of scope (the executable model has no tokenizer)
 * peak activation is the largest single intermediate of a naive batch-1
   forward pass, which for long sequences is the (heads, S, S) attention
-  score tensor; the mlp conditioner's candidate is its whole token-mix
-  pre-activation T*C*(V+1)*token_exp, of which the executable forward holds
-  one tile of at most 512 KiB at a time
+  score tensor, of which the executable forward holds one 128-query tile's
+  head group of at most 512 KiB (or one head) at a time; the mlp
+  conditioner's candidate is its whole token-mix pre-activation
+  T*C*(V+1)*token_exp, of which the executable forward holds one tile of at
+  most 512 KiB at a time
 
 A CostConfig is valid exactly when the model it prices is
 (``CostConfig.model_config``). Every analytic total is validated against an
@@ -180,7 +182,7 @@ def _flops_insert(t: int, v: int, c: int, d_ff: int) -> int:
     return 4 * t * c * c + 4 * v * c * c + 4 * t * v * c + 4 * t * c * d_ff
 
 
-def _weight_params(cfg: CostConfig) -> int:
+def _weight_params(cfg: CostConfig, n_injected: int) -> int:
     c, d_ff = cfg.C, cfg.d_ff
     per_block = 4 * c * c + 2 * c * d_ff + d_ff + 5 * c  # attn, ffn + biases, two LN pairs
     total = cfg.L * per_block
@@ -195,11 +197,11 @@ def _weight_params(cfg: CostConfig) -> int:
                 2 * seq * seq * cfg.cond_token_exp + seq * cfg.cond_token_exp + seq
                 + 2 * c * c * cfg.cond_channel_exp + c * cfg.cond_channel_exp + c
             )
-        total += cfg.n_injected * (cond + 4 * c * c + 4 * c)  # conditioner + delta projection
+        total += n_injected * (cond + 4 * c * c + 4 * c)  # conditioner + delta projection
     elif cfg.paradigm == "incontext":
         total += c * c + c
     elif cfg.paradigm == "crossattn":
-        total += cfg.n_injected * (4 * c * c + 2 * c * d_ff + d_ff + c)
+        total += n_injected * (4 * c * c + 2 * c * d_ff + d_ff + c)
     return total
 
 
@@ -226,31 +228,32 @@ def cost_paradigm(cfg: CostConfig) -> CostReport:
     """Full prefill cost report for one paradigm/config pair."""
     cfg.validate()
     s = cfg.seq_len
+    n_injected = cfg.n_injected  # one select_layers run per report
     proj, attn, ffn = _block_split(s, cfg.C, cfg.d_ff)
     breakdown = {key: 0 for key in BREAKDOWN_KEYS}
     breakdown["projections"] = cfg.L * proj
     breakdown["self_attention"] = cfg.L * attn
     breakdown["ffn"] = cfg.L * ffn
     if cfg.paradigm == "fmi":
-        breakdown["conditioner"] = cfg.n_injected * flops_cond(
+        breakdown["conditioner"] = n_injected * flops_cond(
             cfg.cond_kind, cfg.T, cfg.v_total, cfg.C,
             cfg.cond_token_exp, cfg.cond_channel_exp, cfg.cond_kernel,
         )
     elif cfg.paradigm == "incontext":
         breakdown["connector"] = 2 * cfg.v_total * cfg.C * cfg.C
     elif cfg.paradigm == "crossattn":
-        breakdown["inserted_crossattn"] = cfg.n_injected * _flops_insert(
+        breakdown["inserted_crossattn"] = n_injected * _flops_insert(
             cfg.T, cfg.v_total, cfg.C, cfg.d_ff
         )
 
     decode = cfg.L * (8 * cfg.C * cfg.C + 4 * s * cfg.C + 4 * cfg.C * cfg.d_ff)
     if cfg.paradigm == "fmi":
-        decode += cfg.n_injected * flops_cond(
+        decode += n_injected * flops_cond(
             cfg.cond_kind, 1, cfg.v_total, cfg.C,
             cfg.cond_token_exp, cfg.cond_channel_exp, cfg.cond_kernel,
         )
     elif cfg.paradigm == "crossattn":
-        decode += cfg.n_injected * _flops_insert(1, cfg.v_total, cfg.C, cfg.d_ff)
+        decode += n_injected * _flops_insert(1, cfg.v_total, cfg.C, cfg.d_ff)
 
     return CostReport(
         paradigm=cfg.paradigm,
@@ -265,7 +268,7 @@ def cost_paradigm(cfg: CostConfig) -> CostReport:
         decode_flops_per_token=decode,
         kv_cache_bytes=2 * cfg.L * s * cfg.C * cfg.bytes_per_elem,
         peak_activation_bytes=_peak_activation_elems(cfg) * cfg.bytes_per_elem,
-        weight_bytes=_weight_params(cfg) * cfg.bytes_per_elem,
+        weight_bytes=_weight_params(cfg, n_injected) * cfg.bytes_per_elem,
     )
 
 

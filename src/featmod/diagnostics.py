@@ -8,7 +8,7 @@ vectors are zero, 1 when exactly one is.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,11 +91,16 @@ def modulation_influence(model: Model, t_emb: np.ndarray, visual: VisualContext)
 
     When both slots of a block are modulated the two slot distances are
     averaged per token.
+
+    The pass stops after the last modulated block, since no later block adds
+    to the trace; so a NaN or Inf that first appears after it does not
+    raise here (feature_drift, which runs every block, still raises).
     """
     if model.cfg.paradigm != "fmi":
         raise ConfigError(f"modulation influence needs an fmi model, got {model.cfg.paradigm!r}")
+    last = max((l for l, p in enumerate(model.blocks) if p.modulation is not None), default=-1)
     capture = ForwardCapture()
-    forward(model, t_emb, visual, capture)
+    forward(replace(model, blocks=model.blocks[: last + 1]), t_emb, visual, capture)
     layers = sorted(capture.modulation)
     rows = []
     for layer in layers:

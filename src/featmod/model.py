@@ -313,6 +313,8 @@ _QUERY_TILE = 128
 # The causal mask of a tile's diagonal block: -inf strictly above the diagonal.
 _TILE_MASK = np.triu(np.full((_QUERY_TILE, _QUERY_TILE), -np.inf), k=1)
 _TILE_MASK.setflags(write=False)
+# Logits bytes a tile scores at once: heads are grouped so a group fits in L2.
+_LOGITS_BYTES = 512 * 1024
 
 
 def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.ndarray:
@@ -321,6 +323,14 @@ def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.n
     Tile [a, b) scores its queries against keys [0, b) only, so the fully
     masked key blocks right of the diagonal are never computed; only the
     tile's diagonal (b - a) x (b - a) block takes the -inf mask.
+
+    Within a tile, heads run in groups whose (group, b - a, b) logits fit
+    _LOGITS_BYTES (at least one head per group), so the logits stay in cache
+    from the product through softmax to the value product. When every head
+    fits (8 float64 heads at s <= 90), the tile runs as one group. numpy's
+    batched matmul multiplies each head with its own BLAS call on the same
+    operands, and the other ops are elementwise or per row, so every output
+    bit is the same for any grouping.
     """
     s, c = h_in.shape
     q = split_heads(matmul(h_in, p.wq), heads)
@@ -330,12 +340,16 @@ def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.n
     ctx = np.empty_like(v)  # (heads, s, dk), laid out like v so merge_heads is a view
     for a in range(0, s, _QUERY_TILE):
         b = min(a + _QUERY_TILE, s)
-        # (heads, b - a, b) logits scaled and masked in place: no second logits-sized array.
-        # Checked even inside checks_at_boundaries: softmax maps a -inf logit to an exact 0.
-        logits = check_finite("attention logits", matmul(q[:, a:b], k[:, :b].swapaxes(-1, -2)))
-        logits *= scale
-        logits[:, :, a:] += _TILE_MASK[: b - a, : b - a]
-        ctx[:, a:b] = matmul(softmax_lastdim(logits), v[:, :b])
+        group = max(1, _LOGITS_BYTES // ((b - a) * b * q.itemsize))
+        for g in range(0, heads, group):
+            hs = slice(g, g + group)
+            # (group, b - a, b) logits scaled, masked and softmaxed in place: no second
+            # logits-sized array. Checked even inside checks_at_boundaries: softmax maps
+            # a -inf logit to an exact 0.
+            logits = check_finite("attention logits", matmul(q[hs, a:b], k[hs, :b].swapaxes(-1, -2)))
+            logits *= scale
+            logits[:, :, a:] += _TILE_MASK[: b - a, : b - a]
+            ctx[hs, a:b] = matmul(softmax_lastdim(logits, out=logits), v[hs, :b])
     return matmul(merge_heads(ctx), p.wo)
 
 

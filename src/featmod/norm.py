@@ -89,7 +89,9 @@ def _normalize(x: np.ndarray, eps: float, mode: NormMode) -> tuple[np.ndarray, n
     centered = x - mu
     sigma = np.sqrt(np.mean(centered * centered, axis=-1, keepdims=True))
     denom = sigma + eps
-    return centered / denom, mu, denom
+    # xhat overwrites centered, unless an integer x left centered integer
+    xhat = np.divide(centered, denom, out=centered if centered.dtype == denom.dtype else None)
+    return xhat, mu, denom
 
 
 def layer_norm(x: np.ndarray, params: LNParams, mode: NormMode = "ln") -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +101,10 @@ def layer_norm(x: np.ndarray, params: LNParams, mode: NormMode = "ln") -> tuple[
     normalization statistics.
     """
     xhat, _, _ = _normalize(x, params.eps, mode)
-    return params.alpha * xhat + params.beta, xhat
+    out = params.alpha * xhat
+    # beta is added in place unless its dtype differs, since it may then promote
+    # the product's (float32 alpha and xhat with float64 beta give float64)
+    return np.add(out, params.beta, out=out if out.dtype == params.beta.dtype else None), xhat
 
 
 def viln_apply(

@@ -141,17 +141,19 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _check_finite("matmul", out)
 
 
-def softmax_lastdim(x: np.ndarray) -> np.ndarray:
+def softmax_lastdim(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, always max-subtracted for stability.
 
     -inf entries (masked logits) map to exact zeros. The exponentials and the
     normalization reuse the one shifted buffer, so attention-sized inputs
-    allocate a single output-sized array.
+    allocate a single output-sized array. out may be x itself, for a caller
+    that owns x and no longer needs it; softmax then allocates no x-sized
+    array at all.
     """
     x = np.asarray(x)
     if x.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last axis")
-    out = x - np.max(x, axis=-1, keepdims=True)
+    out = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= np.sum(out, axis=-1, keepdims=True)
     return _check_finite("softmax", out)

@@ -134,6 +134,23 @@ class TestCost:
                 flops.append(next(csv.DictReader(fh))["flops_conditioner"])
         assert flops[0] != flops[1]
 
+    @pytest.mark.parametrize("config, flags, paradigms", [
+        ("paradigm=base\nL=4\nC=32\nh=4\nd_ff=64", [], ["base"]),
+        ("paradigm=crossattn\nL=4\nC=32\nh=4\nd_ff=64", ["--frequency", "0.5"], ["crossattn"]),
+        ("paradigm=base\nL=4\nC=32\nh=4\nd_ff=64", ["--paradigm", "fmi"], ["fmi"]),
+        ("L=4\nC=32\nh=4\nd_ff=64", [], ["fmi", "incontext", "crossattn"]),
+    ])
+    def test_config_paradigm_prices_that_paradigm_only(self, config, flags, paradigms, tmp_path):
+        """A config's paradigm is priced alone unless --paradigm overrides it;
+        a config without one keeps the three-paradigm sweep."""
+        cfg_path = tmp_path / "model.cfg"
+        cfg_path.write_text(config + "\n")
+        out_dir = tmp_path / "run"
+        assert main(["cost", "--config", str(cfg_path), "--out", str(out_dir), "--frames", "8", *flags]) == 0
+        with (out_dir / "cost.csv").open() as fh:
+            assert [r["paradigm"] for r in csv.DictReader(fh)] == paradigms
+        assert read_kv(out_dir / "run.meta")["paradigms"] == ",".join(paradigms)
+
     def test_config_with_the_priced_head_count_is_accepted(self, tmp_path):
         """cond_heads equal to default_heads(C), the count the cost model prices, costs as if unset."""
         tables = []
@@ -255,6 +272,10 @@ class TestErrors:
                      id="cost-incontext-frequency-zero"),
         pytest.param(["cost", "--paradigm", "incontext", "--frequency", "0.5", "--out", "{tmp}"], None,
                      id="cost-incontext-frequency"),
+        pytest.param(["cost", "--config", "{cfg}", "--frequency", "0.5", "--out", "{tmp}"], "paradigm=incontext",
+                     id="cost-incontext-config-frequency"),
+        pytest.param(["cost", "--config", "{cfg}", "--frequency", "0.5", "--out", "{tmp}"], "paradigm=base",
+                     id="cost-base-config-frequency"),
         pytest.param(["forward", "--paradigm", "incontext", "--frequency", "5", "--image-size", "28",
                       "--out", "{tmp}"], None, id="forward-incontext-frequency"),
         pytest.param(["forward", "--paradigm", "base", "--location", "deep", "--out", "{tmp}"], None,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from featmod import costs
 from featmod.costs import (
     BREAKDOWN_KEYS,
     FLOPS_RATIO_CASES,
@@ -212,6 +213,13 @@ class TestValidation:
             assert _rejects(cfg.validate) == model_rejects, cfg
             if paradigm in ("fmi", "crossattn") and not model_rejects:
                 assert cfg.n_injected == len(select_layers(layers, frequency, "uniform"))
+
+    @pytest.mark.parametrize("paradigm", ["fmi", "crossattn"])
+    def test_report_reads_the_layer_selection_once(self, paradigm, monkeypatch):
+        calls = []
+        monkeypatch.setattr(costs, "select_layers", lambda *args: calls.append(args) or select_layers(*args))
+        cost_paradigm(replace(VIDEO_SWEEP_BASE, paradigm=paradigm))
+        assert calls == [(VIDEO_SWEEP_BASE.L, VIDEO_SWEEP_BASE.frequency, "uniform")]
 
     @pytest.mark.parametrize("name", ["T", "V", "k", "bytes_per_elem"])
     def test_own_sizes_below_one_rejected(self, name):

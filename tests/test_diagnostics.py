@@ -11,8 +11,17 @@ from featmod.diagnostics import (
     token_class_influence,
     write_trace_csv,
 )
-from featmod.model import ModelConfig, base_twin, init_model, randomize_insert, randomize_modulation
-from featmod.tensors import ConfigError, ShapeError, make_rng
+from featmod import model as model_module
+from featmod.model import (
+    ForwardCapture,
+    ModelConfig,
+    base_twin,
+    forward,
+    init_model,
+    randomize_insert,
+    randomize_modulation,
+)
+from featmod.tensors import ConfigError, NumericError, ShapeError, make_rng
 
 
 def fmi_setup(seed=21, randomized=False, **overrides):
@@ -111,6 +120,27 @@ class TestModulationInfluence:
         model, t_emb, visual = fmi_setup(randomized=True, modulate_ffn=False)
         trace = modulation_influence(model, t_emb, visual)
         assert trace.per_token.shape == (2, 8)
+
+    def test_stops_after_the_last_modulated_block(self, monkeypatch):
+        """Blocks 0 and 2 of 4 are modulated: block 3 never runs, and the trace
+        is that of a full forward's capture, bit for bit."""
+        model, t_emb, visual = fmi_setup(randomized=True)
+        capture = ForwardCapture()
+        forward(model, t_emb, visual, capture)
+        ran = []
+        original = model_module.block_forward
+        monkeypatch.setattr(model_module, "block_forward", lambda h, p, *a: ran.append(p) or original(h, p, *a))
+        trace = modulation_influence(model, t_emb, visual)
+        assert ran == model.blocks[:3]
+        full = [np.mean([_row_distances(a, b) for a, b in capture.modulation[l]], axis=0) for l in (0, 2)]
+        assert trace.per_token.tobytes() == np.array(full).tobytes()
+
+    def test_nan_after_the_last_modulated_block_raises_in_drift_only(self):
+        model, t_emb, visual = fmi_setup(randomized=True)
+        model.blocks[3].w2[0, 0] = np.nan
+        assert np.all(np.isfinite(modulation_influence(model, t_emb, visual).per_token))
+        with pytest.raises(NumericError, match="block 3"):
+            feature_drift(model, base_twin(model), t_emb, visual)
 
 
 class TestFeatureDrift:

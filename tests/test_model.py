@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from featmod.norm import layer_norm, project_deltas, viln_apply
 from featmod.tensors import (
     ConfigError,
     NumericError,
+    checks_at_boundaries,
     count_macs,
     gelu,
     make_rng,
@@ -207,6 +209,70 @@ class TestTiledAttention:
         scores = cfg.h * dk * sum(2 * (b - a) * b for a, b in tiles)
         assert counter.macs == 4 * s * c * c + scores
         assert scores < 2 * s * s * c  # the untiled count
+
+
+def logits_budget(name, s, itemsize):
+    """A _LOGITS_BYTES value: "three_heads" fits exactly 3 heads in the first
+    tile, so 8 heads run as groups of 3, 3 and a partial 2 there."""
+    first_tile = min(s, 128) ** 2 * itemsize
+    return {"one_byte": 1, "three_heads": 3 * first_tile, "default": model_module._LOGITS_BYTES, "huge": 1 << 62}[name]
+
+
+def attention_setup(s, heads, dtype, channels=32):
+    p = cast_model(init_model(ModelConfig(L=1, C=channels, h=heads, d_ff=32, paradigm="base", seed=s)), dtype).blocks[0]
+    return make_rng(s).normal(size=(s, channels)).astype(dtype), p
+
+
+class TestHeadGroups:
+    """Each tile scores its heads in groups whose logits fit _LOGITS_BYTES."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("heads", [1, 4, 8])
+    @pytest.mark.parametrize("s", [1, 127, 128, 129, 293, 704])
+    def test_every_budget_is_bit_identical_to_one_group(self, s, heads, dtype, monkeypatch):
+        h, p = attention_setup(s, heads, dtype)
+        budgets = {name: logits_budget(name, s, np.dtype(dtype).itemsize) for name in ("one_byte", "three_heads", "default")}
+        monkeypatch.setattr(model_module, "_LOGITS_BYTES", logits_budget("huge", s, 8))
+        with count_macs() as counter:
+            one_group = _causal_self_attention(h, p, heads)
+        for name, budget in budgets.items():
+            monkeypatch.setattr(model_module, "_LOGITS_BYTES", budget)
+            with count_macs() as grouped:
+                out = _causal_self_attention(h, p, heads)
+            assert out.dtype == dtype
+            assert out.tobytes() == one_group.tobytes(), name
+            assert grouped.macs == counter.macs, name
+
+    @pytest.mark.parametrize("budget, checks", [("one_byte", 3 * 8), ("three_heads", 3 + 8 + 2), ("huge", 3)])
+    def test_groups_per_tile(self, budget, checks, monkeypatch):
+        """s = 293 is three tiles: [0, 128) fits 3 heads a group, [128, 256),
+        with twice the keys, 1, and the 37-query [256, 293) 4."""
+        h, p = attention_setup(293, 8, np.float64)
+        monkeypatch.setattr(model_module, "_LOGITS_BYTES", logits_budget(budget, 293, 8))
+        names = []
+        monkeypatch.setattr(model_module, "check_finite", lambda name, out: names.append(name) or out)
+        _causal_self_attention(h, p, 8)
+        assert names == ["attention logits"] * checks
+
+    @pytest.mark.parametrize("budget", ["one_byte", "three_heads", "default", "huge"])
+    def test_nan_in_the_last_group_raises(self, budget, monkeypatch):
+        h, p = attention_setup(293, 8, np.float64)
+        p.wq[:, -4:] = np.nan  # the query channels of head 7 only
+        monkeypatch.setattr(model_module, "_LOGITS_BYTES", logits_budget(budget, 293, 8))
+        with checks_at_boundaries(), pytest.raises(NumericError, match="attention logits"):
+            _causal_self_attention(h, p, 8)
+
+    def test_peak_memory_of_one_call(self):
+        """Scoring all 8 heads of a tile at once peaked at 16.1 MiB here: the
+        (8, 128, b) logits and their softmax copy."""
+        h, p = attention_setup(704, 8, np.float64, channels=256)
+        tracemalloc.start()
+        try:
+            _causal_self_attention(h, p, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
 
 
 class TestZeroInitEquivalence:

@@ -65,6 +65,36 @@ class TestLayerNorm:
         with pytest.raises(ConfigError):
             LNParams(np.ones(2), np.zeros(2), eps=0.0)
 
+    @pytest.mark.parametrize("mode", ["ln", "rms"])
+    @pytest.mark.parametrize("x_dtype, alpha_dtype, beta_dtype, out_dtype", [
+        (np.float64, np.float64, np.float64, np.float64),
+        (np.float32, np.float32, np.float32, np.float32),
+        (np.float32, np.float32, np.float64, np.float64),
+        (np.float32, np.float64, np.float32, np.float64),
+        (np.float64, np.float32, np.float32, np.float64),
+    ])
+    def test_leaves_x_and_keeps_dtype_promotion(self, mode, x_dtype, alpha_dtype, beta_dtype, out_dtype):
+        """layer_norm and viln_apply write only into their own buffers, and give
+        the dtype and bits of the written-out formula over the same xhat."""
+        rng = make_rng(7)
+        x = rng.normal(size=(6, 8)).astype(x_dtype)
+        params = LNParams(rng.normal(size=8).astype(alpha_dtype), rng.normal(size=8).astype(beta_dtype), 1e-5)
+        deltas = tuple(rng.normal(scale=0.1, size=(6, 8)).astype(x_dtype) for _ in range(2))
+        before = x.copy()
+        out, xhat = layer_norm(x, params, mode)
+        assert out.dtype == out_dtype and xhat.dtype == x_dtype
+        assert out.tobytes() == (params.alpha * xhat + params.beta).tobytes()
+        modulated = viln_apply(x, deltas, params, mode)
+        assert modulated.dtype == out_dtype
+        expected = (params.alpha + deltas[0]) * xhat + (params.beta + deltas[1])
+        assert modulated.tobytes() == expected.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    def test_integer_rows_normalize_as_floats(self):
+        out, xhat = layer_norm(np.array([[1, 2, 3, 4]]), identity_params(4), mode="rms")
+        assert xhat.dtype == np.float64
+        assert np.allclose(out[0], np.array([1, 2, 3, 4]) / np.sqrt(7.5), atol=1e-12)
+
 
 class TestVilnApply:
     def test_zero_deltas_bit_equal_to_layer_norm(self):

@@ -155,6 +155,14 @@ class TestSoftmax:
         out = softmax_lastdim(np.array([0.3, -np.inf, 0.7]))
         assert out[1] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_is_bit_identical(self, dtype):
+        x = make_rng(4).normal(scale=30.0, size=(3, 5, 17)).astype(dtype)
+        x[..., 1:, 3] = -np.inf  # masked logits
+        expected = softmax_lastdim(x)
+        assert softmax_lastdim(x, out=x) is x
+        assert x.tobytes() == expected.tobytes()
+
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=16))
     def test_rows_sum_to_one(self, row):
         out = softmax_lastdim(np.array(row))
