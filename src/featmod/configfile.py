@@ -9,12 +9,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping
 
-from .tensors import ConfigError
+from .tensors import ConfigError, read_text
 
 
 def read_kv(path: str | Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

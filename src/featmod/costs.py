@@ -4,8 +4,10 @@ Conventions, chosen so the golden numbers are stable and reproducible:
 
 * one multiply-accumulate = 2 FLOPs; softmax, activations, additions and
   normalizations are ignored (sub-percent at any realistic scale)
-* prefill only; a per-token decode figure is reported separately, assuming
-  the full prefill context is attended and nothing visual is cached
+* prefill, plus a per-token decode figure: each block prices one query
+  against the full prefill context, ``_block_split(1, S)``, and the vision
+  path runs at one text token with nothing visual cached; the incontext
+  connector is priced in prefill only, as its prefix then sits in the KV cache
 * vision-encoder FLOPs are excluded everywhere: identical across paradigms,
   so only the injection cost differs
 * weight bytes cover the transformer stack and injection extras; vocabulary
@@ -44,6 +46,9 @@ position 0 only, and these are the MACs they run:
 The inserted cross-attention module of the architectural baseline is priced
 as its executable counterpart: a full cross-attention (4*T*C^2 + 4*V*C^2 +
 4*T*V*C) plus its FFN (4*T*C*d_ff) per selected layer.
+
+The text stack is priced alike for every paradigm; one function,
+``_vision_path``, prices what each paradigm adds to it.
 """
 
 from __future__ import annotations
@@ -142,15 +147,16 @@ class CostReport:
         return self.kv_cache_bytes + self.peak_activation_bytes + self.weight_bytes
 
 
-def _block_split(s: int, c: int, d_ff: int) -> tuple[int, int, int]:
-    """(projections, self_attention, ffn) FLOPs of one block at length s."""
-    return 8 * s * c * c, 4 * s * s * c, 4 * s * c * d_ff
+def _block_split(queries: int, keys: int, c: int, d_ff: int) -> tuple[int, int, int]:
+    """(projections, self_attention, ffn) FLOPs of one block whose `queries`
+    positions attend to `keys` positions: (s, s) in prefill, (1, s) per
+    decoded token."""
+    return 8 * queries * c * c, 4 * queries * keys * c, 4 * queries * c * d_ff
 
 
 def flops_block(seq_len: int, c: int, h: int, d_ff: int) -> int:
     """Prefill FLOPs of one block; h is part of the signature but cancels."""
-    proj, attn, ffn = _block_split(seq_len, c, d_ff)
-    return proj + attn + ffn
+    return sum(_block_split(seq_len, seq_len, c, d_ff))
 
 
 def flops_cond(
@@ -182,79 +188,46 @@ def _flops_insert(t: int, v: int, c: int, d_ff: int) -> int:
     return 4 * t * c * c + 4 * v * c * c + 4 * t * v * c + 4 * t * c * d_ff
 
 
-def _weight_params(cfg: CostConfig, n_injected: int) -> int:
-    c, d_ff = cfg.C, cfg.d_ff
-    per_block = 4 * c * c + 2 * c * d_ff + d_ff + 5 * c  # attn, ffn + biases, two LN pairs
-    total = cfg.L * per_block
+def _vision_path(cfg: CostConfig, n_injected: int) -> tuple[str, int, int, int, list[int]]:
+    """What one paradigm adds to the text stack: its breakdown key, prefill
+    FLOPs, FLOPs per decoded token, weight parameters and peak-activation
+    candidates."""
+    c, d_ff, t, vt = cfg.C, cfg.d_ff, cfg.T, cfg.v_total
     if cfg.paradigm == "fmi":
+        te, ce = cfg.cond_token_exp, cfg.cond_channel_exp
         if cfg.cond_kind == "attn":
-            cond = 4 * c * c
+            params, peaks = 4 * c * c, [default_heads(c) * t * vt, vt * c]
         elif cfg.cond_kind == "conv":
-            cond = c * cfg.cond_kernel + c * c
+            params, peaks = c * cfg.cond_kernel + c * c, [t * c]
         else:
-            seq = cfg.v_total + 1
-            cond = (
-                2 * seq * seq * cfg.cond_token_exp + seq * cfg.cond_token_exp + seq
-                + 2 * c * c * cfg.cond_channel_exp + c * cfg.cond_channel_exp + c
-            )
-        total += n_injected * (cond + 4 * c * c + 4 * c)  # conditioner + delta projection
-    elif cfg.paradigm == "incontext":
-        total += c * c + c
-    elif cfg.paradigm == "crossattn":
-        total += n_injected * (4 * c * c + 2 * c * d_ff + d_ff + c)
-    return total
-
-
-def _peak_activation_elems(cfg: CostConfig) -> int:
-    s, c, d_ff = cfg.seq_len, cfg.C, cfg.d_ff
-    vt, t = cfg.v_total, cfg.T
-    candidates = [s * c, cfg.h * s * s, s * d_ff]
-    if cfg.paradigm == "fmi":
-        candidates.append(t * 4 * c)
-        if cfg.cond_kind == "attn":
-            candidates += [default_heads(c) * t * vt, vt * c]
-        elif cfg.cond_kind == "mlp":
-            candidates += [t * c * (vt + 1) * cfg.cond_token_exp, t * c * cfg.cond_channel_exp]
-        else:
-            candidates.append(t * c)
-    elif cfg.paradigm == "incontext":
-        candidates.append(vt * c)
-    elif cfg.paradigm == "crossattn":
-        candidates += [default_heads(c) * t * vt, vt * c, t * d_ff]
-    return max(candidates)
+            seq = vt + 1
+            params = 2 * seq * seq * te + seq * te + seq + 2 * c * c * ce + c * ce + c
+            peaks = [t * c * seq * te, t * c * ce]
+        prefill = n_injected * flops_cond(cfg.cond_kind, t, vt, c, te, ce, cfg.cond_kernel)
+        decode = n_injected * flops_cond(cfg.cond_kind, 1, vt, c, te, ce, cfg.cond_kernel)
+        # conditioner + delta projection; the deltas are (T, 4C)
+        return "conditioner", prefill, decode, n_injected * (params + 4 * c * c + 4 * c), [t * 4 * c, *peaks]
+    if cfg.paradigm == "incontext":
+        # the prefix sits in the KV cache, so decode runs no connector
+        return "connector", 2 * vt * c * c, 0, c * c + c, [vt * c]
+    if cfg.paradigm == "crossattn":
+        prefill = n_injected * _flops_insert(t, vt, c, d_ff)
+        decode = n_injected * _flops_insert(1, vt, c, d_ff)
+        params = n_injected * (4 * c * c + 2 * c * d_ff + d_ff + c)
+        return "inserted_crossattn", prefill, decode, params, [default_heads(c) * t * vt, vt * c, t * d_ff]
+    return "conditioner", 0, 0, 0, []  # base has no vision path; it adds nothing anywhere
 
 
 def cost_paradigm(cfg: CostConfig) -> CostReport:
     """Full prefill cost report for one paradigm/config pair."""
     cfg.validate()
-    s = cfg.seq_len
-    n_injected = cfg.n_injected  # one select_layers run per report
-    proj, attn, ffn = _block_split(s, cfg.C, cfg.d_ff)
-    breakdown = {key: 0 for key in BREAKDOWN_KEYS}
-    breakdown["projections"] = cfg.L * proj
-    breakdown["self_attention"] = cfg.L * attn
-    breakdown["ffn"] = cfg.L * ffn
-    if cfg.paradigm == "fmi":
-        breakdown["conditioner"] = n_injected * flops_cond(
-            cfg.cond_kind, cfg.T, cfg.v_total, cfg.C,
-            cfg.cond_token_exp, cfg.cond_channel_exp, cfg.cond_kernel,
-        )
-    elif cfg.paradigm == "incontext":
-        breakdown["connector"] = 2 * cfg.v_total * cfg.C * cfg.C
-    elif cfg.paradigm == "crossattn":
-        breakdown["inserted_crossattn"] = n_injected * _flops_insert(
-            cfg.T, cfg.v_total, cfg.C, cfg.d_ff
-        )
-
-    decode = cfg.L * (8 * cfg.C * cfg.C + 4 * s * cfg.C + 4 * cfg.C * cfg.d_ff)
-    if cfg.paradigm == "fmi":
-        decode += n_injected * flops_cond(
-            cfg.cond_kind, 1, cfg.v_total, cfg.C,
-            cfg.cond_token_exp, cfg.cond_channel_exp, cfg.cond_kernel,
-        )
-    elif cfg.paradigm == "crossattn":
-        decode += n_injected * _flops_insert(1, cfg.v_total, cfg.C, cfg.d_ff)
-
+    s, c, d_ff = cfg.seq_len, cfg.C, cfg.d_ff
+    key, vision_flops, vision_decode, vision_params, vision_peaks = _vision_path(cfg, cfg.n_injected)
+    proj, attn, ffn = _block_split(s, s, c, d_ff)
+    breakdown = dict.fromkeys(BREAKDOWN_KEYS, 0)
+    breakdown.update(projections=cfg.L * proj, self_attention=cfg.L * attn, ffn=cfg.L * ffn)
+    breakdown[key] += vision_flops
+    per_block = 4 * c * c + 2 * c * d_ff + d_ff + 5 * c  # attn, ffn + biases, two LN pairs
     return CostReport(
         paradigm=cfg.paradigm,
         cond_kind=cfg.cond_kind,
@@ -265,10 +238,10 @@ def cost_paradigm(cfg: CostConfig) -> CostReport:
         seq_len=s,
         breakdown=breakdown,
         total_flops=sum(breakdown.values()),
-        decode_flops_per_token=decode,
-        kv_cache_bytes=2 * cfg.L * s * cfg.C * cfg.bytes_per_elem,
-        peak_activation_bytes=_peak_activation_elems(cfg) * cfg.bytes_per_elem,
-        weight_bytes=_weight_params(cfg, n_injected) * cfg.bytes_per_elem,
+        decode_flops_per_token=cfg.L * sum(_block_split(1, s, c, d_ff)) + vision_decode,
+        kv_cache_bytes=2 * cfg.L * s * c * cfg.bytes_per_elem,
+        peak_activation_bytes=max(s * c, cfg.h * s * s, s * d_ff, *vision_peaks) * cfg.bytes_per_elem,
+        weight_bytes=(cfg.L * per_block + vision_params) * cfg.bytes_per_elem,
     )
 
 

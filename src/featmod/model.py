@@ -126,6 +126,8 @@ class ModelConfig:
             raise ConfigError("fmi needs at least one of modulate_attn / modulate_ffn")
         if self.paradigm == "fmi" and self.cond_kind == "mlp" and self.cond_visual_tokens is None:
             raise ConfigError("mlp conditioner requires cond_visual_tokens")
+        if self.paradigm == "fmi" and self.cond_kind == "conv" and self.cond_kernel % 2 == 0:
+            raise ConfigError(f"cond_kernel must be odd, got {self.cond_kernel}")
 
 
 def round_half_up(x: float) -> int:

@@ -29,6 +29,7 @@ traversed under this counter.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
@@ -290,6 +291,14 @@ _DTYPES = {"f64": "<f8", "f32": "<f4"}
 _DTYPE_NAMES = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
 
 
+def read_text(path: str | Path) -> str:
+    """A config or manifest file's text; bytes that do not decode are a ConfigError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _bin_path(manifest_path: Path) -> Path:
     return manifest_path.with_suffix(".bin")
 
@@ -319,17 +328,19 @@ def load_tensors(manifest_path: str | Path) -> dict[str, np.ndarray]:
     raw = _bin_path(manifest_path).read_bytes()
     out: dict[str, np.ndarray] = {}
     offset = 0
-    for line in manifest_path.read_text().splitlines():
+    for line in read_text(manifest_path).splitlines():
         line = line.strip()
         if not line:
             continue
         try:
             name, shape_field, dtype_field = line.split(" ")
             shape = tuple(int(d) for d in shape_field.removeprefix("shape=").split("x"))
+            if min(shape) < 0:
+                raise ValueError(f"negative dimension in {shape}")
             dtype = _DTYPES[dtype_field.removeprefix("dtype=")]
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"malformed manifest line: {line!r}") from exc
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # Python ints: a huge shape cannot wrap around
         nbytes = count * np.dtype(dtype).itemsize
         if offset + nbytes > len(raw):
             raise ConfigError(f"binary file too short for tensor {name!r}")

@@ -37,14 +37,6 @@ class ImageGrid:
             raise ShapeError(f"image must be (H>=1, W>=1, ch), got {self.data.shape}")
 
     @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def channels(self) -> int:
         return self.data.shape[2]
 

@@ -263,6 +263,8 @@ class TestErrors:
         pytest.param(["forward", "--config", "{cfg}", "--weights", "{weights}", "--image-size", "56", "--out", "{tmp}"],
                      "paradigm=base\nL=2\nC=16\nh=2\nd_ff=32", id="forward-stored-base-image-size"),
         pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "cond_heads=1", id="cost-unpriced-cond-heads"),
+        pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "cond_kind=conv\ncond_kernel=4",
+                     id="cost-config-even-kernel"),
         pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "C=32\nh=4\ncond_heads=8",
                      id="cost-unpriced-cond-heads-c32"),
         pytest.param(["cost", "--frequency", "0.01", "--out", "{tmp}"], None, id="cost-frequency-selects-no-block"),
@@ -309,6 +311,36 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, config, manifest, message", [
+        pytest.param("forward", b"L=2\xff\n", None, "can't decode", id="forward-config-not-utf8"),
+        pytest.param("cost", b"L=2\xff\n", None, "can't decode", id="cost-config-not-utf8"),
+        pytest.param("forward", None, b"x shape=2 dtype=f64\xff\n", "can't decode", id="manifest-not-utf8"),
+        pytest.param("forward", None, b"x shape=-1x-2 dtype=f64\n", "malformed manifest line",
+                     id="manifest-negative-dims"),
+        pytest.param("forward", None, b"x shape=-2 dtype=f64\n", "malformed manifest line",
+                     id="manifest-negative-dim"),
+        pytest.param("forward", None, b"x shape=4294967296x4294967296 dtype=f64\n", "too short",
+                     id="manifest-shape-past-int64"),
+    ])
+    def test_unreadable_file_exits_two_with_one_line(self, command, config, manifest, message, tmp_path, capsys):
+        """A config or manifest whose bytes do not decode, or a manifest with
+        a negative or an int64-overflowing shape (over a 16-byte binary)."""
+        if config is None:
+            cfg_path = write_config(tmp_path)[1]
+        else:
+            cfg_path = tmp_path / "bad.cfg"
+            cfg_path.write_bytes(config)
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+        if manifest is not None:
+            weights = tmp_path / "model.manifest"
+            weights.write_bytes(manifest)
+            weights.with_suffix(".bin").write_bytes(bytes(16))
+            argv += ["--weights", str(weights)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "run").exists()
 
     def test_stored_model_accepts_agreeing_flags_and_seed(self, tmp_path):

@@ -27,6 +27,20 @@ from featmod.model import PARADIGMS, ModelConfig, init_model, model_tensors, sel
 from featmod.tensors import ConfigError
 
 GOLDEN = Path(__file__).parent / "data" / "cost_video_golden.csv"
+PARADIGMS_GOLDEN = Path(__file__).parent / "data" / "cost_paradigms_golden.csv"
+
+# Shapes that reach every branch of the pricing: s > 128 (T=130, and the
+# incontext prefix on top), V=1 under K=7 so the conv reach is cut short,
+# K in {1, 3, 7}, k=4 frames, one- and four-byte elements, and token and
+# channel expansions of 1 and 4.
+GOLDEN_SHAPES = (
+    dict(L=3, C=64, h=4, d_ff=96, T=130, V=3, k=4, frequency=0.5, bytes_per_elem=4,
+         cond_token_exp=1, cond_channel_exp=4, cond_kernel=3),
+    dict(L=8, C=8, h=2, d_ff=16, T=5, V=1, k=1, frequency=0.25, bytes_per_elem=1,
+         cond_token_exp=4, cond_channel_exp=1, cond_kernel=7),
+    dict(L=1, C=64, h=8, d_ff=16, T=1, V=200, k=4, frequency=1.0, bytes_per_elem=2,
+         cond_token_exp=4, cond_channel_exp=4, cond_kernel=1),
+)
 
 
 class TestFlopsBlock:
@@ -189,6 +203,16 @@ class TestGoldenCsv:
         write_cost_csv(out, reports)
         assert out.read_bytes() == GOLDEN.read_bytes()
 
+    def test_every_paradigm_and_kind(self, tmp_path):
+        """Every report field of every paradigm under every conditioner kind."""
+        reports = [
+            cost_paradigm(CostConfig(paradigm=paradigm, cond_kind=kind, **shape))
+            for shape in GOLDEN_SHAPES for paradigm in PARADIGMS for kind in ("attn", "conv", "mlp")
+        ]
+        out = tmp_path / "cost.csv"
+        write_cost_csv(out, reports)
+        assert out.read_bytes() == PARADIGMS_GOLDEN.read_bytes()
+
 
 def _rejects(check) -> bool:
     try:
@@ -213,6 +237,15 @@ class TestValidation:
             assert _rejects(cfg.validate) == model_rejects, cfg
             if paradigm in ("fmi", "crossattn") and not model_rejects:
                 assert cfg.n_injected == len(select_layers(layers, frequency, "uniform"))
+
+    @pytest.mark.parametrize("paradigm", ["fmi", "crossattn"])
+    def test_kernel_valid_exactly_when_the_model_builds(self, paradigm):
+        """An even cond_kernel is rejected where the model builds a conv conditioner."""
+        for kernel, kind in itertools.product(range(1, 9), ("conv", "attn")):
+            cfg = CostConfig(L=4, C=32, h=4, d_ff=64, T=3, V=2, paradigm=paradigm, cond_kind=kind,
+                             frequency=0.5, cond_kernel=kernel)
+            assert _rejects(cfg.validate) == _rejects(lambda: init_model(cfg.model_config())), cfg
+            assert _rejects(cfg.validate) == (paradigm == "fmi" and kind == "conv" and kernel % 2 == 0)
 
     @pytest.mark.parametrize("paradigm", ["fmi", "crossattn"])
     def test_report_reads_the_layer_selection_once(self, paradigm, monkeypatch):

@@ -1,7 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+module-level name outlives its last caller.
 
-A stand-in for a linter's unused-import rule, on the stdlib ``ast`` only.
-``__init__.py`` is exempt: its imports are the package's public surface.
+Stand-ins for a linter's unused-import and dead-code rules, on the stdlib
+``ast`` only. ``__init__.py`` is exempt from the import rule: its imports are
+the package's public surface.
 """
 
 import ast
@@ -27,6 +29,34 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions, classes and constants that no module
+    reads, by name, attribute or import. Dunder names are exempt."""
+    defined = {}
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+
+
 def test_finds_an_unused_import():
     source = "import math\nfrom os import path, sep\nfrom .model import round_half_up\nprint(sep)\n"
     assert unused_imports(source) == ["math (line 1)", "path (line 2)", "round_half_up (line 3)"]
@@ -35,3 +65,17 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_finds_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_SEEN: int = 0\n__all__ = []\ndef _dead():\n    pass\nclass _Box:\n    pass\n"
+                "def _kept():\n    return _LIMIT\n",
+        "b.py": "from .a import _kept\nimport a\n_kept()\na._Box()\n",
+    }
+    assert unreferenced_private_names(sources) == ["_SEEN (a.py:2)", "_dead (a.py:4)"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

@@ -452,3 +452,32 @@ class TestManifest:
         path.with_suffix(".bin").write_bytes(b"")
         with pytest.raises(ConfigError):
             load_tensors(path)
+
+    @pytest.mark.parametrize("shape", ["-1x-2", "-2", "2x-1x-8"])
+    def test_negative_dimension_rejected(self, shape, tmp_path):
+        path = tmp_path / "bad.manifest"
+        path.write_text(f"x shape={shape} dtype=f64\n")
+        path.with_suffix(".bin").write_bytes(bytes(16))
+        with pytest.raises(ConfigError, match="malformed manifest line"):
+            load_tensors(path)
+
+    def test_shape_past_int64_is_too_short_not_wrapped(self, tmp_path):
+        path = tmp_path / "big.manifest"
+        path.write_text("x shape=4294967296x4294967296 dtype=f64\n")
+        path.with_suffix(".bin").write_bytes(b"")
+        with pytest.raises(ConfigError, match="too short"):
+            load_tensors(path)
+
+    def test_zero_dimension_loads_empty(self, tmp_path):
+        path = tmp_path / "empty.manifest"
+        path.write_text("x shape=0 dtype=f64\ny shape=2x0 dtype=f32\n")
+        path.with_suffix(".bin").write_bytes(b"")
+        loaded = load_tensors(path)
+        assert loaded["x"].shape == (0,) and loaded["y"].shape == (2, 0)
+
+    def test_undecodable_manifest_rejected(self, tmp_path):
+        path = tmp_path / "bad.manifest"
+        path.write_bytes(b"x shape=2 dtype=f64\xff\n")
+        path.with_suffix(".bin").write_bytes(bytes(16))
+        with pytest.raises(ConfigError, match="bad.manifest"):
+            load_tensors(path)
