@@ -20,8 +20,8 @@ from .conditioning import (
     cond_mlp,
     gradcheck_conditioner,
 )
-from .costs import CostConfig, CostReport, cost_paradigm, flops_block, flops_cond, memory_estimate, sweep_frames
-from .diagnostics import DiagnosticTrace, cosine_distance, feature_drift, modulation_influence, token_class_influence
+from .costs import CostConfig, CostReport, cost_paradigm, flops_cond, sweep_frames
+from .diagnostics import DiagnosticTrace, cosine_distance, diagnose, feature_drift, modulation_influence
 from .model import (
     Model,
     ModelConfig,

@@ -10,19 +10,21 @@ Subcommands:
 * cost        - analytic cost sweep to cost.csv: the paradigm of --paradigm,
                 else that of a --config that sets one, else fmi, incontext
                 and crossattn
-* diagnose    - modulation influence and feature drift of an fmi model to CSV
+* diagnose    - modulation influence and feature drift of an fmi model to
+                CSV, from one captured pass of the model and one of its base
+                twin
 * selftest    - the 11 release criteria (featmod.criteria) plus deterministic
                 CSV artifacts; --seed s runs each criterion at its release
                 seed + s, so --seed 0 runs exactly the release gates
 
-Exit codes: 0 success, 1 failed check or runtime error (one-line reason on
-stderr), 2 usage or config errors, written before any output: these include
-equivalence of a base or incontext model, diagnose of a non-fmi model,
-forward --tile with --frames K, forward --video-len without --frames K or
-shorter than K, a flag that the paradigm cannot apply (forward's visual
-flags on base; --frequency or --location on base and incontext; cost
---frequency on a base or incontext paradigm), and cost --config with a
-cond_heads the cost model does not price.
+Exit codes: 0 success, 1 failed check or runtime error, such as sizes too
+large to allocate (one-line reason on stderr), 2 usage or config errors,
+written before any output: these include equivalence of a base or incontext
+model, diagnose of a non-fmi model, forward --tile with --frames K, forward
+--video-len without --frames K or shorter than K, a flag that the paradigm
+cannot apply (forward's visual flags on base; --frequency or --location on
+base and incontext; cost --frequency on a base or incontext paradigm), and
+cost --config with a cond_heads the cost model does not price.
 """
 
 from __future__ import annotations
@@ -43,14 +45,13 @@ from .model import (
     ForwardCapture,
     Model,
     ModelConfig,
-    base_twin,
     config_from_kv,
     forward,
     init_model,
     load_model,
     randomize_modulation,
 )
-from .tensors import ConfigError, NumericError, ShapeError, make_rng, save_tensors
+from .tensors import ConfigError, make_rng, save_tensors
 
 
 def _fail(message: str) -> int:
@@ -131,8 +132,6 @@ def _build_model(args, cfg: ModelConfig, visual: VisualContext | None) -> Model:
                 )
         cfg = model.cfg
     mlp = cfg.paradigm == "fmi" and cfg.cond_kind == "mlp" and visual is not None
-    if mlp and cfg.cond_visual_tokens is None:
-        cfg = replace(cfg, cond_visual_tokens=visual.count)
     if mlp and cfg.cond_visual_tokens != visual.count:
         raise ConfigError(
             f"cond_visual_tokens {cfg.cond_visual_tokens} disagrees with the "
@@ -267,8 +266,7 @@ def cmd_diagnose(args) -> int:
     if not args.weights:
         randomize_modulation(model, make_rng(cfg.seed + 3))
     t_emb = rng.normal(size=(args.tokens, cfg.C))
-    influence = diagnostics.modulation_influence(model, t_emb, visual)
-    drift = diagnostics.feature_drift(model, base_twin(model), t_emb, visual)
+    influence, drift = diagnostics.diagnose(model, t_emb, visual)
     diagnostics.write_trace_csv(out_dir / "influence.csv", influence)
     diagnostics.write_trace_csv(out_dir / "drift.csv", drift)
     _write_meta(out_dir, {
@@ -303,8 +301,9 @@ def cmd_selftest(args) -> int:
     rng = make_rng(seed + 2)
     t_emb = rng.normal(size=(8, cfg.C))
     visual = VisualContext(rng.normal(size=(6, cfg.C)), "synthetic")
-    diagnostics.write_trace_csv(out_dir / "influence.csv", diagnostics.modulation_influence(model, t_emb, visual))
-    diagnostics.write_trace_csv(out_dir / "drift.csv", diagnostics.feature_drift(model, base_twin(model), t_emb, visual))
+    influence, drift = diagnostics.diagnose(model, t_emb, visual)
+    diagnostics.write_trace_csv(out_dir / "influence.csv", influence)
+    diagnostics.write_trace_csv(out_dir / "drift.csv", drift)
     _write_meta(out_dir, {
         "subcommand": "selftest",
         "seed": str(seed),
@@ -395,10 +394,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ConfigError as exc:  # a ValueError, like ShapeError and NumericError, so it goes first
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ShapeError, NumericError, OSError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         return _fail(str(exc))
 
 

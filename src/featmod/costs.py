@@ -154,11 +154,6 @@ def _block_split(queries: int, keys: int, c: int, d_ff: int) -> tuple[int, int, 
     return 8 * queries * c * c, 4 * queries * keys * c, 4 * queries * c * d_ff
 
 
-def flops_block(seq_len: int, c: int, h: int, d_ff: int) -> int:
-    """Prefill FLOPs of one block; h is part of the signature but cancels."""
-    return sum(_block_split(seq_len, seq_len, c, d_ff))
-
-
 def flops_cond(
     cond_kind: str,
     t: int,
@@ -243,11 +238,6 @@ def cost_paradigm(cfg: CostConfig) -> CostReport:
         peak_activation_bytes=max(s * c, cfg.h * s * s, s * d_ff, *vision_peaks) * cfg.bytes_per_elem,
         weight_bytes=(cfg.L * per_block + vision_params) * cfg.bytes_per_elem,
     )
-
-
-def memory_estimate(cfg: CostConfig) -> int:
-    """KV cache + weights + coarse peak activation, in bytes."""
-    return cost_paradigm(cfg).memory_total_bytes
 
 
 def sweep_frames(cfg: CostConfig, frame_counts: list[int]) -> list[CostReport]:

@@ -1,8 +1,10 @@
-"""Hidden-state probes: modulation influence, feature drift, token classes.
+"""Hidden-state probes: modulation influence and feature drift.
 
-All probes reduce to per-token cosine distances between paired hidden
-states. Degenerate vectors follow a fixed convention: distance 0 when both
-vectors are zero, 1 when exactly one is.
+Both probes are reductions over the `ForwardCapture` of a forward pass, to
+per-token cosine distances between paired hidden states. `diagnose` computes
+the two from one captured pass of an fmi model and one of its base twin.
+Degenerate vectors follow a fixed convention: distance 0 when both vectors
+are zero, 1 when exactly one is.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .conditioning import VisualContext
-from .model import ForwardCapture, Model, forward
+from .model import ForwardCapture, Model, base_twin, forward
 from .tensors import ConfigError, ShapeError
 
 
@@ -85,6 +87,36 @@ class DiagnosticTrace:
         ]
 
 
+def _influence(capture: ForwardCapture) -> DiagnosticTrace:
+    """The modulation_influence trace of a captured pass."""
+    layers = sorted(capture.modulation)
+    rows = []
+    for layer in layers:
+        pairs = capture.modulation[layer]
+        slot_rows = [_row_distances(plain, modulated) for plain, modulated in pairs]
+        rows.append(np.mean(slot_rows, axis=0))
+    return DiagnosticTrace(layers=layers, per_token=np.array(rows))
+
+
+def _drift(cap_a: ForwardCapture, cap_b: ForwardCapture, t: int) -> DiagnosticTrace:
+    """The feature_drift trace of two captured passes, over their last t rows."""
+    rows = []
+    for h_a, h_b in zip(cap_a.hidden, cap_b.hidden):
+        rows.append(_row_distances(h_a[-t:], h_b[-t:]))
+    return DiagnosticTrace(layers=list(range(len(rows))), per_token=np.array(rows))
+
+
+def _captured(model: Model, t_emb: np.ndarray, visual: VisualContext | None) -> ForwardCapture:
+    capture = ForwardCapture()
+    forward(model, t_emb, visual, capture)
+    return capture
+
+
+def _require_fmi(model: Model) -> None:
+    if model.cfg.paradigm != "fmi":
+        raise ConfigError(f"modulation influence needs an fmi model, got {model.cfg.paradigm!r}")
+
+
 def modulation_influence(model: Model, t_emb: np.ndarray, visual: VisualContext) -> DiagnosticTrace:
     """Distance between each modulated layer's plain-normalization output and
     its modulated output, per token, from a single forward pass.
@@ -94,20 +126,12 @@ def modulation_influence(model: Model, t_emb: np.ndarray, visual: VisualContext)
 
     The pass stops after the last modulated block, since no later block adds
     to the trace; so a NaN or Inf that first appears after it does not
-    raise here (feature_drift, which runs every block, still raises).
+    raise here (feature_drift and diagnose, which run every block, still
+    raise).
     """
-    if model.cfg.paradigm != "fmi":
-        raise ConfigError(f"modulation influence needs an fmi model, got {model.cfg.paradigm!r}")
+    _require_fmi(model)
     last = max((l for l, p in enumerate(model.blocks) if p.modulation is not None), default=-1)
-    capture = ForwardCapture()
-    forward(replace(model, blocks=model.blocks[: last + 1]), t_emb, visual, capture)
-    layers = sorted(capture.modulation)
-    rows = []
-    for layer in layers:
-        pairs = capture.modulation[layer]
-        slot_rows = [_row_distances(plain, modulated) for plain, modulated in pairs]
-        rows.append(np.mean(slot_rows, axis=0))
-    return DiagnosticTrace(layers=layers, per_token=np.array(rows))
+    return _influence(_captured(replace(model, blocks=model.blocks[: last + 1]), t_emb, visual))
 
 
 def feature_drift(
@@ -124,35 +148,18 @@ def feature_drift(
     """
     if model_a.cfg.L != model_b.cfg.L or model_a.cfg.C != model_b.cfg.C:
         raise ConfigError("models must agree on depth and width")
-    cap_a = ForwardCapture()
-    cap_b = ForwardCapture()
-    forward(model_a, t_emb, visual, cap_a)
-    forward(model_b, t_emb, None, cap_b)
-    t = t_emb.shape[0]
-    rows = []
-    for h_a, h_b in zip(cap_a.hidden, cap_b.hidden):
-        rows.append(_row_distances(h_a[-t:], h_b[-t:]))
-    return DiagnosticTrace(layers=list(range(len(rows))), per_token=np.array(rows))
+    cap_a = _captured(model_a, t_emb, visual)
+    return _drift(cap_a, _captured(model_b, t_emb, None), t_emb.shape[0])
 
 
-def token_class_influence(trace: DiagnosticTrace, labels: list[str]) -> dict[str, float]:
-    """Mean distance per token class, averaged over layers and tokens.
-
-    Classes are reported in first-appearance order; cross-class ordering is
-    observational, never asserted.
-    """
-    if not labels:
-        raise ConfigError("label list must be non-empty")
-    if len(labels) != trace.per_token.shape[1]:
-        raise ShapeError(
-            f"{len(labels)} labels for {trace.per_token.shape[1]} tokens"
-        )
-    means: dict[str, float] = {}
-    for label in labels:
-        if label not in means:
-            mask = np.array([lab == label for lab in labels])
-            means[label] = float(trace.per_token[:, mask].mean())
-    return means
+def diagnose(model: Model, t_emb: np.ndarray, visual: VisualContext) -> tuple[DiagnosticTrace, DiagnosticTrace]:
+    """modulation_influence(model, ...) and feature_drift(model,
+    base_twin(model), ...), bit for bit, from one captured pass of each
+    model: the fmi pass records the modulation pairs and the hidden states
+    together."""
+    _require_fmi(model)
+    capture = _captured(model, t_emb, visual)
+    return _influence(capture), _drift(capture, _captured(base_twin(model), t_emb, None), t_emb.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from featmod import criteria
 from featmod.cli import build_parser, main
 from featmod.configfile import read_kv, write_kv
 from featmod.criteria import CRITERIA
-from featmod.model import ModelConfig, config_from_kv, config_to_kv, init_model, save_model
-from featmod.tensors import load_tensors
+from featmod.conditioning import VisualContext
+from featmod.model import ModelConfig, base_twin, config_from_kv, config_to_kv, forward, init_model, save_model
+from featmod.tensors import count_macs, load_tensors, make_rng
 
 
 def write_config(tmp_path, **overrides):
@@ -174,6 +175,23 @@ class TestDiagnose:
         with (out_dir / "influence.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert any(float(r["distance"]) > 0.0 for r in rows)
+
+    def test_runs_the_fmi_model_once(self, tmp_path):
+        """diagnose counts the MACs of one forward of the model and one of its
+        base twin, at the sizes it runs (MAC counts depend on shapes only)."""
+        cfg, cfg_path = write_config(tmp_path)
+        with count_macs() as counted:
+            assert main([
+                "diagnose", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                "--tokens", "5", "--visual-tokens", "3",
+            ]) == 0
+        model = init_model(cfg)
+        rng = make_rng(0)
+        t_emb = rng.normal(size=(5, cfg.C))
+        with count_macs() as expected:
+            forward(model, t_emb, VisualContext(rng.normal(size=(3, cfg.C)), "synthetic"))
+            forward(base_twin(model), t_emb)
+        assert counted.macs == expected.macs
 
 
 _MLP_FOR_5_VISUAL_TOKENS = "paradigm=fmi\ncond_kind=mlp\ncond_visual_tokens=5\nL=2\nC=16\nh=2\nd_ff=32"
@@ -342,6 +360,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        pytest.param(["forward", "--config", "{cfg}", "--out", "{tmp}"],
+                     "L=1\nC=1099511627776\nh=1\nd_ff=4\nparadigm=base", id="forward-config-width"),
+        pytest.param(["forward", "--paradigm", "base", "--tokens", "99999999999999", "--out", "{tmp}"], None,
+                     id="forward-tokens"),
+        pytest.param(["equivalence", "--tokens", "99999999999999"], None, id="equivalence-tokens"),
+    ])
+    def test_sizes_too_large_to_allocate_exit_one_with_one_line(self, argv, config, tmp_path, capsys):
+        """numpy refuses each of these arrays before allocating anything."""
+        cfg = tmp_path / "huge.cfg"
+        if config is not None:
+            cfg.write_text(config + "\n")
+        assert main([arg.format(tmp=tmp_path / "run", cfg=cfg) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_stored_model_accepts_agreeing_flags_and_seed(self, tmp_path):
         cfg, cfg_path = write_config(tmp_path)

@@ -14,11 +14,9 @@ from featmod.costs import (
     VIDEO_SWEEP_BASE,
     CostConfig,
     cost_paradigm,
-    flops_block,
     flops_cond,
     flops_reduction_ratio,
     measured_flops,
-    memory_estimate,
     sweep_frames,
     write_cost_csv,
 )
@@ -41,19 +39,6 @@ GOLDEN_SHAPES = (
     dict(L=1, C=64, h=8, d_ff=16, T=1, V=200, k=4, frequency=1.0, bytes_per_elem=2,
          cond_token_exp=4, cond_channel_exp=4, cond_kernel=1),
 )
-
-
-class TestFlopsBlock:
-    def test_unit_case(self):
-        assert flops_block(1, 1, 1, 1) == 16
-
-    def test_doubling_sequence_more_than_doubles(self):
-        base = flops_block(64, 32, 4, 128)
-        assert flops_block(128, 32, 4, 128) > 2 * base
-
-    def test_formula_terms(self):
-        s, c, d_ff = 7, 16, 48
-        assert flops_block(s, c, 4, d_ff) == 8 * s * c * c + 4 * s * s * c + 4 * s * c * d_ff
 
 
 class TestFlopsCond:
@@ -187,7 +172,7 @@ class TestMemoryEstimate:
     def test_estimate_is_component_sum(self):
         cfg = replace(VIDEO_SWEEP_BASE, paradigm="incontext", k=32)
         report = cost_paradigm(cfg)
-        assert memory_estimate(cfg) == (
+        assert report.memory_total_bytes == (
             report.kv_cache_bytes + report.peak_activation_bytes + report.weight_bytes
         )
 

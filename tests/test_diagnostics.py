@@ -6,9 +6,9 @@ from featmod.diagnostics import (
     DiagnosticTrace,
     _row_distances,
     cosine_distance,
+    diagnose,
     feature_drift,
     modulation_influence,
-    token_class_influence,
     write_trace_csv,
 )
 from featmod import model as model_module
@@ -21,7 +21,7 @@ from featmod.model import (
     randomize_insert,
     randomize_modulation,
 )
-from featmod.tensors import ConfigError, NumericError, ShapeError, make_rng
+from featmod.tensors import ConfigError, NumericError, make_rng
 
 
 def fmi_setup(seed=21, randomized=False, **overrides):
@@ -188,35 +188,28 @@ class TestFeatureDrift:
             feature_drift(model, other, t_emb, visual)
 
 
-class TestTokenClassInfluence:
-    def trace(self):
-        per_token = np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]])
-        return DiagnosticTrace(layers=[0, 1], per_token=per_token)
+class TestDiagnose:
+    @pytest.mark.parametrize("overrides", [
+        dict(cond_kind="attn"),
+        dict(cond_kind="conv"),
+        dict(cond_kind="mlp", cond_visual_tokens=6),
+        dict(modulate_attn=False),
+    ], ids=["attn", "conv", "mlp", "one-slot"])
+    def test_equals_the_two_probes_bit_for_bit(self, overrides):
+        model, t_emb, visual = fmi_setup(randomized=True, **overrides)
+        influence, drift = diagnose(model, t_emb, visual)
+        for got, want in [
+            (influence, modulation_influence(model, t_emb, visual)),
+            (drift, feature_drift(model, base_twin(model), t_emb, visual)),
+        ]:
+            assert got.layers == want.layers
+            assert got.per_token.tobytes() == want.per_token.tobytes()
 
-    def test_single_class_equals_global_mean(self):
-        trace = self.trace()
-        means = token_class_influence(trace, ["x"] * 4)
-        assert means == {"x": float(trace.per_token.mean())}
-
-    def test_partition_recombines_to_global_mean(self):
-        trace = self.trace()
-        labels = ["noun", "verb", "noun", "verb"]
-        means = token_class_influence(trace, labels)
-        weights = {label: labels.count(label) for label in means}
-        total = sum(means[lab] * weights[lab] for lab in means) / len(labels)
-        assert np.isclose(total, float(trace.per_token.mean()), atol=1e-15)
-
-    def test_empty_labels_rejected(self):
+    def test_rejects_non_fmi_model(self):
+        ca = init_model(ModelConfig(L=4, C=32, h=4, d_ff=64, paradigm="crossattn", frequency=0.5, seed=21))
+        _, t_emb, visual = fmi_setup()
         with pytest.raises(ConfigError):
-            token_class_influence(self.trace(), [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            token_class_influence(self.trace(), ["a", "b"])
-
-    def test_first_appearance_order(self):
-        means = token_class_influence(self.trace(), ["b", "a", "b", "c"])
-        assert list(means) == ["b", "a", "c"]
+            diagnose(ca, t_emb, visual)
 
 
 class TestTraceCsv:

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name outlives its last caller.
+"""No module of the package imports a name it never uses, no private
+module-level name outlives its last caller, and every package name the
+benchmark scripts read exists.
 
 Stand-ins for a linter's unused-import and dead-code rules, on the stdlib
 ``ast`` only. ``__init__.py`` is exempt from the import rule: its imports are
@@ -7,11 +8,15 @@ the package's public surface.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "featmod"
+BENCHMARK_SCRIPTS = [PACKAGE.parent.parent / "perfbench" / name
+                     for name in ("workloads.py", "run.py", "record_reference.py")]
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -79,3 +84,41 @@ def test_finds_an_unreferenced_private_name():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def unresolved_featmod_names(source: str) -> list[str]:
+    """Names the source imports from featmod, or reads as attributes of a
+    featmod module it imported, that the package does not define."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> featmod module object
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "featmod":
+            package = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(package, alias.name):
+                    value = getattr(package, alias.name)
+                else:  # a submodule not yet imported
+                    try:
+                        value = importlib.import_module(f"{node.module}.{alias.name}")
+                    except ImportError:
+                        missing.append(f"{node.module}.{alias.name}")
+                        continue
+                if inspect.ismodule(value):
+                    modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if not hasattr(modules[node.value.id], node.attr):
+                missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
+    return sorted(missing)
+
+
+def test_finds_an_unresolved_featmod_name():
+    source = ("from featmod import costs, nosuchmodule\nfrom featmod.costs import cost_paradigm, gone\n"
+              "costs.sweep_frames\ncosts.removed(1)\n")
+    assert unresolved_featmod_names(source) == ["featmod.costs.gone", "featmod.costs.removed", "featmod.nosuchmodule"]
+
+
+@pytest.mark.parametrize("script", BENCHMARK_SCRIPTS, ids=lambda p: p.name)
+def test_benchmark_reads_only_names_that_exist(script):
+    assert unresolved_featmod_names(script.read_text()) == []

@@ -7,7 +7,7 @@ import pytest
 
 from featmod import conditioning, model as model_module, norm
 from featmod.conditioning import VisualContext, apply_conditioner, attn_oracle
-from featmod.diagnostics import feature_drift, modulation_influence
+from featmod.diagnostics import diagnose, feature_drift, modulation_influence
 from featmod.model import (
     ForwardCapture,
     ModelConfig,
@@ -562,6 +562,7 @@ def test_forward_leaves_inputs_and_weights_unchanged(variant):
     if variant == "diagnose":
         modulation_influence(model, t_emb, visual)
         feature_drift(model, base_twin(model), t_emb, visual)
+        diagnose(model, t_emb, visual)
     else:
         forward(model, t_emb, None if paradigm == "base" else visual)
     assert [name for name, arr in arrays.items() if arr.tobytes() != before[name]] == []
