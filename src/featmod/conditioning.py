@@ -44,7 +44,7 @@ from .norm import max_gradient_error
 from .tensors import (
     ConfigError,
     ShapeError,
-    check_finite,
+    attend,
     depthwise_conv1d,
     gelu,
     gelu_grad,
@@ -400,17 +400,10 @@ def cond_attn(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.nda
 
 
 def _cond_attn_forward(t: np.ndarray, v: np.ndarray, p: AttnCondParams):
-    heads = p.heads
-    q = split_heads(matmul(t, p.wq), heads)
-    k = split_heads(matmul(v, p.wk), heads)
-    val = split_heads(matmul(v, p.wv), heads)
-    # checked even inside checks_at_boundaries: softmax maps a -inf logit to an exact 0
-    logits = check_finite("attention logits", matmul(q, k.swapaxes(-1, -2)))
-    logits *= float(1.0 / np.sqrt(t.shape[-1] // heads))
-    weights = softmax_lastdim(logits)
-    merged = merge_heads(matmul(weights, val))
-    out = matmul(merged, p.wo)
-    return out, (q, k, val, weights, merged)
+    q = split_heads(matmul(t, p.wq), p.heads)
+    k = split_heads(matmul(v, p.wk), p.heads)
+    val = split_heads(matmul(v, p.wv), p.heads)
+    return matmul(merge_heads(attend(q, k, val, causal=False)), p.wo), (q, k, val)
 
 
 def attn_oracle(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.ndarray:
@@ -444,8 +437,9 @@ def cond_attn_backward(
     t: np.ndarray, v: np.ndarray, p: AttnCondParams, g_out: np.ndarray
 ) -> dict[str, np.ndarray]:
     scale = float(1.0 / np.sqrt(t.shape[1] // p.heads))
-    _, (q, k, val, weights, merged) = _cond_attn_forward(t, v, p)
-    grads: dict[str, np.ndarray] = {"wo": merged.T @ g_out}
+    _, (q, k, val) = _cond_attn_forward(t, v, p)
+    weights = softmax_lastdim(q @ k.swapaxes(-1, -2) * scale)
+    grads: dict[str, np.ndarray] = {"wo": merge_heads(weights @ val).T @ g_out}
     g_ctx = split_heads(g_out @ p.wo.T, p.heads)
     g_weights = g_ctx @ val.swapaxes(-1, -2)
     g_logits = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))

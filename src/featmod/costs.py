@@ -15,7 +15,9 @@ Conventions, chosen so the golden numbers are stable and reproducible:
 * peak activation is the largest single intermediate of a naive batch-1
   forward pass, which for long sequences is the (heads, S, S) attention
   score tensor, of which the executable forward holds one 128-query tile's
-  head group of at most 512 KiB (or one head) at a time; the mlp
+  head group of at most 512 KiB (or one head) at a time; the attn
+  conditioner and the insert likewise hold one head group of their
+  (heads, T, V) scores, as all attention runs through tensors.attend; the mlp
   conditioner's candidate is its whole token-mix pre-activation
   T*C*(V+1)*token_exp, of which the executable forward holds one tile of at
   most 512 KiB at a time

@@ -66,7 +66,6 @@ class DiagnosticTrace:
 
     layers: list[int]
     per_token: np.ndarray  # (len(layers), T)
-    token_labels: list[str] | None = None
 
     def __post_init__(self) -> None:
         if self.per_token.ndim != 2 or self.per_token.shape[0] != len(self.layers):
@@ -166,17 +165,17 @@ def diagnose(model: Model, t_emb: np.ndarray, visual: VisualContext) -> tuple[Di
 # CSV export
 
 def write_trace_csv(path: str | Path, trace: DiagnosticTrace) -> None:
-    """One row per (layer, token) plus exact per-layer aggregates."""
+    """One row per (layer, token) plus exact per-layer aggregates. The label
+    column stays in the layout and is always empty."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["layer", "token", "label", "distance", "layer_mean", "layer_min", "layer_max"])
         for stats, row in zip(trace.per_layer, trace.per_token):
             for tok in range(row.shape[0]):
-                label = trace.token_labels[tok] if trace.token_labels else ""
                 writer.writerow([
                     stats.layer,
                     tok,
-                    label,
+                    "",
                     f"{row[tok]:.12g}",
                     f"{stats.mean:.12g}",
                     f"{stats.min:.12g}",

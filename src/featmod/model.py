@@ -21,6 +21,10 @@ crossattn. The extras are the one record of where vision enters, and
 ``block_forward`` is the one place that runs them: it runs a block's insert
 when it has one and modulates a block when it has a ``Modulation``.
 
+Self-attention, the attn conditioner and the insert's cross-attention all
+score through ``tensors.attend``, so every attention in the stack runs the
+same tiled head-group loop.
+
 Weight draws are keyed by (seed, block index, component) so the base weights
 of every paradigm built from one seed are bit-identical; paradigm extras
 never shift the base stream.
@@ -28,7 +32,6 @@ never shift the base stream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -42,6 +45,7 @@ from .conditioning import (
     VisualContext,
     apply_conditioner,
     cond_attn,
+    default_heads,
     param_arrays,
 )
 from .configfile import read_kv, write_kv
@@ -49,13 +53,13 @@ from .norm import DeltaProjection, LNParams, layer_norm, project_deltas, viln_ap
 from .tensors import (
     ConfigError,
     ShapeError,
+    attend,
     check_finite,
     checks_at_boundaries,
     gelu,
     matmul,
     merge_heads,
     sinusoid_positions,
-    softmax_lastdim,
     split_heads,
     save_tensors,
     load_tensors,
@@ -128,6 +132,10 @@ class ModelConfig:
             raise ConfigError("mlp conditioner requires cond_visual_tokens")
         if self.paradigm == "fmi" and self.cond_kind == "conv" and self.cond_kernel % 2 == 0:
             raise ConfigError(f"cond_kernel must be odd, got {self.cond_kernel}")
+        if self.paradigm == "crossattn" or (self.paradigm == "fmi" and self.cond_kind == "attn"):
+            heads = default_heads(self.C) if self.cond_heads is None else self.cond_heads
+            if self.C % heads != 0:
+                raise ConfigError(f"cond_heads {heads} must divide hidden size {self.C}")
 
 
 def round_half_up(x: float) -> int:
@@ -310,49 +318,12 @@ def randomize_insert(model: Model, rng: np.random.Generator, scale: float = 0.05
 # ---------------------------------------------------------------------------
 # Forward passes
 
-# Query rows per causal-attention tile; every s <= _QUERY_TILE runs as one tile.
-_QUERY_TILE = 128
-# The causal mask of a tile's diagonal block: -inf strictly above the diagonal.
-_TILE_MASK = np.triu(np.full((_QUERY_TILE, _QUERY_TILE), -np.inf), k=1)
-_TILE_MASK.setflags(write=False)
-# Logits bytes a tile scores at once: heads are grouped so a group fits in L2.
-_LOGITS_BYTES = 512 * 1024
-
-
 def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.ndarray:
-    """Causal multi-head self-attention over 128-query tiles.
-
-    Tile [a, b) scores its queries against keys [0, b) only, so the fully
-    masked key blocks right of the diagonal are never computed; only the
-    tile's diagonal (b - a) x (b - a) block takes the -inf mask.
-
-    Within a tile, heads run in groups whose (group, b - a, b) logits fit
-    _LOGITS_BYTES (at least one head per group), so the logits stay in cache
-    from the product through softmax to the value product. When every head
-    fits (8 float64 heads at s <= 90), the tile runs as one group. numpy's
-    batched matmul multiplies each head with its own BLAS call on the same
-    operands, and the other ops are elementwise or per row, so every output
-    bit is the same for any grouping.
-    """
-    s, c = h_in.shape
+    """Causal multi-head self-attention: tensors.attend between the projections."""
     q = split_heads(matmul(h_in, p.wq), heads)
     k = split_heads(matmul(h_in, p.wk), heads)
     v = split_heads(matmul(h_in, p.wv), heads)
-    scale = 1.0 / math.sqrt(c // heads)
-    ctx = np.empty_like(v)  # (heads, s, dk), laid out like v so merge_heads is a view
-    for a in range(0, s, _QUERY_TILE):
-        b = min(a + _QUERY_TILE, s)
-        group = max(1, _LOGITS_BYTES // ((b - a) * b * q.itemsize))
-        for g in range(0, heads, group):
-            hs = slice(g, g + group)
-            # (group, b - a, b) logits scaled, masked and softmaxed in place: no second
-            # logits-sized array. Checked even inside checks_at_boundaries: softmax maps
-            # a -inf logit to an exact 0.
-            logits = check_finite("attention logits", matmul(q[hs, a:b], k[hs, :b].swapaxes(-1, -2)))
-            logits *= scale
-            logits[:, :, a:] += _TILE_MASK[: b - a, : b - a]
-            ctx[hs, a:b] = matmul(softmax_lastdim(logits, out=logits), v[hs, :b])
-    return matmul(merge_heads(ctx), p.wo)
+    return matmul(merge_heads(attend(q, k, v, causal=True)), p.wo)
 
 
 def _ffn(x: np.ndarray, p: BlockParams | InsertParams) -> np.ndarray:
@@ -433,9 +404,9 @@ def forward(
 
     The pass runs inside tensors.checks_at_boundaries, so its ops skip their
     own finite checks. NumericError is raised instead at the boundaries a
-    NaN or Inf must cross: each attention tile's raw logits (self, conditioner
-    and insert), each block's deltas as project_deltas returns them, and each
-    block's output.
+    NaN or Inf must cross: each head group's raw logits in tensors.attend
+    (self, conditioner and insert), each block's deltas as project_deltas
+    returns them, and each block's output.
     """
     cfg = model.cfg
     if visual is None and cfg.paradigm in ("fmi", "crossattn"):

@@ -20,6 +20,12 @@ numpy-style: (..., m, k) @ (..., k, n) and (..., C, L) signals against
 stack of perturbed copies runs in one call. ``matmul``'s inner and batch axes
 are checked by numpy's ``@`` before it computes; a mismatch raises ShapeError.
 
+``attend`` is the one attention kernel: the model's causal self-attention,
+the attn conditioner and the crossattn insert all run through it. It scores
+split heads in cache-sized groups, causal calls in 128-query tiles, and
+checks each group's raw logits with ``check_finite``, even inside
+``checks_at_boundaries``, since softmax maps a -inf logit to an exact 0.
+
 A process-global multiply-accumulate counter can be armed with
 ``count_macs()``; while armed, ``matmul`` records ``out.size * k`` MACs and
 ``depthwise_conv1d`` records ``out.size * K``, batch axes included, once the
@@ -259,6 +265,50 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     """Inverse of split_heads: (..., heads, n, dk) to (..., n, heads * dk)."""
     *batch, heads, n, dk = x.shape
     return x.swapaxes(-3, -2).reshape(*batch, n, heads * dk)
+
+
+# Query rows per causal tile; every n <= _QUERY_TILE runs as one tile.
+_QUERY_TILE = 128
+# The causal mask of a tile's diagonal block: -inf strictly above the diagonal.
+_TILE_MASK = np.triu(np.full((_QUERY_TILE, _QUERY_TILE), -np.inf), k=1)
+_TILE_MASK.setflags(write=False)
+# Logits bytes a tile scores at once: heads are grouped so a group fits in L2.
+_LOGITS_BYTES = 512 * 1024
+
+
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool) -> np.ndarray:
+    """Scaled dot-product attention of split-head queries (..., heads, n, dk)
+    over keys and values (..., heads, m, dk), batch axes broadcasting; the
+    (..., heads, n, dk) context is laid out so merge_heads of it is a view.
+
+    Causal calls (n == m) run 128-query tiles: tile [a, b) scores keys [0, b)
+    only, and only its diagonal block takes the -inf mask. Non-causal calls
+    run all queries as one tile, as tiling them saves no keys. A tile scores
+    its heads in groups whose logits fit _LOGITS_BYTES (one head at least),
+    so they stay in cache through softmax and the value product. numpy's
+    batched matmul runs one BLAS call per head on the same operands and the
+    rest is elementwise or per row, so any grouping gives the same bits.
+    """
+    heads, n, dk = q.shape[-3:]
+    batch = q.shape[:-3]
+    if k.shape[:-3] != batch or v.shape[:-3] != batch:
+        batch = np.broadcast_shapes(batch, k.shape[:-3], v.shape[:-3])
+    ctx = np.empty(batch + (n, heads, v.shape[-1]), np.result_type(q, k, v)).swapaxes(-3, -2)
+    scale = 1.0 / math.sqrt(dk)
+    for a in range(0, n, _QUERY_TILE if causal else max(n, 1)):
+        b = min(a + _QUERY_TILE, n) if causal else n
+        keys = b if causal else k.shape[-2]
+        group = max(1, _LOGITS_BYTES // ((b - a) * keys * q.itemsize))
+        for g in range(0, heads, group):
+            hs = slice(g, g + group)
+            # Logits scaled, masked and softmaxed in place: no second logits-sized array.
+            # Checked even inside checks_at_boundaries: softmax maps a -inf logit to an exact 0.
+            logits = check_finite("attention logits", matmul(q[..., hs, a:b, :], k[..., hs, :keys, :].swapaxes(-1, -2)))
+            logits *= scale
+            if causal:
+                logits[..., a:] += _TILE_MASK[: b - a, : b - a]
+            ctx[..., hs, a:b, :] = matmul(softmax_lastdim(logits, out=logits), v[..., hs, :keys, :])
+    return ctx
 
 
 def sinusoid_positions(positions: np.ndarray | list[int], dim: int) -> np.ndarray:

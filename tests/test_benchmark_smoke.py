@@ -1,0 +1,30 @@
+"""The benchmark runs end to end on the desk workload and its outputs check.
+
+The tracer wraps featmod functions by name and reads their arguments, so a
+renamed function or a changed signature shows up here as a failed or
+incorrect run. The run works on a copy, since it writes its record into the
+checkout it runs from.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_desk_run_is_correct(trace, tmp_path):
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__", ".perfbench_out"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    argv = ["--workload", "desk", "--seed", "1", "--seconds", "0.5", "--trace", trace]
+    run = subprocess.run([sys.executable, str(tmp_path / "perfbench" / "run.py"), *argv],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

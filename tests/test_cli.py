@@ -310,6 +310,8 @@ class TestErrors:
         pytest.param(["forward", "--config", "{cfg}", "--weights", "{weights}", "--frequency", "0.25",
                       "--out", "{tmp}"], "paradigm=base\nL=2\nC=16\nh=2\nd_ff=32",
                      id="forward-stored-base-frequency"),
+        pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"],
+                     "paradigm=crossattn\nL=4\nC=100\nh=4\nd_ff=64\nfrequency=0.5", id="cost-crossattn-heads-do-not-divide"),
     ])
     def test_bad_input_exits_two_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

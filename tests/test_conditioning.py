@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from featmod import conditioning
+from featmod import conditioning, tensors
 from featmod.conditioning import (
     AttnCondParams,
     ConvCondParams,
@@ -284,6 +284,20 @@ class TestGradchecks:
         }[kind]
         with pytest.raises(NumericError):
             gradcheck_conditioner(kind, t, visual, init())
+
+
+class TestAttnHeadGroups:
+    """tensors.attend scores heads in groups of at most _LOGITS_BYTES of
+    logits; a 1-byte budget runs every head as its own group."""
+
+    @pytest.mark.parametrize("operand", ["t", "v", *FIELDS["attn"]])
+    def test_stacked_operand_under_one_byte_budget(self, operand, monkeypatch):
+        monkeypatch.setattr(tensors, "_LOGITS_BYTES", 1)
+        TestBatchedForwards().test_stacked_operand_equals_slices("attn", operand)
+
+    def test_gradcheck_under_one_byte_budget(self, monkeypatch):
+        monkeypatch.setattr(tensors, "_LOGITS_BYTES", 1)
+        TestGradchecks().test_attn()
 
 
 class TestMlpTiles:

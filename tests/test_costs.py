@@ -232,6 +232,16 @@ class TestValidation:
             assert _rejects(cfg.validate) == _rejects(lambda: init_model(cfg.model_config())), cfg
             assert _rejects(cfg.validate) == (paradigm == "fmi" and kind == "conv" and kernel % 2 == 0)
 
+    @pytest.mark.parametrize("paradigm", PARADIGMS)
+    def test_heads_valid_exactly_when_the_model_builds(self, paradigm):
+        """The attn conditioner and the crossattn insert run default_heads(C)
+        heads, 8 from C = 64 up, which must divide C."""
+        for c, kind in itertools.product((32, 64, 68, 100), ("attn", "conv", "mlp")):
+            cfg = CostConfig(L=4, C=c, h=4, d_ff=64, T=3, V=2, paradigm=paradigm, cond_kind=kind, frequency=0.5)
+            assert _rejects(cfg.validate) == _rejects(lambda: init_model(cfg.model_config())), cfg
+            attention = paradigm == "crossattn" or (paradigm == "fmi" and kind == "attn")
+            assert _rejects(cfg.validate) == (attention and c in (68, 100)), cfg
+
     @pytest.mark.parametrize("paradigm", ["fmi", "crossattn"])
     def test_report_reads_the_layer_selection_once(self, paradigm, monkeypatch):
         calls = []

@@ -3,7 +3,6 @@ import pytest
 
 from featmod.conditioning import VisualContext
 from featmod.diagnostics import (
-    DiagnosticTrace,
     _row_distances,
     cosine_distance,
     diagnose,
@@ -234,11 +233,4 @@ class TestTraceCsv:
             layer_idx = trace.layers.index(int(row["layer"]))
             stored = trace.per_token[layer_idx, int(row["token"])]
             assert np.isclose(float(row["distance"]), stored, rtol=1e-11, atol=1e-300)
-
-    def test_labels_column(self, tmp_path):
-        trace = DiagnosticTrace(
-            layers=[0], per_token=np.array([[0.1, 0.2]]), token_labels=["noun", "verb"]
-        )
-        write_trace_csv(tmp_path / "t.csv", trace)
-        text = (tmp_path / "t.csv").read_text()
-        assert "noun" in text and "verb" in text
+            assert row["label"] == ""

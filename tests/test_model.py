@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from featmod import conditioning, model as model_module, norm
-from featmod.conditioning import VisualContext, apply_conditioner, attn_oracle
+from featmod import model as model_module, norm, tensors
+from featmod.conditioning import AttnCondParams, VisualContext, apply_conditioner, attn_oracle, cond_attn
 from featmod.diagnostics import diagnose, feature_drift, modulation_influence
 from featmod.model import (
     ForwardCapture,
@@ -211,16 +211,34 @@ class TestTiledAttention:
         assert scores < 2 * s * s * c  # the untiled count
 
 
-def logits_budget(name, s, itemsize):
+def logits_budget(name, s, itemsize, keys=None):
     """A _LOGITS_BYTES value: "three_heads" fits exactly 3 heads in the first
-    tile, so 8 heads run as groups of 3, 3 and a partial 2 there."""
-    first_tile = min(s, 128) ** 2 * itemsize
-    return {"one_byte": 1, "three_heads": 3 * first_tile, "default": model_module._LOGITS_BYTES, "huge": 1 << 62}[name]
+    tile, so 8 heads run as groups of 3, 3 and a partial 2 there. With keys,
+    the budget is for a non-causal call, whose one tile is all s queries."""
+    first_tile = (min(s, 128) ** 2 if keys is None else s * keys) * itemsize
+    return {"one_byte": 1, "three_heads": 3 * first_tile, "default": tensors._LOGITS_BYTES, "huge": 1 << 62}[name]
 
 
 def attention_setup(s, heads, dtype, channels=32):
     p = cast_model(init_model(ModelConfig(L=1, C=channels, h=heads, d_ff=32, paradigm="base", seed=s)), dtype).blocks[0]
     return make_rng(s).normal(size=(s, channels)).astype(dtype), p
+
+
+def cross_attention_setup(tokens, heads, dtype, channels=32, vis=37):
+    rng = make_rng(tokens)
+    p = AttnCondParams(*(rng.normal(scale=0.3, size=(channels, channels)).astype(dtype) for _ in range(4)), heads)
+    visual = VisualContext(rng.normal(size=(vis, channels)).astype(dtype), "synthetic")
+    return rng.normal(size=(tokens, channels)).astype(dtype), visual, p
+
+
+def untiled_cond_attn_reference(t, v, p):
+    """The attn conditioner over all heads' (T, V) logits at once."""
+    q = split_heads(matmul(t, p.wq), p.heads)
+    k = split_heads(matmul(v, p.wk), p.heads)
+    val = split_heads(matmul(v, p.wv), p.heads)
+    logits = matmul(q, k.swapaxes(-1, -2))
+    logits *= float(1.0 / np.sqrt(t.shape[-1] // p.heads))
+    return matmul(merge_heads(matmul(softmax_lastdim(logits), val)), p.wo)
 
 
 class TestHeadGroups:
@@ -232,35 +250,68 @@ class TestHeadGroups:
     def test_every_budget_is_bit_identical_to_one_group(self, s, heads, dtype, monkeypatch):
         h, p = attention_setup(s, heads, dtype)
         budgets = {name: logits_budget(name, s, np.dtype(dtype).itemsize) for name in ("one_byte", "three_heads", "default")}
-        monkeypatch.setattr(model_module, "_LOGITS_BYTES", logits_budget("huge", s, 8))
+        monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget("huge", s, 8))
         with count_macs() as counter:
             one_group = _causal_self_attention(h, p, heads)
         for name, budget in budgets.items():
-            monkeypatch.setattr(model_module, "_LOGITS_BYTES", budget)
+            monkeypatch.setattr(tensors, "_LOGITS_BYTES", budget)
             with count_macs() as grouped:
                 out = _causal_self_attention(h, p, heads)
             assert out.dtype == dtype
             assert out.tobytes() == one_group.tobytes(), name
             assert grouped.macs == counter.macs, name
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("heads", [1, 4, 8])
+    @pytest.mark.parametrize("tokens", [1, 129, 300])
+    def test_cross_attention_budgets_are_bit_identical_to_one_group(self, tokens, heads, dtype, monkeypatch):
+        """cond_attn, which the attn conditioner and the crossattn insert run,
+        scores all its queries as one tile and groups only the heads."""
+        t, visual, p = cross_attention_setup(tokens, heads, dtype)
+        itemsize = np.dtype(dtype).itemsize
+        monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget("huge", tokens, 8))
+        with count_macs() as counter:
+            one_group = cond_attn(t, visual, p)
+        for name in ("one_byte", "three_heads", "default"):
+            monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget(name, tokens, itemsize, visual.count))
+            with count_macs() as grouped:
+                out = cond_attn(t, visual, p)
+            assert out.dtype == dtype
+            assert out.tobytes() == one_group.tobytes(), name
+            assert grouped.macs == counter.macs, name
+
+    @pytest.mark.parametrize("tokens", [129, 300])
+    def test_cond_attn_is_bit_identical_to_untiled(self, tokens):
+        t, visual, p = cross_attention_setup(tokens, 8, np.float64, channels=256, vis=576)
+        assert cond_attn(t, visual, p).tobytes() == untiled_cond_attn_reference(t, visual.v, p).tobytes()
+
     @pytest.mark.parametrize("budget, checks", [("one_byte", 3 * 8), ("three_heads", 3 + 8 + 2), ("huge", 3)])
     def test_groups_per_tile(self, budget, checks, monkeypatch):
         """s = 293 is three tiles: [0, 128) fits 3 heads a group, [128, 256),
         with twice the keys, 1, and the 37-query [256, 293) 4."""
         h, p = attention_setup(293, 8, np.float64)
-        monkeypatch.setattr(model_module, "_LOGITS_BYTES", logits_budget(budget, 293, 8))
+        monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget(budget, 293, 8))
         names = []
-        monkeypatch.setattr(model_module, "check_finite", lambda name, out: names.append(name) or out)
-        _causal_self_attention(h, p, 8)
+        monkeypatch.setattr(tensors, "check_finite", lambda name, out: names.append(name) or out)
+        with checks_at_boundaries():
+            _causal_self_attention(h, p, 8)
         assert names == ["attention logits"] * checks
 
     @pytest.mark.parametrize("budget", ["one_byte", "three_heads", "default", "huge"])
     def test_nan_in_the_last_group_raises(self, budget, monkeypatch):
         h, p = attention_setup(293, 8, np.float64)
         p.wq[:, -4:] = np.nan  # the query channels of head 7 only
-        monkeypatch.setattr(model_module, "_LOGITS_BYTES", logits_budget(budget, 293, 8))
+        monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget(budget, 293, 8))
         with checks_at_boundaries(), pytest.raises(NumericError, match="attention logits"):
             _causal_self_attention(h, p, 8)
+
+    @pytest.mark.parametrize("budget", ["one_byte", "three_heads", "default", "huge"])
+    def test_nan_in_the_last_cross_attention_group_raises(self, budget, monkeypatch):
+        t, visual, p = cross_attention_setup(293, 8, np.float64)
+        p.wq[:, -4:] = np.nan  # the query channels of head 7 only
+        monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget(budget, 293, 8, visual.count))
+        with checks_at_boundaries(), pytest.raises(NumericError, match="attention logits"):
+            cond_attn(t, visual, p)
 
     def test_peak_memory_of_one_call(self):
         """Scoring all 8 heads of a tile at once peaked at 16.1 MiB here: the
@@ -273,6 +324,18 @@ class TestHeadGroups:
         finally:
             tracemalloc.stop()
         assert peak <= 9 * 2**20
+
+    def test_peak_memory_of_one_cond_attn_call(self):
+        """Scoring all 8 heads at once peaked at 12.1 MiB here: the
+        (8, 128, 576) logits and their softmax copy."""
+        t, visual, p = cross_attention_setup(128, 8, np.float64, channels=256, vis=576)
+        tracemalloc.start()
+        try:
+            cond_attn(t, visual, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
 
 class TestZeroInitEquivalence:
@@ -784,7 +847,7 @@ class TestBoundaryChecks:
         with pytest.raises(NumericError, match="attention logits"):
             forward(model, t_emb, visual)
         # the overflow is hidden downstream: without the boundary checks the output is finite
-        for module in (model_module, conditioning, norm):
+        for module in (model_module, tensors, norm):
             monkeypatch.setattr(module, "check_finite", lambda name, out: out)
         assert np.isfinite(forward(model, t_emb, visual)).all()
 
