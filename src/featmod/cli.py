@@ -24,7 +24,8 @@ model, diagnose of a non-fmi model, forward --tile with --frames K, forward
 --video-len without --frames K or shorter than K, a flag that the paradigm
 cannot apply (forward's visual flags on base; --frequency or --location on
 base and incontext; cost --frequency on a base or incontext paradigm), and
-cost --config with a cond_heads the cost model does not price.
+cost --config with a cond_heads other than default_heads(C) when a priced
+paradigm builds attention (crossattn, or fmi with cond_kind=attn).
 """
 
 from __future__ import annotations
@@ -144,6 +145,24 @@ def _write_meta(out_dir: Path, entries: dict[str, str]) -> None:
     write_kv(out_dir / "run.meta", entries)
 
 
+def _write_cost(out_dir: Path, base: costs.CostConfig, paradigms, frames) -> int:
+    """cost.csv of each paradigm's frame sweep, made once every row is priced; returns the row count."""
+    reports = []
+    for paradigm in paradigms:
+        reports.extend(costs.sweep_frames(replace(base, paradigm=paradigm), frames))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    costs.write_cost_csv(out_dir / "cost.csv", reports)
+    return len(reports)
+
+
+def _write_diagnosis(out_dir: Path, model: Model, t_emb: np.ndarray, visual: VisualContext):
+    """influence.csv and drift.csv of one diagnosis; returns the influence trace."""
+    influence, drift = diagnostics.diagnose(model, t_emb, visual)
+    diagnostics.write_trace_csv(out_dir / "influence.csv", influence)
+    diagnostics.write_trace_csv(out_dir / "drift.csv", drift)
+    return influence
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -219,16 +238,18 @@ def cmd_cost(args) -> int:
     if args.config:
         kv = read_kv(args.config)
         cfg = config_from_kv(kv)
-        if cfg.cond_heads not in (None, default_heads(cfg.C)):
-            raise ConfigError(
-                f"the cost model prices attention conditioners at {default_heads(cfg.C)} heads "
-                f"for C={cfg.C}; cond_heads={cfg.cond_heads} cannot be priced"
-            )
         base = replace(base, **{name: getattr(cfg, name) for name in costs.MODEL_FIELDS})
         if "paradigm" in kv:
             paradigms = (cfg.paradigm,)
     if args.paradigm:
         paradigms = (args.paradigm,)
+    if args.config and cfg.cond_heads not in (None, default_heads(cfg.C)) and (
+        "crossattn" in paradigms or ("fmi" in paradigms and cfg.cond_kind == "attn")
+    ):
+        raise ConfigError(
+            f"the cost model prices attention at {default_heads(cfg.C)} heads "
+            f"for C={cfg.C}; cond_heads={cfg.cond_heads} cannot be priced"
+        )
     if args.frequency is not None:
         if len(paradigms) == 1 and paradigms[0] in ("base", "incontext"):
             raise ConfigError(
@@ -237,20 +258,15 @@ def cmd_cost(args) -> int:
         base = replace(base, frequency=args.frequency)
     if args.tokens is not None:
         base = replace(base, T=args.tokens)
-    reports = []
-    for paradigm in paradigms:
-        reports.extend(costs.sweep_frames(replace(base, paradigm=paradigm), frames))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "cost.csv"
-    costs.write_cost_csv(path, reports)
+    rows = _write_cost(out_dir, base, paradigms, frames)
     _write_meta(out_dir, {
         "subcommand": "cost",
         "frames": ",".join(str(k) for k in frames),
         "paradigms": ",".join(paradigms),
         "artifacts": "cost.csv",
     })
-    print(f"cost: wrote {len(reports)} rows -> {path}")
+    print(f"cost: wrote {rows} rows -> {out_dir / 'cost.csv'}")
     return 0
 
 
@@ -265,10 +281,7 @@ def cmd_diagnose(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if not args.weights:
         randomize_modulation(model, make_rng(cfg.seed + 3))
-    t_emb = rng.normal(size=(args.tokens, cfg.C))
-    influence, drift = diagnostics.diagnose(model, t_emb, visual)
-    diagnostics.write_trace_csv(out_dir / "influence.csv", influence)
-    diagnostics.write_trace_csv(out_dir / "drift.csv", drift)
+    influence = _write_diagnosis(out_dir, model, rng.normal(size=(args.tokens, cfg.C)), visual)
     _write_meta(out_dir, {
         "subcommand": "diagnose",
         "seed": str(cfg.seed),
@@ -290,20 +303,14 @@ def cmd_selftest(args) -> int:
         if not ok:
             failed.append(entry.name)
 
-    reports = []
-    for paradigm in costs.SWEEP_PARADIGMS:
-        reports.extend(costs.sweep_frames(replace(costs.VIDEO_SWEEP_BASE, paradigm=paradigm), costs.SWEEP_FRAMES))
-    costs.write_cost_csv(out_dir / "cost.csv", reports)
+    _write_cost(out_dir, costs.VIDEO_SWEEP_BASE, costs.SWEEP_PARADIGMS, costs.SWEEP_FRAMES)
 
     cfg = ModelConfig(L=4, C=32, h=4, d_ff=64, paradigm="fmi", frequency=0.5, seed=seed)
     model = init_model(cfg)
     randomize_modulation(model, make_rng(seed + 3))
     rng = make_rng(seed + 2)
     t_emb = rng.normal(size=(8, cfg.C))
-    visual = VisualContext(rng.normal(size=(6, cfg.C)), "synthetic")
-    influence, drift = diagnostics.diagnose(model, t_emb, visual)
-    diagnostics.write_trace_csv(out_dir / "influence.csv", influence)
-    diagnostics.write_trace_csv(out_dir / "drift.csv", drift)
+    _write_diagnosis(out_dir, model, t_emb, VisualContext(rng.normal(size=(6, cfg.C)), "synthetic"))
     _write_meta(out_dir, {
         "subcommand": "selftest",
         "seed": str(seed),

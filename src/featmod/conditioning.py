@@ -25,13 +25,13 @@ The mlp and conv mixers compute only what position 0 depends on:
   depthwise conv runs on that cut signal, accumulating the same taps in the
   same order (bit-identical); SiLU and the pointwise map then act on T rows.
 
-All three run batched over text tokens, and their forwards broadcast over
-leading batch axes on any operand: t (..., T, C), v (..., V, C) or any
-parameter field with a leading axis. The finite-difference gradient check
-uses this to evaluate every perturbed copy of an array in one call. Naive
-per-token loop oracles that mix the full sequence are kept alongside for
-verification, and analytic backward passes (unbatched) are checked against
-the finite differences.
+All three run batched over text tokens. Their forwards take arrays (the
+model unwraps its VisualContext input) and broadcast over leading batch axes
+on any operand: t (..., T, C), v (..., V, C) or any parameter field with a
+leading axis; the finite-difference gradient check uses this to evaluate
+every perturbed copy of an array in one call. Naive per-token loop oracles
+are kept alongside for verification. The analytic backward passes
+(unbatched) recompute only the forward stages whose values they use.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ from .tensors import (
     swish,
     swish_grad,
 )
-
-COND_KINDS = ("mlp", "conv", "attn")
-
 
 def default_heads(channels: int) -> int:
     return 8 if channels >= 64 else 1
@@ -97,12 +94,8 @@ class MlpCondParams:
     channel_b2: np.ndarray
 
     @property
-    def seq_len(self) -> int:
-        return self.token_w1.shape[-2]
-
-    @property
     def vis_tokens(self) -> int:
-        return self.seq_len - 1
+        return self.token_w1.shape[-2] - 1
 
     @classmethod
     def init(
@@ -184,23 +177,12 @@ def param_arrays(params) -> list[tuple[str, np.ndarray]]:
 
 
 def _check_tokens(t: np.ndarray, v: np.ndarray) -> None:
-    if t.ndim < 2 or v.ndim < 2 or t.shape[-1] != v.shape[-1]:
+    if t.ndim < 2 or v.ndim < 2 or v.shape[-2] < 1 or t.shape[-1] != v.shape[-1]:
         raise ShapeError(f"incompatible token shapes {t.shape} / {v.shape}")
 
 
 # ---------------------------------------------------------------------------
 # MLP conditioner
-
-def cond_mlp(t: np.ndarray, visual: VisualContext, p: MlpCondParams) -> np.ndarray:
-    """Slot 0 of the mixer over [t_i; v] for every text token; equals the
-    per-token loop."""
-    if visual.count != p.vis_tokens:
-        raise ConfigError(
-            f"params built for {p.vis_tokens} visual tokens, got {visual.count}"
-        )
-    out, _ = _cond_mlp_forward(t, visual.v, p)
-    return out
-
 
 # Bytes of the token-mix pre-activation z1 evaluated per tile, so z1 and the
 # gelu buffers stay in cache instead of spanning T*C*L*token_exp elements.
@@ -253,8 +235,12 @@ def _mix_tiles(tokens: int, channels: int, row_bytes: int) -> list[tuple[slice, 
     return [(slice(i, i + 1), slice(c, c + step)) for i in range(tokens) for c in range(0, channels, step)]
 
 
-def _cond_mlp_forward(t: np.ndarray, v: np.ndarray, p: MlpCondParams):
+def cond_mlp(t: np.ndarray, v: np.ndarray, p: MlpCondParams) -> np.ndarray:
+    """Slot 0 of the mixer over [t_i; v] for every text token; equals the
+    per-token loop."""
     _check_tokens(t, v)
+    if v.shape[-2] != p.vis_tokens:
+        raise ConfigError(f"params built for {p.vis_tokens} visual tokens, got {v.shape[-2]}")
     tokens, channels = t.shape[-2:]
     visual_term = _visual_term(v, p)
     # token mixing, output position 0 only, tile by tile over the T*C rows
@@ -273,16 +259,14 @@ def _cond_mlp_forward(t: np.ndarray, v: np.ndarray, p: MlpCondParams):
     mixed = mixed.reshape(*mixed.shape[:-2], tokens, channels)
     # channel mixing of the T slot-0 rows
     z2 = matmul(mixed, p.channel_w1) + p.channel_b1[..., None, :]
-    a2 = gelu(z2)
-    out = matmul(a2, p.channel_w2) + p.channel_b2[..., None, :]
-    return out, (mixed, z2, a2)
+    return matmul(gelu(z2), p.channel_w2) + p.channel_b2[..., None, :]
 
 
-def cond_mlp_pertoken(t: np.ndarray, visual: VisualContext, p: MlpCondParams) -> np.ndarray:
+def cond_mlp_pertoken(t: np.ndarray, v: np.ndarray, p: MlpCondParams) -> np.ndarray:
     """Loop oracle: one text token at a time, plain 2-D algebra."""
     outs = []
     for i in range(t.shape[0]):
-        seq = np.concatenate([t[i:i + 1], visual.v], axis=0)  # (L, C)
+        seq = np.concatenate([t[i:i + 1], v], axis=0)  # (L, C)
         x = seq.T  # (C, L)
         x = gelu(x @ p.token_w1 + p.token_b1) @ p.token_w2 + p.token_b2
         y = x.T  # (L, C)
@@ -300,9 +284,11 @@ def cond_mlp_backward(
     other entries get zero gradient.
     """
     tokens, channels = t.shape
-    _, (mixed, z2, a2) = _cond_mlp_forward(t, v, p)
     z1 = _token_mix(t, _visual_term(v, p), p, slice(None), slice(None))
     a1 = gelu(z1).reshape(tokens * channels, -1)
+    mixed = (a1 @ p.token_w2[:, :1] + p.token_b2[None, :1]).reshape(tokens, channels)
+    z2 = mixed @ p.channel_w1 + p.channel_b1
+    a2 = gelu(z2)
     grads: dict[str, np.ndarray] = {}
     grads["channel_w2"] = a2.T @ g_out
     grads["channel_b2"] = g_out.sum(axis=0)
@@ -327,14 +313,14 @@ def cond_mlp_backward(
 # ---------------------------------------------------------------------------
 # Conv conditioner
 
-def cond_conv(t: np.ndarray, visual: VisualContext, p: ConvCondParams) -> np.ndarray:
+def cond_conv(t: np.ndarray, v: np.ndarray, p: ConvCondParams) -> np.ndarray:
     """Depthwise conv over [t_i; v] positions, SiLU, pointwise map, read slot 0."""
-    out, _ = _cond_conv_forward(t, visual.v, p)
-    return out
-
-
-def _cond_conv_forward(t: np.ndarray, v: np.ndarray, p: ConvCondParams):
     _check_tokens(t, v)
+    return matmul(swish(_conv_slot0(t, v, p)), p.pointwise)
+
+
+def _conv_slot0(t: np.ndarray, v: np.ndarray, p: ConvCondParams) -> np.ndarray:
+    """(..., T, C) depthwise conv output at slot 0 of every [t_i; v]."""
     reach = min(p.depthwise.shape[-1] // 2, v.shape[-2])
     # slot 0 sees positions 0..reach of [t_i; v] only; the conv of that cut
     # signal accumulates the same taps in the same order at position 0
@@ -342,19 +328,17 @@ def _cond_conv_forward(t: np.ndarray, v: np.ndarray, p: ConvCondParams):
     signals = np.empty(batch + t.shape[-2:] + (reach + 1,), dtype=t.dtype)
     signals[..., 0] = t
     signals[..., 1:] = v[..., None, :reach, :].swapaxes(-1, -2)
-    z = depthwise_conv1d(signals, p.depthwise[..., None, :, :])[..., 0]
-    a = swish(z)
-    return matmul(a, p.pointwise), (z, a)
+    return depthwise_conv1d(signals, p.depthwise[..., None, :, :])[..., 0]
 
 
-def cond_conv_pertoken(t: np.ndarray, visual: VisualContext, p: ConvCondParams) -> np.ndarray:
+def cond_conv_pertoken(t: np.ndarray, v: np.ndarray, p: ConvCondParams) -> np.ndarray:
     """Loop oracle using the naive sliding window per token and channel."""
     kernel = p.depthwise
     k = kernel.shape[1]
     pad = k // 2
     outs = []
     for i in range(t.shape[0]):
-        seq = np.concatenate([t[i:i + 1], visual.v], axis=0)  # (L, C)
+        seq = np.concatenate([t[i:i + 1], v], axis=0)  # (L, C)
         length, channels = seq.shape
         conv = np.zeros_like(seq)
         for c in range(channels):
@@ -377,8 +361,8 @@ def cond_conv_backward(
     pad..pad+min(pad, V) reach slot 0, the others get zero gradient."""
     pad = p.depthwise.shape[1] // 2
     reach = min(pad, v.shape[0])
-    _, (z, a) = _cond_conv_forward(t, v, p)
-    grads: dict[str, np.ndarray] = {"pointwise": a.T @ g_out}
+    z = _conv_slot0(t, v, p)
+    grads: dict[str, np.ndarray] = {"pointwise": swish(z).T @ g_out}
     g_z = (g_out @ p.pointwise.T) * swish_grad(z)
     g_z_sum = g_z.sum(axis=0)
     grads["depthwise"] = np.zeros_like(p.depthwise)
@@ -393,22 +377,22 @@ def cond_conv_backward(
 # ---------------------------------------------------------------------------
 # Attention conditioner
 
-def cond_attn(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.ndarray:
+def cond_attn(t: np.ndarray, v: np.ndarray, p: AttnCondParams) -> np.ndarray:
     """Multi-head cross-attention, text queries over all visual tokens."""
-    out, _ = _cond_attn_forward(t, visual.v, p)
-    return out
+    _check_tokens(t, v)
+    return matmul(merge_heads(attend(*_attn_heads(t, v, p), causal=False)), p.wo)
 
 
-def _cond_attn_forward(t: np.ndarray, v: np.ndarray, p: AttnCondParams):
+def _attn_heads(t: np.ndarray, v: np.ndarray, p: AttnCondParams):
+    """Split-head query, key and value projections (q, k, val)."""
     q = split_heads(matmul(t, p.wq), p.heads)
     k = split_heads(matmul(v, p.wk), p.heads)
     val = split_heads(matmul(v, p.wv), p.heads)
-    return matmul(merge_heads(attend(q, k, val, causal=False)), p.wo), (q, k, val)
+    return q, k, val
 
 
-def attn_oracle(t: np.ndarray, visual: VisualContext, p: AttnCondParams) -> np.ndarray:
+def attn_oracle(t: np.ndarray, v: np.ndarray, p: AttnCondParams) -> np.ndarray:
     """Nested-loop reference: per query, per head, per key, no batching."""
-    v = visual.v
     tokens, channels = t.shape
     heads = p.heads
     dk = channels // heads
@@ -437,7 +421,7 @@ def cond_attn_backward(
     t: np.ndarray, v: np.ndarray, p: AttnCondParams, g_out: np.ndarray
 ) -> dict[str, np.ndarray]:
     scale = float(1.0 / np.sqrt(t.shape[1] // p.heads))
-    _, (q, k, val) = _cond_attn_forward(t, v, p)
+    q, k, val = _attn_heads(t, v, p)
     weights = softmax_lastdim(q @ k.swapaxes(-1, -2) * scale)
     grads: dict[str, np.ndarray] = {"wo": merge_heads(weights @ val).T @ g_out}
     g_ctx = split_heads(g_out @ p.wo.T, p.heads)
@@ -457,27 +441,25 @@ def cond_attn_backward(
 # ---------------------------------------------------------------------------
 # Dispatch and gradient checks
 
-def apply_conditioner(kind: str, t: np.ndarray, visual: VisualContext, params) -> np.ndarray:
-    if kind == "mlp":
-        return cond_mlp(t, visual, params)
-    if kind == "conv":
-        return cond_conv(t, visual, params)
-    if kind == "attn":
-        return cond_attn(t, visual, params)
-    raise ConfigError(f"unknown conditioner kind {kind!r}")
-
-
-_FORWARDS = {
-    "mlp": _cond_mlp_forward,
-    "conv": _cond_conv_forward,
-    "attn": _cond_attn_forward,
-}
+# The public functions themselves, so a wrapper that rebinds one is also what dispatch calls.
+_FORWARDS = {"mlp": cond_mlp, "conv": cond_conv, "attn": cond_attn}
+COND_KINDS = tuple(_FORWARDS)
 
 _BACKWARDS = {
     "mlp": cond_mlp_backward,
     "conv": cond_conv_backward,
     "attn": cond_attn_backward,
 }
+
+
+def _forward(kind: str):
+    if kind not in _FORWARDS:
+        raise ConfigError(f"unknown conditioner kind {kind!r}")
+    return _FORWARDS[kind]
+
+
+def apply_conditioner(kind: str, t: np.ndarray, v: np.ndarray, params) -> np.ndarray:
+    return _forward(kind)(t, v, params)
 
 
 def gradcheck_conditioner(
@@ -493,13 +475,11 @@ def gradcheck_conditioner(
     scalar loss sum(output); each array's perturbed copies run as one
     forward batched over a leading axis.
     """
-    if kind not in _FORWARDS:
-        raise ConfigError(f"unknown conditioner kind {kind!r}")
-    forward = _FORWARDS[kind]
+    forward = _forward(kind)
     v = visual.v
 
     def losses(t, v, params) -> np.ndarray:
-        return forward(t, v, params)[0].sum(axis=(-2, -1))
+        return forward(t, v, params).sum(axis=(-2, -1))
 
     perturbed = {
         "t": (lambda ts: losses(ts, v, params), t),

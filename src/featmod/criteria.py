@@ -135,9 +135,9 @@ def attention_oracle(seed: int) -> tuple[bool, str]:
         heads = int(rng.choice([1, 2, 4]))
         channels = heads * int(rng.integers(1, 16 // heads + 1))
         t = rng.normal(size=(int(rng.integers(1, 5)), channels))
-        visual = VisualContext(rng.normal(size=(int(rng.integers(1, 9)), channels)), "synthetic")
+        v = rng.normal(size=(int(rng.integers(1, 9)), channels))
         p = AttnCondParams.init(rng, channels, heads=heads, std=0.4)
-        worst = max(worst, float(np.max(np.abs(cond_attn(t, visual, p) - attn_oracle(t, visual, p)))))
+        worst = max(worst, float(np.max(np.abs(cond_attn(t, v, p) - attn_oracle(t, v, p)))))
     return worst <= ATTN_ORACLE_TOL, f"50 cases, max abs err {worst:.2e}"
 
 
@@ -156,9 +156,9 @@ def conditioner_loop_equivalence(seed: int) -> tuple[bool, str]:
             channels = int(rng.integers(2, 9))
             vis = int(rng.integers(1, 7))
             t = rng.normal(size=(int(rng.integers(1, 5)), channels))
-            visual = VisualContext(rng.normal(size=(vis, channels)), "synthetic")
+            v = rng.normal(size=(vis, channels))
             p = init(channels, vis)
-            worst[kind] = max(worst[kind], float(np.max(np.abs(batched(t, visual, p) - pertoken(t, visual, p)))))
+            worst[kind] = max(worst[kind], float(np.max(np.abs(batched(t, v, p) - pertoken(t, v, p)))))
     ok = all(err <= LOOP_ORACLE_TOL for err in worst.values())
     return ok, ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
 

@@ -370,7 +370,7 @@ def block_forward(
         h = _insert_forward(h, visual, p.insert)
     slot1 = slot2 = None
     if p.modulation is not None:
-        cond = apply_conditioner(cfg.cond_kind, h, visual, p.modulation.cond)
+        cond = apply_conditioner(cfg.cond_kind, h, visual.v, p.modulation.cond)
         slot1, slot2 = project_deltas(cond, p.modulation.proj)
         for d_alpha, d_beta in (slot1, slot2):  # views of one fresh array
             if not cfg.use_delta_alpha:
@@ -384,7 +384,7 @@ def block_forward(
 
 
 def _insert_forward(h: np.ndarray, visual: VisualContext, ins: InsertParams) -> np.ndarray:
-    h = h + cond_attn(h, visual, ins.attn)
+    h = h + cond_attn(h, visual.v, ins.attn)
     return h + _ffn(h, ins)
 
 

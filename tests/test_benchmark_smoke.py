@@ -28,3 +28,9 @@ def test_desk_run_is_correct(trace, tmp_path):
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+    if trace == "1":
+        # names the tracer wraps but featmod no longer has; a renamed
+        # conditioner would join this list and its spans would go missing
+        record = json.loads((tmp_path / ".perfbench_out" / "desk-seed1-trace1.json").read_text())
+        stale = {"norm.central_difference", "model.block_forward_base", "model.block_forward_fmi"}
+        assert set(record["trace"]["unwrapped_functions"]) <= stale

@@ -162,6 +162,18 @@ class TestCost:
             tables.append((out_dir / "cost.csv").read_bytes())
         assert tables[0] == tables[1]
 
+    @pytest.mark.parametrize("config", [
+        "paradigm=fmi\ncond_kind=conv\nL=4\nC=64\nh=4\nd_ff=64\ncond_heads=4\nfrequency=0.5",
+        "paradigm=base\nL=4\nC=64\nh=4\nd_ff=64\ncond_heads=4",
+    ], ids=["fmi-conv", "base"])
+    def test_cond_heads_without_priced_attention_is_accepted(self, config, tmp_path):
+        """cond_heads sizes the attn conditioner and the crossattn insert only,
+        so a config whose priced paradigm builds neither costs as forward runs it."""
+        cfg_path = tmp_path / "model.cfg"
+        cfg_path.write_text(config + "\n")
+        assert main(["cost", "--config", str(cfg_path), "--out", str(tmp_path / "cost"), "--frames", "8"]) == 0
+        assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "fwd"), "--tokens", "2"]) == 0
+
 
 class TestDiagnose:
     def test_writes_both_csvs(self, tmp_path):
@@ -285,6 +297,12 @@ class TestErrors:
                      id="cost-config-even-kernel"),
         pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "C=32\nh=4\ncond_heads=8",
                      id="cost-unpriced-cond-heads-c32"),
+        pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"],
+                     "paradigm=crossattn\nL=4\nC=64\nh=4\nd_ff=64\ncond_heads=4\nfrequency=0.5",
+                     id="cost-crossattn-unpriced-cond-heads"),
+        pytest.param(["cost", "--config", "{cfg}", "--paradigm", "crossattn", "--out", "{tmp}"],
+                     "paradigm=fmi\ncond_kind=conv\nL=4\nC=64\nh=4\nd_ff=64\ncond_heads=4\nfrequency=0.5",
+                     id="cost-paradigm-flag-prices-unpriced-cond-heads"),
         pytest.param(["cost", "--frequency", "0.01", "--out", "{tmp}"], None, id="cost-frequency-selects-no-block"),
         pytest.param(["cost", "--paradigm", "crossattn", "--frequency", "0.01", "--out", "{tmp}"], None,
                      id="cost-crossattn-frequency-selects-no-block"),

@@ -6,6 +6,7 @@ import pytest
 
 from featmod import conditioning, tensors
 from featmod.conditioning import (
+    COND_KINDS,
     AttnCondParams,
     ConvCondParams,
     MlpCondParams,
@@ -25,7 +26,7 @@ from featmod.conditioning import (
 )
 from featmod.costs import CostConfig, cost_paradigm, measured_flops
 from featmod.model import ModelConfig, cast_model, init_model
-from featmod.tensors import ConfigError, NumericError, count_macs, make_rng, swish
+from featmod.tensors import ConfigError, NumericError, ShapeError, count_macs, make_rng, swish
 
 
 def random_case(seed, tokens=3, vis=4, channels=8):
@@ -50,25 +51,25 @@ class TestMlpConditioner:
         p = MlpCondParams.init(rng, 8, 4, 2, 2, std=0.3)
         p.token_w2[:] = 0.0
         p.channel_w2[:] = 0.0
-        assert np.array_equal(cond_mlp(t, visual, p), np.zeros_like(t))
+        assert np.array_equal(cond_mlp(t, visual.v, p), np.zeros_like(t))
 
     def test_batched_equals_loop(self):
         rng, t, visual = random_case(1, tokens=2, vis=3, channels=4)
         p = MlpCondParams.init(rng, 4, 3, 2, 2, std=0.3)
-        diff = np.abs(cond_mlp(t, visual, p) - cond_mlp_pertoken(t, visual, p))
+        diff = np.abs(cond_mlp(t, visual.v, p) - cond_mlp_pertoken(t, visual.v, p))
         assert np.max(diff) < 1e-12
 
     def test_token_permutation_equivariance(self):
         rng, t, visual = random_case(2, tokens=5)
         p = MlpCondParams.init(rng, 8, 4, 2, 2, std=0.3)
         perm = np.array([3, 1, 4, 0, 2])
-        assert np.allclose(cond_mlp(t[perm], visual, p), cond_mlp(t, visual, p)[perm])
+        assert np.allclose(cond_mlp(t[perm], visual.v, p), cond_mlp(t, visual.v, p)[perm])
 
     def test_visual_count_mismatch_rejected(self):
         rng, t, visual = random_case(3, vis=4)
         p = MlpCondParams.init(rng, 8, 5, 2, 2)
         with pytest.raises(ConfigError):
-            cond_mlp(t, visual, p)
+            cond_mlp(t, visual.v, p)
 
 
 class TestConvConditioner:
@@ -78,32 +79,32 @@ class TestConvConditioner:
             depthwise=np.tile(np.array([0.0, 1.0, 0.0]), (8, 1)),
             pointwise=np.eye(8),
         )
-        assert np.allclose(cond_conv(t, visual, p), swish(t), atol=1e-12)
+        assert np.allclose(cond_conv(t, visual.v, p), swish(t), atol=1e-12)
 
     def test_zero_pointwise_zero_output(self):
         rng, t, visual = random_case(5)
         p = ConvCondParams.init(rng, 8, 3, std=0.3)
         p.pointwise[:] = 0.0
-        assert np.array_equal(cond_conv(t, visual, p), np.zeros_like(t))
+        assert np.array_equal(cond_conv(t, visual.v, p), np.zeros_like(t))
 
     def test_batched_equals_loop(self):
         for seed in range(3):
             rng, t, visual = random_case(10 + seed, tokens=3, vis=5, channels=6)
             p = ConvCondParams.init(rng, 6, 5, std=0.3)
-            diff = np.abs(cond_conv(t, visual, p) - cond_conv_pertoken(t, visual, p))
+            diff = np.abs(cond_conv(t, visual.v, p) - cond_conv_pertoken(t, visual.v, p))
             assert np.max(diff) < 1e-12
 
     def test_matches_loop_when_kernel_reaches_past_visual_tokens(self):
         # K=5 reaches two positions beyond slot 0, but V=1 has only one
         rng, t, visual = random_case(19, tokens=3, vis=1, channels=6)
         p = ConvCondParams.init(rng, 6, 5, std=0.3)
-        assert np.max(np.abs(cond_conv(t, visual, p) - cond_conv_pertoken(t, visual, p))) < 1e-12
+        assert np.max(np.abs(cond_conv(t, visual.v, p) - cond_conv_pertoken(t, visual.v, p))) < 1e-12
         assert gradcheck_conditioner("conv", t, visual, p) <= 1e-4
 
     def test_matches_loop_for_single_text_token(self):
         rng, t, visual = random_case(20, tokens=1, vis=5, channels=6)
         p = ConvCondParams.init(rng, 6, 5, std=0.3)
-        assert np.max(np.abs(cond_conv(t, visual, p) - cond_conv_pertoken(t, visual, p))) < 1e-12
+        assert np.max(np.abs(cond_conv(t, visual.v, p) - cond_conv_pertoken(t, visual.v, p))) < 1e-12
 
     def test_even_kernel_rejected(self):
         rng = make_rng(6)
@@ -117,7 +118,7 @@ class TestAttnConditioner:
         visual = VisualContext(make_rng(70).normal(size=(1, 8)), "synthetic")
         p = AttnCondParams.init(rng, 8, heads=2, std=0.3)
         expected = np.tile((visual.v @ p.wv) @ p.wo, (4, 1))
-        assert np.allclose(cond_attn(t, visual, p), expected, atol=1e-12)
+        assert np.allclose(cond_attn(t, visual.v, p), expected, atol=1e-12)
 
     def test_duplicate_visual_tokens_match_single(self):
         rng, t, _ = random_case(8, tokens=3)
@@ -125,7 +126,7 @@ class TestAttnConditioner:
         single = VisualContext(token, "synthetic")
         double = VisualContext(np.vstack([token, token]), "synthetic")
         p = AttnCondParams.init(rng, 8, heads=2, std=0.3)
-        assert np.allclose(cond_attn(t, double, p), cond_attn(t, single, p), atol=1e-12)
+        assert np.allclose(cond_attn(t, double.v, p), cond_attn(t, single.v, p), atol=1e-12)
 
     def test_matches_oracle(self):
         rng = make_rng(9)
@@ -137,7 +138,7 @@ class TestAttnConditioner:
             t = rng.normal(size=(tokens, channels))
             visual = VisualContext(rng.normal(size=(vis, channels)), "synthetic")
             p = AttnCondParams.init(rng, channels, heads=heads, std=0.4)
-            diff = np.abs(cond_attn(t, visual, p) - attn_oracle(t, visual, p))
+            diff = np.abs(cond_attn(t, visual.v, p) - attn_oracle(t, visual.v, p))
             assert np.max(diff) < 1e-10
 
     def test_zero_query_weights_give_mean_value_path(self):
@@ -145,15 +146,15 @@ class TestAttnConditioner:
         p = AttnCondParams.init(rng, 8, heads=2, std=0.3)
         p.wq[:] = 0.0
         expected = np.tile(visual.v.mean(axis=0) @ p.wv @ p.wo, (t.shape[0], 1))
-        assert np.allclose(attn_oracle(t, visual, p), expected, atol=1e-12)
-        assert np.allclose(cond_attn(t, visual, p), expected, atol=1e-12)
+        assert np.allclose(attn_oracle(t, visual.v, p), expected, atol=1e-12)
+        assert np.allclose(cond_attn(t, visual.v, p), expected, atol=1e-12)
 
     def test_visual_permutation_invariance(self):
         rng, t, visual = random_case(11, vis=6)
         p = AttnCondParams.init(rng, 8, heads=4, std=0.3)
         perm = np.array([5, 2, 0, 4, 1, 3])
         permuted = VisualContext(visual.v[perm], "synthetic")
-        assert np.allclose(cond_attn(t, permuted, p), cond_attn(t, visual, p), atol=1e-12)
+        assert np.allclose(cond_attn(t, permuted.v, p), cond_attn(t, visual.v, p), atol=1e-12)
 
     def test_heads_must_divide_channels(self):
         rng = make_rng(12)
@@ -170,7 +171,7 @@ class TestSharedContracts:
             "attn": AttnCondParams.init(rng, 8, heads=2),
         }
         for kind, params in cases.items():
-            assert apply_conditioner(kind, t, visual, params).shape == t.shape
+            assert apply_conditioner(kind, t, visual.v, params).shape == t.shape
 
     def test_per_token_independence(self):
         rng, t, visual = random_case(14, tokens=6)
@@ -181,8 +182,8 @@ class TestSharedContracts:
         }
         perm = np.array([4, 0, 5, 2, 1, 3])
         for kind, params in cases.items():
-            full = apply_conditioner(kind, t, visual, params)
-            shuffled = apply_conditioner(kind, t[perm], visual, params)
+            full = apply_conditioner(kind, t, visual.v, params)
+            shuffled = apply_conditioner(kind, t[perm], visual.v, params)
             assert np.allclose(shuffled, full[perm], atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["mlp", "conv"])
@@ -195,9 +196,9 @@ class TestSharedContracts:
                         if b.modulation is not None)
         _, t, visual = random_case(22, tokens=3, vis=4, channels=8)
         visual32 = VisualContext(visual.v.astype(np.float32), "synthetic")
-        out32 = apply_conditioner(kind, t.astype(np.float32), visual32, params32)
+        out32 = apply_conditioner(kind, t.astype(np.float32), visual32.v, params32)
         assert out32.dtype == np.float32
-        ref = apply_conditioner(kind, t, visual, params)
+        ref = apply_conditioner(kind, t, visual.v, params)
         assert np.max(np.abs(out32 - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("cfg", [
@@ -212,11 +213,51 @@ class TestSharedContracts:
     def test_unknown_kind_rejected(self):
         rng, t, visual = random_case(15)
         with pytest.raises(ConfigError):
-            apply_conditioner("rnn", t, visual, None)
+            apply_conditioner("rnn", t, visual.v, None)
 
     def test_default_heads_rule(self):
         assert default_heads(64) == 8
         assert default_heads(32) == 1
+
+    def test_one_flat_table_of_the_public_forwards(self):
+        assert _FORWARDS == {"mlp": cond_mlp, "conv": cond_conv, "attn": cond_attn}
+        assert COND_KINDS == tuple(_FORWARDS)
+
+    @pytest.mark.parametrize("kind", ["mlp", "conv", "attn"])
+    @pytest.mark.parametrize("t_shape, v_shape", [
+        ((3, 6), (0, 6)), ((6,), (4, 6)), ((3, 6), (6,)), ((3, 6), (4, 5)),
+    ], ids=["no-visual-rows", "t-1d", "v-1d", "channels-differ"])
+    def test_bad_token_shapes_raise_shape_error(self, kind, t_shape, v_shape):
+        rng = make_rng(60)
+        p = DRAWS[kind](rng)  # C=6; the mlp params are built for V=4
+        forward = {"mlp": cond_mlp, "conv": cond_conv, "attn": cond_attn}[kind]
+        with pytest.raises(ShapeError):
+            forward(rng.normal(size=t_shape), rng.normal(size=v_shape), p)
+
+    @pytest.mark.parametrize("kind", ["attn", "conv", "mlp"])
+    def test_backward_recomputes_only_its_stage_products(self, kind):
+        """attn recomputes the q, k and val projections, conv the slot-0
+        depthwise taps, mlp the visual term and the text term of z1; no
+        backward runs its forward."""
+        tokens, vis, channels, kernel, token_exp = 3, 4, 8, 5, 2
+        rng = make_rng(61)
+        t = rng.normal(size=(tokens, channels))
+        v = rng.normal(size=(vis, channels))
+        p = {
+            "attn": lambda: AttnCondParams.init(rng, channels, heads=2),
+            "conv": lambda: ConvCondParams.init(rng, channels, kernel),
+            "mlp": lambda: MlpCondParams.init(rng, channels, vis, token_exp, 2),
+        }[kind]()
+        reach = min(kernel // 2, vis)
+        mix_width = (vis + 1) * token_exp
+        expected = {
+            "attn": tokens * channels**2 + 2 * vis * channels**2,
+            "conv": tokens * channels * kernel * (reach + 1),
+            "mlp": channels * vis * mix_width + tokens * channels * mix_width,
+        }[kind]
+        with count_macs() as counter:
+            conditioning._BACKWARDS[kind](t, v, p, np.ones_like(t))
+        assert counter.macs == expected
 
 
 class TestBatchedForwards:
@@ -240,7 +281,7 @@ class TestBatchedForwards:
                 args[operand] = value
             else:
                 params = replace(p, **{operand: value})
-            return _FORWARDS[kind](args["t"], args["v"], params)[0]
+            return _FORWARDS[kind](args["t"], args["v"], params)
 
         batched = run(stack)
         assert batched.shape == (3,) + t.shape
@@ -320,13 +361,13 @@ class TestMlpTiles:
     @pytest.mark.parametrize("tile", TILES)
     def test_tiles_equal_one_tile_and_loop(self, tile, monkeypatch):
         t, visual, p = self.case()
-        one_tile = cond_mlp(t, visual, p)
+        one_tile = cond_mlp(t, visual.v, p)
         tile_bytes, count = self.TILES[tile]
         monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", tile_bytes)
         assert len(_mix_tiles(5, 20, 80)) == count
-        tiled = cond_mlp(t, visual, p)
+        tiled = cond_mlp(t, visual.v, p)
         assert np.max(np.abs(tiled - one_tile)) <= 1e-15 * np.max(np.abs(one_tile))
-        assert np.max(np.abs(tiled - cond_mlp_pertoken(t, visual, p))) <= 1e-12
+        assert np.max(np.abs(tiled - cond_mlp_pertoken(t, visual.v, p))) <= 1e-12
 
     @pytest.mark.parametrize("operand", ["t", "v", *FIELDS["mlp"]])
     def test_stacked_operand_under_tiny_tiles(self, operand, monkeypatch):
@@ -343,9 +384,9 @@ class TestMlpTiles:
         t, visual, p = self.case(52)
         p32 = replace(p, **{name: arr.astype(np.float32) for name, arr in param_arrays(p)})
         visual32 = VisualContext(visual.v.astype(np.float32), "synthetic")
-        out32 = cond_mlp(t.astype(np.float32), visual32, p32)
+        out32 = cond_mlp(t.astype(np.float32), visual32.v, p32)
         assert out32.dtype == np.float32
-        ref = cond_mlp(t, visual, p)
+        ref = cond_mlp(t, visual.v, p)
         assert np.max(np.abs(out32 - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     def test_nan_in_last_tile_raises(self, monkeypatch):
@@ -353,7 +394,7 @@ class TestMlpTiles:
         t, visual, p = self.case(53)
         t[-1, -1] = np.nan
         with pytest.raises(NumericError):
-            cond_mlp(t, visual, p)
+            cond_mlp(t, visual.v, p)
 
     def test_mac_count_independent_of_tile_size(self, monkeypatch):
         t, visual, p = self.case(54)
@@ -361,7 +402,7 @@ class TestMlpTiles:
         for tile_bytes, _ in [(conditioning._Z1_TILE_BYTES, 1), *self.TILES.values()]:
             monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", tile_bytes)
             with count_macs() as counter:
-                cond_mlp(t, visual, p)
+                cond_mlp(t, visual.v, p)
             counts.append(counter.macs)
         assert len(set(counts)) == 1
 
@@ -371,7 +412,7 @@ class TestMlpTiles:
         p = MlpCondParams.init(rng, 256, 576)
         tracemalloc.start()
         try:
-            cond_mlp(t, visual, p)
+            cond_mlp(t, visual.v, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -384,7 +425,7 @@ class TestMlpTiles:
         p = MlpCondParams.init(rng, 256, 576)
         tracemalloc.start()
         try:
-            cond_mlp(t, visual, p)
+            cond_mlp(t, visual.v, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

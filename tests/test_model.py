@@ -271,11 +271,11 @@ class TestHeadGroups:
         itemsize = np.dtype(dtype).itemsize
         monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget("huge", tokens, 8))
         with count_macs() as counter:
-            one_group = cond_attn(t, visual, p)
+            one_group = cond_attn(t, visual.v, p)
         for name in ("one_byte", "three_heads", "default"):
             monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget(name, tokens, itemsize, visual.count))
             with count_macs() as grouped:
-                out = cond_attn(t, visual, p)
+                out = cond_attn(t, visual.v, p)
             assert out.dtype == dtype
             assert out.tobytes() == one_group.tobytes(), name
             assert grouped.macs == counter.macs, name
@@ -283,7 +283,7 @@ class TestHeadGroups:
     @pytest.mark.parametrize("tokens", [129, 300])
     def test_cond_attn_is_bit_identical_to_untiled(self, tokens):
         t, visual, p = cross_attention_setup(tokens, 8, np.float64, channels=256, vis=576)
-        assert cond_attn(t, visual, p).tobytes() == untiled_cond_attn_reference(t, visual.v, p).tobytes()
+        assert cond_attn(t, visual.v, p).tobytes() == untiled_cond_attn_reference(t, visual.v, p).tobytes()
 
     @pytest.mark.parametrize("budget, checks", [("one_byte", 3 * 8), ("three_heads", 3 + 8 + 2), ("huge", 3)])
     def test_groups_per_tile(self, budget, checks, monkeypatch):
@@ -311,7 +311,7 @@ class TestHeadGroups:
         p.wq[:, -4:] = np.nan  # the query channels of head 7 only
         monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget(budget, 293, 8, visual.count))
         with checks_at_boundaries(), pytest.raises(NumericError, match="attention logits"):
-            cond_attn(t, visual, p)
+            cond_attn(t, visual.v, p)
 
     def test_peak_memory_of_one_call(self):
         """Scoring all 8 heads of a tile at once peaked at 16.1 MiB here: the
@@ -331,7 +331,7 @@ class TestHeadGroups:
         t, visual, p = cross_attention_setup(128, 8, np.float64, channels=256, vis=576)
         tracemalloc.start()
         try:
-            cond_attn(t, visual, p)
+            cond_attn(t, visual.v, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -401,7 +401,7 @@ def fmi_composition_reference(model, t_emb, visual):
     for p in model.blocks:
         slot1 = slot2 = None
         if p.modulation is not None:
-            cond = apply_conditioner(cfg.cond_kind, h, visual, p.modulation.cond)
+            cond = apply_conditioner(cfg.cond_kind, h, visual.v, p.modulation.cond)
             deltas = project_deltas(cond, p.modulation.proj)
             slot1, slot2 = (masked(*pair) for pair in deltas)
             slot1 = slot1 if cfg.modulate_attn else None
@@ -540,7 +540,7 @@ class TestBaseCausality:
 
 def insert_oracle(h, visual, ins):
     """The inserted module from its parts: residual cross-attention, then a residual FFN."""
-    h = h + attn_oracle(h, visual, ins.attn)
+    h = h + attn_oracle(h, visual.v, ins.attn)
     return h + (gelu(h @ ins.w1 + ins.b1) @ ins.w2 + ins.b2)
 
 
