@@ -245,17 +245,13 @@ def cond_mlp(t: np.ndarray, v: np.ndarray, p: MlpCondParams) -> np.ndarray:
     visual_term = _visual_term(v, p)
     # token mixing, output position 0 only, tile by tile over the T*C rows
     row_bytes = p.token_w1.shape[-1] * max(t.itemsize, p.token_w1.itemsize)
-    tiles = _mix_tiles(tokens, channels, row_bytes)
-    w2 = p.token_w2[..., :, :1]
-    if len(tiles) > 1:
-        w2 = np.ascontiguousarray(w2)
+    w2 = np.ascontiguousarray(p.token_w2[..., :, :1])
     blocks = []
-    for tile in tiles:
+    for tile in _mix_tiles(tokens, channels, row_bytes):
         z1 = _token_mix(t, visual_term, p, *tile)
         a1 = gelu(z1, out=z1)
         blocks.append(matmul(a1.reshape(*a1.shape[:-3], -1, a1.shape[-1]), w2))
-    mixed = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
-    mixed = mixed + p.token_b2[..., None, :1]
+    mixed = np.concatenate(blocks, axis=-2) + p.token_b2[..., None, :1]
     mixed = mixed.reshape(*mixed.shape[:-2], tokens, channels)
     # channel mixing of the T slot-0 rows
     z2 = matmul(mixed, p.channel_w1) + p.channel_b1[..., None, :]

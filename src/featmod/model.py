@@ -146,8 +146,8 @@ def select_layers(layers: int, frequency: float, location: str) -> tuple[int, ..
     """Pick round(frequency * layers) sorted block indices per the location strategy.
 
     shallow: the first k. deep: the last k. middle: a centered contiguous
-    run starting at floor((L - k) / 2). uniform: j * floor(L / k) when k
-    divides L, otherwise round(j * L / k).
+    run starting at floor((L - k) / 2). uniform: round(j * L / k), half up,
+    which is j * (L / k) when k divides L.
     """
     if not 0.0 < frequency <= 1.0:
         raise ConfigError(f"frequency {frequency} outside (0, 1]")
@@ -162,11 +162,7 @@ def select_layers(layers: int, frequency: float, location: str) -> tuple[int, ..
         start = (layers - k) // 2
         picked = list(range(start, start + k))
     elif location == "uniform":
-        if layers % k == 0:
-            step = layers // k
-            picked = [j * step for j in range(k)]
-        else:
-            picked = sorted({round_half_up(j * layers / k) for j in range(k)})
+        picked = sorted({round_half_up(j * layers / k) for j in range(k)})
     else:
         raise ConfigError(f"unknown location {location!r}")
     if len(picked) != k or any(b <= a for a, b in zip(picked, picked[1:])):

@@ -15,8 +15,9 @@ them against central finite differences through ``max_gradient_error``, the
 loop the conditioner checks share. ``central_differences`` perturbs
 every entry of an array up and down at once: it hands the caller's losses
 function the (2N, *arr.shape) stack of perturbed copies and expects 2N losses
-back, so the objective (``_viln_pipeline_loss`` here, the conditioner
-forwards in ``conditioning``) must broadcast over that leading axis.
+back. The objective broadcasts over that leading axis: here it is
+``project_deltas`` plus ``viln_apply``, the forward the model runs, and in
+``conditioning`` the conditioner forwards.
 """
 
 from __future__ import annotations
@@ -33,17 +34,17 @@ NormMode = str  # "ln" (mean subtracted) or "rms" (mean kept at zero)
 
 @dataclass
 class LNParams:
-    """Shared affine parameters; eps is added to the std, not the variance."""
+    """Shared affine parameters, (..., C) each; eps is added to the std, not the variance."""
 
-    alpha: np.ndarray  # (C,)
-    beta: np.ndarray   # (C,)
+    alpha: np.ndarray  # (..., C)
+    beta: np.ndarray   # (..., C)
     eps: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.alpha.shape != self.beta.shape or self.alpha.ndim != 1:
-            raise ShapeError("alpha and beta must be 1-D with equal length")
+        if self.alpha.ndim == 0 or self.alpha.shape[-1:] != self.beta.shape[-1:]:
+            raise ShapeError("alpha and beta must be at least 1-D with equal last axes")
 
     @classmethod
     def identity(cls, channels: int, eps: float = 1e-5) -> "LNParams":
@@ -52,25 +53,21 @@ class LNParams:
 
 @dataclass
 class DeltaProjection:
-    """Linear map from conditioning vectors to the four delta chunks."""
+    """Linear map from (..., T, C_cond) conditioning vectors to the four (..., T, C) delta chunks."""
 
-    w: np.ndarray  # (C_cond, 4C)
-    b: np.ndarray  # (4C,)
+    w: np.ndarray  # (..., C_cond, 4C)
+    b: np.ndarray  # (..., 4C)
 
     def __post_init__(self) -> None:
-        if self.w.ndim != 2 or self.b.ndim != 1 or self.w.shape[1] != self.b.shape[0]:
+        if self.w.ndim < 2 or self.w.shape[-1:] != self.b.shape[-1:]:
             raise ShapeError(f"inconsistent projection shapes {self.w.shape} / {self.b.shape}")
-        if self.w.shape[1] % 4 != 0:
-            raise ConfigError(f"projection width {self.w.shape[1]} is not divisible by 4")
+        if self.w.shape[-1] % 4 != 0:
+            raise ConfigError(f"projection width {self.w.shape[-1]} is not divisible by 4")
 
     @classmethod
     def zero_init(cls, cond_dim: int, channels: int) -> "DeltaProjection":
         """Canonical constructor: exactly zero weights and bias."""
         return cls(np.zeros((cond_dim, 4 * channels)), np.zeros(4 * channels))
-
-    @property
-    def channels(self) -> int:
-        return self.w.shape[1] // 4
 
 
 def _normalize(x: np.ndarray, eps: float, mode: NormMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,16 +92,17 @@ def _normalize(x: np.ndarray, eps: float, mode: NormMode) -> tuple[np.ndarray, n
 
 
 def layer_norm(x: np.ndarray, params: LNParams, mode: NormMode = "ln") -> tuple[np.ndarray, np.ndarray]:
-    """Normalize each row of x (T, C); returns (output, xhat).
+    """Normalize each row of x (..., T, C); returns (output, xhat).
 
     xhat is exposed so callers composing the modulated variant can reuse the
     normalization statistics.
     """
     xhat, _, _ = _normalize(x, params.eps, mode)
-    out = params.alpha * xhat
-    # beta is added in place unless its dtype differs, since it may then promote
-    # the product's (float32 alpha and xhat with float64 beta give float64)
-    return np.add(out, params.beta, out=out if out.dtype == params.beta.dtype else None), xhat
+    out = params.alpha[..., None, :] * xhat
+    beta = params.beta[..., None, :]
+    # beta is added in place unless it may widen the product: in dtype (float32
+    # alpha and xhat with float64 beta give float64) or by its own batch axes
+    return np.add(out, beta, out=out if out.dtype == beta.dtype and beta.ndim == 2 else None), xhat
 
 
 def viln_apply(
@@ -113,14 +111,20 @@ def viln_apply(
     params: LNParams,
     mode: NormMode = "ln",
 ) -> np.ndarray:
-    """Normalization with per-token affine offsets (d_alpha, d_beta), (T, C) each."""
+    """Normalization of x (..., T, C) with per-token affine offsets (d_alpha, d_beta), (..., T, C) each."""
     d_alpha, d_beta = deltas
-    if d_alpha.shape != x.shape or d_beta.shape != x.shape:
+    if d_alpha.shape[-2:] != x.shape[-2:] or d_beta.shape[-2:] != x.shape[-2:]:
         raise ShapeError(
             f"delta shapes {d_alpha.shape}/{d_beta.shape} do not match input {x.shape}"
         )
     xhat, _, _ = _normalize(x, params.eps, mode)
-    return (params.alpha + d_alpha) * xhat + (params.beta + d_beta)
+    return (params.alpha[..., None, :] + d_alpha) * xhat + (params.beta[..., None, :] + d_beta)
+
+
+def _slots(flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The four (..., T, C) chunks of flat (..., T, 4C) as ((d_alpha1, d_beta1), (d_alpha2, d_beta2))."""
+    c = flat.shape[-1] // 4
+    return (flat[..., :c], flat[..., c:2 * c]), (flat[..., 2 * c:3 * c], flat[..., 3 * c:])
 
 
 def project_deltas(
@@ -128,17 +132,15 @@ def project_deltas(
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Swish-gate the conditioning vectors and map them to the four deltas.
 
-    Returns ((d_alpha1, d_beta1), (d_alpha2, d_beta2)), the pairs of the
-    pre-attention and pre-FFN slots, (T, C) each. All four are views of one
-    fresh (T, 4C) array, whose chunk order is that of the return value. That
-    array is checked finite even inside checks_at_boundaries: a caller may
-    zero or drop a chunk, and a NaN there would then reach nothing else.
+    Returns ((d_alpha1, d_beta1), (d_alpha2, d_beta2)) for cond (..., T, C_cond):
+    the pairs of the pre-attention and pre-FFN slots, (..., T, C) each, views
+    of one fresh (..., T, 4C) array in that chunk order. That array is checked
+    finite even inside checks_at_boundaries: a caller may zero or drop a
+    chunk, and a NaN there would then reach nothing else.
     """
-    if cond.ndim != 2 or cond.shape[1] != proj.w.shape[0]:
+    if cond.ndim < 2 or cond.shape[-1] != proj.w.shape[-2]:
         raise ShapeError(f"conditioning shape {cond.shape} does not match projection {proj.w.shape}")
-    flat = check_finite("project_deltas", matmul(swish(cond), proj.w) + proj.b)
-    c = proj.channels
-    return (flat[:, :c], flat[:, c:2 * c]), (flat[:, 2 * c:3 * c], flat[:, 3 * c:])
+    return _slots(check_finite("project_deltas", matmul(swish(cond), proj.w) + proj.b[..., None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +299,6 @@ def max_gradient_error(analytic: dict[str, np.ndarray], perturbed: dict, eps_fd:
     return worst
 
 
-def _viln_pipeline_loss(point: VilnPoint, free_deltas: np.ndarray | None = None) -> np.ndarray:
-    """Sum of outputs of both modulated slots; the gradcheck objective.
-
-    When free_deltas (T, 4C) is given it replaces the projected deltas so the
-    delta gradient itself can be finite-differenced. Any array of the point,
-    or free_deltas, may carry one leading batch axis; the losses then come
-    back one per batch entry (a scalar otherwise). Unbatched, the slots are
-    exactly ``viln_apply`` with the deltas of ``project_deltas``.
-    """
-    if free_deltas is None:
-        free_deltas = matmul(swish(point.cond), point.w) + point.b[..., None, :]
-    xhat, _, _ = _normalize(point.x, point.eps, point.mode)
-    alpha = point.alpha[..., None, :]
-    beta = point.beta[..., None, :]
-    c = point.x.shape[-1]
-    total = 0.0
-    for slot in (0, 2):  # [d_alpha1, d_beta1, d_alpha2, d_beta2] chunks
-        d_alpha = free_deltas[..., slot * c:(slot + 1) * c]
-        d_beta = free_deltas[..., (slot + 1) * c:(slot + 2) * c]
-        total = total + ((alpha + d_alpha) * xhat + (beta + d_beta)).sum(axis=(-2, -1))
-    return total
-
-
 def viln_pipeline_gradients(point: VilnPoint) -> dict[str, np.ndarray]:
     """Analytic gradients of the gradcheck objective at the given point."""
     params = LNParams(point.alpha, point.beta, point.eps)
@@ -348,14 +327,22 @@ def gradcheck_viln(point: VilnPoint, eps_fd: float = 1e-5) -> float:
 
     Covers x, alpha, beta, the four delta tensors, and the projection's w, b
     and conditioning input. eps_fd must lie in [1e-7, 1e-4] and the point must
-    be float64.
+    be float64. The objective sums the outputs of ``viln_apply`` over both
+    slots of ``project_deltas``, or of the perturbed (T, 4C) deltas.
     """
+    projected = project_deltas(point.cond, DeltaProjection(point.w, point.b))
+
+    def losses(slots: tuple = projected, **fields: np.ndarray) -> np.ndarray:
+        p = replace(point, **fields)
+        if fields.keys() & {"cond", "w", "b"}:  # only the projection's inputs move the deltas
+            slots = project_deltas(p.cond, DeltaProjection(p.w, p.b))
+        params = LNParams(p.alpha, p.beta, p.eps)
+        return sum(viln_apply(p.x, deltas, params, p.mode).sum(axis=(-2, -1)) for deltas in slots)
+
     perturbed = {
-        name: (lambda stack, name=name: _viln_pipeline_loss(replace(point, **{name: stack})),
-               getattr(point, name))
+        name: (lambda stack, name=name: losses(**{name: stack}), getattr(point, name))
         for name in ("x", "alpha", "beta", "cond", "w", "b")
     }
-    slot1, slot2 = project_deltas(point.cond, DeltaProjection(point.w, point.b))
-    flat = np.concatenate([*slot1, *slot2], axis=1)
-    perturbed["deltas"] = (lambda stack: _viln_pipeline_loss(point, stack), flat)
+    flat = np.concatenate([*projected[0], *projected[1]], axis=1)
+    perturbed["deltas"] = (lambda stack: losses(_slots(stack)), flat)
     return max_gradient_error(viln_pipeline_gradients(point), perturbed, eps_fd)

@@ -12,6 +12,7 @@ checkerboards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,10 @@ def _pad_to_multiple(data: np.ndarray, multiple: int) -> np.ndarray:
     pw = (-w) % multiple
     if ph == 0 and pw == 0:
         return data
-    return np.pad(data, ((0, ph), (0, pw), (0, 0)))
+    # np.zeros checks the padded size first: np.pad rejects a pad past int64 with a TypeError
+    padded = np.zeros((h + ph, w + pw, ch), dtype=data.dtype)
+    padded[:h, :w] = data
+    return padded
 
 
 def tile_image(img: ImageGrid, tile: int) -> list[ImageGrid]:
@@ -128,7 +132,8 @@ def make_patch_projection(
     """Fixed seeded projection from flattened patches to model space."""
     rng = make_rng(seed)
     dim = patch * patch * channels_in
-    return rng.normal(scale=1.0 / np.sqrt(dim), size=(dim, channels_out))
+    # the draw checks the size before anything converts dim, which may pass int64
+    return rng.standard_normal((dim, channels_out)) * (1.0 / math.sqrt(dim))
 
 
 def encode_stub(img: ImageGrid, patch: int, proj: np.ndarray) -> np.ndarray:

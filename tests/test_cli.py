@@ -387,6 +387,10 @@ class TestErrors:
         pytest.param(["forward", "--paradigm", "base", "--tokens", "99999999999999", "--out", "{tmp}"], None,
                      id="forward-tokens"),
         pytest.param(["equivalence", "--tokens", "99999999999999"], None, id="equivalence-tokens"),
+        pytest.param(["forward", "--patch", "10000000000", "--out", "{tmp}"], None, id="forward-patch"),
+        pytest.param(["forward", "--tile", "100000000000000000000000", "--out", "{tmp}"], None, id="forward-tile"),
+        pytest.param(["forward", "--patch", "9" * 300, "--out", "{tmp}"], None, id="forward-patch-300-digits"),
+        pytest.param(["forward", "--tile", "9" * 300, "--out", "{tmp}"], None, id="forward-tile-300-digits"),
     ])
     def test_sizes_too_large_to_allocate_exit_one_with_one_line(self, argv, config, tmp_path, capsys):
         """numpy refuses each of these arrays before allocating anything."""
@@ -463,10 +467,13 @@ _FREQUENCY = _values("0.25", "1", "1.5")
 _COMMON = {"--config": st.just("{cfg}"), "--seed": _SEED, "--frequency": _FREQUENCY,
            "--location": _values("shallow", "middle", "deep", "uniform")}
 _WEIGHTS = st.just("{missing}")
+# a side past int64 for --patch and --tile only: numpy rejects it before allocating,
+# while as many --frames or --video-len would build that many frames first
+_PAST_INT64 = "100000000000000000000000"
 _FLAGS = {
     "forward": {**_COMMON, "--weights": _WEIGHTS, "--paradigm": _PARADIGM, "--tokens": _COUNT,
-                "--image-size": _values("1", "28", "56"), "--patch": _values("7", "14"),
-                "--tile": _values("7", "28"), "--frames": _COUNT, "--video-len": _COUNT},
+                "--image-size": _values("1", "28", "56"), "--patch": _values("7", "14", _PAST_INT64),
+                "--tile": _values("7", "28", _PAST_INT64), "--frames": _COUNT, "--video-len": _COUNT},
     "equivalence": {**_COMMON, "--paradigm": _PARADIGM, "--tokens": _COUNT, "--visual-tokens": _COUNT},
     "gradcheck": {"--seed": _SEED, "--points": _COUNT},
     "cost": {"--config": st.just("{cfg}"), "--frames": st.lists(_values("1", "8", "128"), max_size=3).map(",".join),

@@ -66,6 +66,12 @@ class TestSelectLayers:
     def test_uniform_non_divisible(self):
         assert select_layers(10, 0.3, "uniform") == (0, 3, 7)
 
+    def test_uniform_divisible_is_even_steps(self):
+        for layers in range(1, 65):
+            for k in (k for k in range(1, layers + 1) if layers % k == 0):
+                picked = select_layers(layers, k / layers, "uniform")
+                assert picked == tuple(j * (layers // k) for j in range(k)), (layers, k)
+
     def test_zero_selection_rejected(self):
         with pytest.raises(ConfigError):
             select_layers(8, 0.05, "uniform")

@@ -6,7 +6,6 @@ from dataclasses import replace
 from featmod.norm import (
     DeltaProjection,
     LNParams,
-    _viln_pipeline_loss,
     central_differences,
     gradcheck_viln,
     layer_norm,
@@ -64,6 +63,33 @@ class TestLayerNorm:
     def test_eps_must_be_positive(self):
         with pytest.raises(ConfigError):
             LNParams(np.ones(2), np.zeros(2), eps=0.0)
+
+    def test_params_accept_a_leading_batch_axis(self):
+        LNParams(np.ones((3, 4)), np.zeros(4))
+        LNParams(np.ones(4), np.zeros((3, 4)))
+        DeltaProjection(np.zeros((3, 5, 16)), np.zeros(16))
+        DeltaProjection(np.zeros((5, 16)), np.zeros((3, 16)))
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (np.float64(1.0), np.zeros(4)),
+        (np.ones(4), np.float64(0.0)),
+        (np.ones(4), np.zeros(5)),
+        (np.ones((3, 4)), np.zeros((3, 5))),
+    ], ids=["alpha-0d", "beta-0d", "length-differs", "stacked-length-differs"])
+    def test_params_reject_mismatched_last_axes(self, alpha, beta):
+        with pytest.raises(ShapeError):
+            LNParams(alpha, beta)
+
+    def test_stacked_alpha_equals_per_entry_calls(self):
+        rng = make_rng(15)
+        x = rng.normal(size=(5, 8))
+        alpha, beta = rng.normal(size=(3, 8)), rng.normal(size=8)
+        for stacked in (LNParams(alpha, beta), LNParams(alpha[0], rng.normal(size=(3, 8)))):
+            out, xhat = layer_norm(x, stacked)
+            assert out.shape == (3, 5, 8) and xhat.shape == (5, 8)
+            for i in range(3):
+                single = LNParams(*(a if a.ndim == 1 else a[i] for a in (stacked.alpha, stacked.beta)))
+                assert out[i].tobytes() == layer_norm(x, single)[0].tobytes()
 
     @pytest.mark.parametrize("mode", ["ln", "rms"])
     @pytest.mark.parametrize("x_dtype, alpha_dtype, beta_dtype, out_dtype", [
@@ -124,6 +150,12 @@ class TestVilnApply:
         with pytest.raises(ShapeError):
             viln_apply(np.zeros((2, 4)), (np.zeros((3, 4)), np.zeros((2, 4))), identity_params(4))
 
+    def test_stacked_deltas_must_match_trailing_shape(self):
+        x = np.zeros((2, 4))
+        with pytest.raises(ShapeError):
+            viln_apply(x, (np.zeros((2, 3, 4)), np.zeros((2, 3, 4))), identity_params(4))
+        assert viln_apply(x, (np.zeros((5, 2, 4)), np.zeros((2, 4))), identity_params(4)).shape == (5, 2, 4)
+
     def test_affine_in_deltas(self):
         rng = make_rng(4)
         x = rng.normal(size=(3, 5))
@@ -175,13 +207,25 @@ class TestProjectDeltas:
         assert np.isclose(d_alpha2[0, 1], gate * 3.0)
         assert np.isclose(d_beta2[0, 0], gate * 4.0)
 
-    def test_width_not_divisible_rejected(self):
+    @pytest.mark.parametrize("w", [np.zeros((2, 6)), np.zeros((3, 2, 6))], ids=["plain", "stacked"])
+    def test_width_not_divisible_rejected(self, w):
         with pytest.raises(ConfigError):
-            DeltaProjection(np.zeros((2, 6)), np.zeros(6))
+            DeltaProjection(w, np.zeros(6))
 
-    def test_cond_dim_mismatch(self):
+    @pytest.mark.parametrize("w, b", [
+        (np.zeros((2, 8)), np.zeros(12)),
+        (np.zeros((3, 2, 8)), np.zeros((3, 12))),
+        (np.zeros(8), np.zeros(8)),
+        (np.zeros((2, 8)), np.float64(0.0)),
+    ], ids=["widths-differ", "stacked-widths-differ", "w-1d", "b-0d"])
+    def test_inconsistent_projection_rejected(self, w, b):
         with pytest.raises(ShapeError):
-            project_deltas(np.zeros((2, 3)), DeltaProjection.zero_init(5, 4))
+            DeltaProjection(w, b)
+
+    @pytest.mark.parametrize("cond", [np.zeros((2, 3)), np.zeros((4, 2, 3)), np.zeros(5)], ids=["plain", "stacked", "1d"])
+    def test_cond_dim_mismatch(self, cond):
+        with pytest.raises(ShapeError):
+            project_deltas(cond, DeltaProjection.zero_init(5, 4))
 
 
 class TestGradcheck:
@@ -225,21 +269,26 @@ class TestGradcheck:
         assert np.max(np.abs(numeric - exact)) <= 1e-8
         assert np.array_equal(arr, before)
 
-    def test_objective_is_both_viln_slots_and_broadcasts(self):
+    def test_stacked_forward_equals_per_entry_calls(self):
+        """project_deltas then viln_apply, the objective gradcheck_viln
+        differentiates, broadcast a stacked field to the bits of one call per
+        entry."""
         rng = make_rng(13)
         point = random_viln_point(rng)
-        params = LNParams(point.alpha, point.beta, point.eps)
-        slot1, slot2 = project_deltas(point.cond, DeltaProjection(point.w, point.b))
-        slots = viln_apply(point.x, slot1, params) + viln_apply(point.x, slot2, params)
-        assert abs(_viln_pipeline_loss(point) - np.sum(slots)) <= 1e-12
+
+        def slots(p):
+            params = LNParams(p.alpha, p.beta, p.eps)
+            deltas = project_deltas(p.cond, DeltaProjection(p.w, p.b))
+            return [viln_apply(p.x, pair, params, p.mode) for pair in deltas]
+
         for name in ("x", "alpha", "beta", "cond", "w", "b"):
             arr = getattr(point, name)
             stack = arr + rng.normal(scale=0.1, size=(3,) + arr.shape)
-            batched = _viln_pipeline_loss(replace(point, **{name: stack}))
-            assert batched.shape == (3,)
+            batched = slots(replace(point, **{name: stack}))
             for i in range(3):
-                single = _viln_pipeline_loss(replace(point, **{name: stack[i]}))
-                assert abs(batched[i] - single) <= 1e-12
+                for out, single in zip(batched, slots(replace(point, **{name: stack[i]}))):
+                    assert out.shape == (3,) + point.x.shape
+                    assert out[i].tobytes() == single.tobytes(), name
 
     def test_eps_fd_range_enforced(self):
         rng = make_rng(11)
