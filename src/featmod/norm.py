@@ -10,9 +10,11 @@ per-token conditioning vector to four channel-wide chunks (scale and shift
 for a pre-attention slot and a pre-FFN slot). The projection is constructed
 all-zero so a fresh model leaves the host stack untouched.
 
-Both paths carry hand-derived backward functions; ``gradcheck_viln`` checks
-them against central finite differences through ``max_gradient_error``, the
-loop the conditioner checks share. ``central_differences`` perturbs
+``viln_pipeline_gradients`` is the one hand-derived gradient of both: it
+normalizes x once for the two slots. ``gradcheck_viln`` checks it against
+central finite differences of ``viln_apply`` per slot through
+``max_gradient_error``, the loop the conditioner checks share, which also
+rejects a non-finite gradient in any field. ``central_differences`` perturbs
 every entry of an array up and down at once: it hands the caller's losses
 function the (2N, *arr.shape) stack of perturbed copies and expects 2N losses
 back. The objective broadcasts over that leading axis: here it is
@@ -41,8 +43,8 @@ class LNParams:
     eps: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:  # also False for NaN
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if self.alpha.ndim == 0 or self.alpha.shape[-1:] != self.beta.shape[-1:]:
             raise ShapeError("alpha and beta must be at least 1-D with equal last axes")
 
@@ -70,13 +72,14 @@ class DeltaProjection:
         return cls(np.zeros((cond_dim, 4 * channels)), np.zeros(4 * channels))
 
 
-def _normalize(x: np.ndarray, eps: float, mode: NormMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (xhat, mu, denom) with denom = population std + eps, per row.
+def _normalize(x: np.ndarray, params: LNParams, mode: NormMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (xhat, mu, denom) with denom = population std + params.eps, per row.
 
-    x is (..., T, C); leading batch axes pass through.
+    x is (..., T, C) with C >= 1 the width of params; leading batch axes pass through.
     """
-    if x.ndim < 2 or x.shape[-1] < 1:
-        raise ShapeError(f"expected (..., T, C) input, got {x.shape}")
+    width = params.alpha.shape[-1]
+    if x.ndim < 2 or x.shape[-1] < 1 or x.shape[-1] != width:
+        raise ShapeError(f"expected (..., T, {width}) input, got {x.shape}")
     if mode == "ln":
         mu = x.mean(axis=-1, keepdims=True)
     elif mode == "rms":
@@ -85,7 +88,7 @@ def _normalize(x: np.ndarray, eps: float, mode: NormMode) -> tuple[np.ndarray, n
         raise ConfigError(f"unknown norm mode {mode!r}")
     centered = x - mu
     sigma = np.sqrt(np.mean(centered * centered, axis=-1, keepdims=True))
-    denom = sigma + eps
+    denom = sigma + params.eps
     # xhat overwrites centered, unless an integer x left centered integer
     xhat = np.divide(centered, denom, out=centered if centered.dtype == denom.dtype else None)
     return xhat, mu, denom
@@ -97,7 +100,7 @@ def layer_norm(x: np.ndarray, params: LNParams, mode: NormMode = "ln") -> tuple[
     xhat is exposed so callers composing the modulated variant can reuse the
     normalization statistics.
     """
-    xhat, _, _ = _normalize(x, params.eps, mode)
+    xhat, _, _ = _normalize(x, params, mode)
     out = params.alpha[..., None, :] * xhat
     beta = params.beta[..., None, :]
     # beta is added in place unless it may widen the product: in dtype (float32
@@ -117,7 +120,7 @@ def viln_apply(
         raise ShapeError(
             f"delta shapes {d_alpha.shape}/{d_beta.shape} do not match input {x.shape}"
         )
-    xhat, _, _ = _normalize(x, params.eps, mode)
+    xhat, _, _ = _normalize(x, params, mode)
     return (params.alpha[..., None, :] + d_alpha) * xhat + (params.beta[..., None, :] + d_beta)
 
 
@@ -141,80 +144,6 @@ def project_deltas(
     if cond.ndim < 2 or cond.shape[-1] != proj.w.shape[-2]:
         raise ShapeError(f"conditioning shape {cond.shape} does not match projection {proj.w.shape}")
     return _slots(check_finite("project_deltas", matmul(swish(cond), proj.w) + proj.b[..., None, :]))
-
-
-# ---------------------------------------------------------------------------
-# Backward passes
-
-def _normalize_backward(
-    g_xhat: np.ndarray,
-    x: np.ndarray,
-    mu: np.ndarray,
-    denom: np.ndarray,
-    eps: float,
-    mode: NormMode,
-) -> np.ndarray:
-    """Gradient of a loss through xhat = (x - mu) / (std + eps), per row.
-
-    At an exactly constant row the std term is non-differentiable; the std
-    path is dropped there (subgradient zero), which matches what central
-    differences measure when eps dominates the perturbation.
-    """
-    centered = x - mu
-    c = x.shape[1]
-    sigma = denom - eps
-    sigma_safe = np.where(sigma > 0, sigma, 1.0)
-    # d std / d x_k = centered_k / (C * std); zero where std == 0.
-    sum_gc = np.sum(g_xhat * centered, axis=1, keepdims=True)
-    std_term = np.where(
-        sigma > 0,
-        sum_gc * centered / (c * sigma_safe * denom * denom),
-        0.0,
-    )
-    dx = g_xhat / denom - std_term
-    if mode == "ln":
-        dx = dx - np.mean(g_xhat, axis=1, keepdims=True) / denom
-    return dx
-
-
-def viln_backward(
-    x: np.ndarray,
-    deltas: tuple[np.ndarray, np.ndarray],
-    params: LNParams,
-    g_out: np.ndarray,
-    mode: NormMode = "ln",
-) -> dict[str, np.ndarray]:
-    """Gradients of sum(g_out * viln_apply(...)) w.r.t. every input.
-
-    Returns keys x, alpha, beta, d_alpha, d_beta.
-    """
-    d_alpha, d_beta = deltas
-    xhat, mu, denom = _normalize(x, params.eps, mode)
-    g_xhat = g_out * (params.alpha + d_alpha)
-    grads = {
-        "x": _normalize_backward(g_xhat, x, mu, denom, params.eps, mode),
-        "alpha": np.sum(g_out * xhat, axis=0),
-        "beta": np.sum(g_out, axis=0),
-        "d_alpha": g_out * xhat,
-        "d_beta": g_out.copy(),
-    }
-    for name, g in grads.items():
-        check_finite(f"gradient for {name}", g)
-    return grads
-
-
-def project_deltas_backward(
-    cond: np.ndarray,
-    proj: DeltaProjection,
-    g_flat: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Gradients through project_deltas given g_flat (T, 4C) on the raw output."""
-    gated = swish(cond)
-    return {
-        "w": gated.T @ g_flat,
-        "b": np.sum(g_flat, axis=0),
-        "cond": (g_flat @ proj.w.T) * swish_grad(cond),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +229,39 @@ def max_gradient_error(analytic: dict[str, np.ndarray], perturbed: dict, eps_fd:
 
 
 def viln_pipeline_gradients(point: VilnPoint) -> dict[str, np.ndarray]:
-    """Analytic gradients of the gradcheck objective at the given point."""
-    params = LNParams(point.alpha, point.beta, point.eps)
-    proj = DeltaProjection(point.w, point.b)
-    slot1, slot2 = project_deltas(point.cond, proj)
-    g_out = np.ones_like(point.x)
-    g1 = viln_backward(point.x, slot1, params, g_out, point.mode)
-    g2 = viln_backward(point.x, slot2, params, g_out, point.mode)
-    g_flat = np.concatenate(
-        [g1["d_alpha"], g1["d_beta"], g2["d_alpha"], g2["d_beta"]], axis=1
-    )
-    g_proj = project_deltas_backward(point.cond, proj, g_flat)
+    """Analytic gradients of the gradcheck objective at the given point.
+
+    The objective is the sum of both slots' ``viln_apply`` outputs, so x is
+    normalized once and only the x gradient, through xhat = (x - mu) /
+    (std + eps) per row, depends on the slot. At an exactly constant row
+    the std term is non-differentiable; the std path is dropped there
+    (subgradient zero), which matches what central differences measure when
+    eps dominates the perturbation.
+    """
+    slots = project_deltas(point.cond, DeltaProjection(point.w, point.b))
+    xhat, mu, denom = _normalize(point.x, LNParams(point.alpha, point.beta, point.eps), point.mode)
+    centered = point.x - mu
+    sigma = denom - point.eps
+    # d std / d x_k = centered_k / (C * std) and d xhat_j / d std = -centered_j / denom**2
+    std_scale = point.x.shape[1] * np.where(sigma > 0, sigma, 1.0) * denom * denom
+    dx = []
+    for d_alpha, _ in slots:
+        g_xhat = point.alpha + d_alpha
+        sum_gc = np.sum(g_xhat * centered, axis=1, keepdims=True)
+        slot_dx = g_xhat / denom - np.where(sigma > 0, sum_gc * centered / std_scale, 0.0)
+        if point.mode == "ln":
+            slot_dx = slot_dx - np.mean(g_xhat, axis=1, keepdims=True) / denom
+        dx.append(slot_dx)
+    ones = np.ones_like(point.x)
+    g_flat = np.concatenate([xhat, ones, xhat, ones], axis=1)
     return {
-        "x": g1["x"] + g2["x"],
-        "alpha": g1["alpha"] + g2["alpha"],
-        "beta": g1["beta"] + g2["beta"],
+        "x": dx[0] + dx[1],
+        "alpha": 2 * np.sum(xhat, axis=0),
+        "beta": 2 * np.sum(ones, axis=0),
         "deltas": g_flat,
-        "w": g_proj["w"],
-        "b": g_proj["b"],
-        "cond": g_proj["cond"],
+        "w": swish(point.cond).T @ g_flat,
+        "b": np.sum(g_flat, axis=0),
+        "cond": (g_flat @ point.w.T) * swish_grad(point.cond),
     }
 
 

@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, no private
-module-level name outlives its last caller, and every package name the
-benchmark scripts read exists.
+module-level name outlives its last caller, no public function or class
+outlives its last reader, and every package name the benchmark scripts read
+exists.
 
 Stand-ins for a linter's unused-import and dead-code rules, on the stdlib
 ``ast`` only. ``__init__.py`` is exempt from the import rule: its imports are
@@ -18,6 +19,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "featmod"
 BENCHMARK_SCRIPTS = [PACKAGE.parent.parent / "perfbench" / name
                      for name in ("workloads.py", "run.py", "record_reference.py")]
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +34,19 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Names the tree reads, by name, attribute or import."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
@@ -52,13 +67,24 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
                     defined[name] = f"{module}:{node.lineno}"
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+        used |= names_read(tree)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+
+
+def unreferenced_public_names(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Module-level public functions and classes of the package that nothing
+    reads outside their own definition: no package module, ``__init__``
+    included, and none of the readers (tests, benchmark scripts)."""
+    defined = {}
+    used = set()
+    for module, source in {**package, **readers}.items():
+        for node in ast.parse(source).body:
+            reads = names_read(node)
+            if module in package and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined[node.name] = f"{module}:{node.lineno}"
+                reads.discard(node.name)  # a recursive call is not a reader
+            used |= reads
     return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
 
 
@@ -84,6 +110,22 @@ def test_finds_an_unreferenced_private_name():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def test_finds_an_unreferenced_public_name():
+    package = {
+        "a.py": "def helper():\n    pass\ndef dead():\n    return dead()\ndef caller():\n    return helper()\n"
+                "class Exported:\n    pass\ndef _private():\n    pass\nLIMIT = 3\n",
+        "__init__.py": "from .a import Exported\n",
+    }
+    readers = {"test_a.py": "from featmod.a import caller\ncaller()\n"}
+    assert unreferenced_public_names(package, readers) == ["dead (a.py:3)"]
+
+
+def test_no_unreferenced_public_names():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {f"{p.parent.name}/{p.name}": p.read_text() for p in TESTS + BENCHMARK_SCRIPTS}
+    assert unreferenced_public_names(package, readers) == []
 
 
 def unresolved_featmod_names(source: str) -> list[str]:

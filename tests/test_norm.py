@@ -61,8 +61,20 @@ class TestLayerNorm:
         assert np.allclose(out[0], x[0] / rms, atol=1e-12)
 
     def test_eps_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            LNParams(np.ones(2), np.zeros(2), eps=0.0)
+        for eps in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                LNParams(np.ones(2), np.zeros(2), eps=eps)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
+    def test_affine_width_must_match_channels(self, width, stacked):
+        """A (C',) or (3, C') alpha with C' != C is rejected, not broadcast over C channels."""
+        x = make_rng(16).normal(size=(3, 4))
+        params = LNParams(np.ones((3, width) if stacked else width), np.zeros(width))
+        with pytest.raises(ShapeError):
+            layer_norm(x, params)
+        with pytest.raises(ShapeError):
+            viln_apply(x, (np.zeros((3, 4)), np.zeros((3, 4))), params)
 
     def test_params_accept_a_leading_batch_axis(self):
         LNParams(np.ones((3, 4)), np.zeros(4))
@@ -295,11 +307,12 @@ class TestGradcheck:
         with pytest.raises(ConfigError):
             gradcheck_viln(random_viln_point(rng), eps_fd=1e-3)
 
-    def test_nan_gradient_in_a_later_field_raises(self, monkeypatch):
+    @pytest.mark.parametrize("key", ["x", "alpha", "beta", "deltas", "w", "b", "cond"])
+    def test_nan_gradient_in_a_later_field_raises(self, key, monkeypatch):
         def poisoned(point):
             grads = viln_pipeline_gradients(point)
-            grads["w"] = grads["w"].copy()
-            grads["w"][0, 0] = np.nan
+            grads[key] = grads[key].copy()
+            grads[key].flat[0] = np.nan
             return grads
 
         monkeypatch.setattr(norm, "viln_pipeline_gradients", poisoned)
