@@ -287,20 +287,20 @@ def cond_mlp_backward(
     a2 = gelu(z2)
     grads: dict[str, np.ndarray] = {}
     grads["channel_w2"] = a2.T @ g_out
-    grads["channel_b2"] = g_out.sum(axis=0)
+    grads["channel_b2"] = np.add.reduce(g_out, axis=0)
     g_z2 = (g_out @ p.channel_w2.T) * gelu_grad(z2)
     grads["channel_w1"] = mixed.T @ g_z2
-    grads["channel_b1"] = g_z2.sum(axis=0)
+    grads["channel_b1"] = np.add.reduce(g_z2, axis=0)
     g_mixed = (g_z2 @ p.channel_w1.T).reshape(-1)
     grads["token_w2"] = np.zeros_like(p.token_w2)
     grads["token_w2"][:, 0] = a1.T @ g_mixed
     grads["token_b2"] = np.zeros_like(p.token_b2)
-    grads["token_b2"][0] = g_mixed.sum()
+    grads["token_b2"][0] = np.add.reduce(g_mixed, axis=None)
     g_z1 = np.multiply.outer(g_mixed, p.token_w2[:, 0]).reshape(z1.shape) * gelu_grad(z1)
-    g_visual_term = g_z1.sum(axis=0)  # (C, L*token_exp)
+    g_visual_term = np.add.reduce(g_z1, axis=0)  # (C, L*token_exp)
     g_text_row = t.reshape(1, -1) @ g_z1.reshape(tokens * channels, -1)
-    grads["token_w1"] = np.vstack([g_text_row, v @ g_visual_term])
-    grads["token_b1"] = g_visual_term.sum(axis=0)
+    grads["token_w1"] = np.concatenate([g_text_row, v @ g_visual_term])
+    grads["token_b1"] = np.add.reduce(g_visual_term, axis=0)
     grads["t"] = g_z1 @ p.token_w1[0]
     grads["v"] = p.token_w1[1:] @ g_visual_term.T
     return grads
@@ -360,9 +360,9 @@ def cond_conv_backward(
     z = _conv_slot0(t, v, p)
     grads: dict[str, np.ndarray] = {"pointwise": swish(z).T @ g_out}
     g_z = (g_out @ p.pointwise.T) * swish_grad(z)
-    g_z_sum = g_z.sum(axis=0)
+    g_z_sum = np.add.reduce(g_z, axis=0)
     grads["depthwise"] = np.zeros_like(p.depthwise)
-    grads["depthwise"][:, pad] = np.sum(g_z * t, axis=0)
+    grads["depthwise"][:, pad] = np.add.reduce(g_z * t, axis=0)
     grads["depthwise"][:, pad + 1:pad + 1 + reach] = (v[:reach] * g_z_sum).T
     grads["t"] = g_z * p.depthwise[:, pad]
     grads["v"] = np.zeros_like(v)
@@ -422,7 +422,7 @@ def cond_attn_backward(
     grads: dict[str, np.ndarray] = {"wo": merge_heads(weights @ val).T @ g_out}
     g_ctx = split_heads(g_out @ p.wo.T, p.heads)
     g_weights = g_ctx @ val.swapaxes(-1, -2)
-    g_logits = weights * (g_weights - np.sum(g_weights * weights, axis=-1, keepdims=True))
+    g_logits = weights * (g_weights - np.add.reduce(g_weights * weights, axis=-1, keepdims=True))
     g_q = merge_heads(g_logits @ k) * scale
     g_k = merge_heads(g_logits.swapaxes(-1, -2) @ q) * scale
     g_val = merge_heads(weights.swapaxes(-1, -2) @ g_ctx)
@@ -475,7 +475,7 @@ def gradcheck_conditioner(
     v = visual.v
 
     def losses(t, v, params) -> np.ndarray:
-        return forward(t, v, params).sum(axis=(-2, -1))
+        return np.add.reduce(forward(t, v, params), axis=(-2, -1))
 
     perturbed = {
         "t": (lambda ts: losses(ts, v, params), t),

@@ -46,9 +46,11 @@ def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     na = np.sqrt(_row_dots(a, a)).astype(np.float64)
     nb = np.sqrt(_row_dots(b, b)).astype(np.float64)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = np.clip(1.0 - _row_dots(a, b).astype(np.float64) / (na * nb), 0.0, 2.0)
+        out = 1.0 - _row_dots(a, b).astype(np.float64) / (na * nb)
+    # np.clip(out, 0.0, 2.0): they differ only on -0.0, which 1.0 - r never is
+    np.minimum(np.maximum(out, 0.0, out=out), 2.0, out=out)
     out[(na == 0.0) | (nb == 0.0)] = 1.0
-    out[np.all(a == b, axis=1)] = 0.0
+    out[np.logical_and.reduce(a == b, axis=1)] = 0.0
     return out
 
 
@@ -78,9 +80,9 @@ class DiagnosticTrace:
         return [
             LayerStats(
                 layer=layer,
-                mean=float(row.mean()),
-                min=float(row.min()),
-                max=float(row.max()),
+                mean=float(np.add.reduce(row, axis=None) / row.size),
+                min=float(np.minimum.reduce(row, axis=None)),
+                max=float(np.maximum.reduce(row, axis=None)),
             )
             for layer, row in zip(self.layers, self.per_token)
         ]
@@ -93,7 +95,7 @@ def _influence(capture: ForwardCapture) -> DiagnosticTrace:
     for layer in layers:
         pairs = capture.modulation[layer]
         slot_rows = [_row_distances(plain, modulated) for plain, modulated in pairs]
-        rows.append(np.mean(slot_rows, axis=0))
+        rows.append(np.add.reduce(slot_rows, axis=0) / len(slot_rows))
     return DiagnosticTrace(layers=layers, per_token=np.array(rows))
 
 

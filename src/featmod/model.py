@@ -49,7 +49,7 @@ from .conditioning import (
     param_arrays,
 )
 from .configfile import read_kv, write_kv
-from .norm import DeltaProjection, LNParams, layer_norm, project_deltas, viln_apply
+from .norm import DeltaProjection, LNParams, _modulate, layer_norm, project_deltas, viln_apply
 from .tensors import (
     ConfigError,
     ShapeError,
@@ -335,12 +335,15 @@ def _slot_norm(
     cfg: ModelConfig,
     pairs: list[tuple[np.ndarray, np.ndarray]] | None,
 ) -> np.ndarray:
-    """One normalization slot: plain without deltas, modulated with them."""
+    """One normalization slot: plain without deltas, modulated with them.
+    With pairs, x is normalized once for both the plain and the modulated output."""
     if deltas is None:
         return layer_norm(x, ln, cfg.norm_mode)[0]
-    out = viln_apply(x, deltas, ln, cfg.norm_mode)
-    if pairs is not None:
-        pairs.append((layer_norm(x, ln, cfg.norm_mode)[0], out))
+    if pairs is None:
+        return viln_apply(x, deltas, ln, cfg.norm_mode)
+    plain, xhat = layer_norm(x, ln, cfg.norm_mode)
+    out = _modulate(xhat, deltas, ln)
+    pairs.append((plain, out))
     return out
 
 

@@ -72,6 +72,19 @@ class DeltaProjection:
         return cls(np.zeros((cond_dim, 4 * channels)), np.zeros(4 * channels))
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """np.mean(a, axis=-1, keepdims=True) by np.mean's own sum and division, as a
+    new array: integer and bool rows sum in float64, float16 rows in float32."""
+    width = a.shape[-1]
+    if a.dtype.kind in "biu":
+        return np.add.reduce(a, axis=-1, keepdims=True, dtype=np.float64) / width
+    if a.dtype == np.float16:
+        return (np.add.reduce(a, axis=-1, keepdims=True, dtype=np.float32) / width).astype(np.float16)
+    mean = np.add.reduce(a, axis=-1, keepdims=True)
+    mean /= width
+    return mean
+
+
 def _normalize(x: np.ndarray, params: LNParams, mode: NormMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (xhat, mu, denom) with denom = population std + params.eps, per row.
 
@@ -81,14 +94,14 @@ def _normalize(x: np.ndarray, params: LNParams, mode: NormMode) -> tuple[np.ndar
     if x.ndim < 2 or x.shape[-1] < 1 or x.shape[-1] != width:
         raise ShapeError(f"expected (..., T, {width}) input, got {x.shape}")
     if mode == "ln":
-        mu = x.mean(axis=-1, keepdims=True)
+        mu = _row_mean(x)
     elif mode == "rms":
         mu = np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)
     else:
         raise ConfigError(f"unknown norm mode {mode!r}")
     centered = x - mu
-    sigma = np.sqrt(np.mean(centered * centered, axis=-1, keepdims=True))
-    denom = sigma + params.eps
+    var = _row_mean(centered * centered)
+    denom = np.sqrt(var, out=var) + params.eps
     # xhat overwrites centered, unless an integer x left centered integer
     xhat = np.divide(centered, denom, out=centered if centered.dtype == denom.dtype else None)
     return xhat, mu, denom
@@ -120,7 +133,12 @@ def viln_apply(
         raise ShapeError(
             f"delta shapes {d_alpha.shape}/{d_beta.shape} do not match input {x.shape}"
         )
-    xhat, _, _ = _normalize(x, params, mode)
+    return _modulate(_normalize(x, params, mode)[0], deltas, params)
+
+
+def _modulate(xhat: np.ndarray, deltas: tuple[np.ndarray, np.ndarray], params: LNParams) -> np.ndarray:
+    """viln_apply's affine of an already normalized xhat: (alpha + d_alpha) * xhat + (beta + d_beta)."""
+    d_alpha, d_beta = deltas
     return (params.alpha[..., None, :] + d_alpha) * xhat + (params.beta[..., None, :] + d_beta)
 
 
@@ -191,7 +209,7 @@ def central_differences(losses_fn, arr: np.ndarray, eps_fd: float) -> np.ndarray
     losses, one per copy. arr itself is never written.
     """
     n = arr.size
-    stack = np.repeat(arr.reshape(1, n), 2 * n, axis=0)
+    stack = arr.reshape(1, n).repeat(2 * n, axis=0)
     entries = np.arange(n)
     stack[entries, entries] += eps_fd
     stack[n + entries, entries] -= eps_fd
@@ -206,7 +224,7 @@ def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
     rel = np.where(scale < 1e-6, diff, diff / np.maximum(scale, 1e-300))
-    return float(np.max(rel)) if rel.size else 0.0
+    return float(np.maximum.reduce(rel, axis=None)) if rel.size else 0.0
 
 
 def max_gradient_error(analytic: dict[str, np.ndarray], perturbed: dict, eps_fd: float) -> float:
@@ -247,20 +265,20 @@ def viln_pipeline_gradients(point: VilnPoint) -> dict[str, np.ndarray]:
     dx = []
     for d_alpha, _ in slots:
         g_xhat = point.alpha + d_alpha
-        sum_gc = np.sum(g_xhat * centered, axis=1, keepdims=True)
+        sum_gc = np.add.reduce(g_xhat * centered, axis=1, keepdims=True)
         slot_dx = g_xhat / denom - np.where(sigma > 0, sum_gc * centered / std_scale, 0.0)
         if point.mode == "ln":
-            slot_dx = slot_dx - np.mean(g_xhat, axis=1, keepdims=True) / denom
+            slot_dx = slot_dx - np.add.reduce(g_xhat, axis=1, keepdims=True) / point.x.shape[1] / denom
         dx.append(slot_dx)
     ones = np.ones_like(point.x)
     g_flat = np.concatenate([xhat, ones, xhat, ones], axis=1)
     return {
         "x": dx[0] + dx[1],
-        "alpha": 2 * np.sum(xhat, axis=0),
-        "beta": 2 * np.sum(ones, axis=0),
+        "alpha": 2 * np.add.reduce(xhat, axis=0),
+        "beta": 2 * np.add.reduce(ones, axis=0),
         "deltas": g_flat,
         "w": swish(point.cond).T @ g_flat,
-        "b": np.sum(g_flat, axis=0),
+        "b": np.add.reduce(g_flat, axis=0),
         "cond": (g_flat @ point.w.T) * swish_grad(point.cond),
     }
 
@@ -280,7 +298,8 @@ def gradcheck_viln(point: VilnPoint, eps_fd: float = 1e-5) -> float:
         if fields.keys() & {"cond", "w", "b"}:  # only the projection's inputs move the deltas
             slots = project_deltas(p.cond, DeltaProjection(p.w, p.b))
         params = LNParams(p.alpha, p.beta, p.eps)
-        return sum(viln_apply(p.x, deltas, params, p.mode).sum(axis=(-2, -1)) for deltas in slots)
+        xhat = _normalize(p.x, params, p.mode)[0]  # viln_apply's, shared by both slots
+        return sum(np.add.reduce(_modulate(xhat, deltas, params), axis=(-2, -1)) for deltas in slots)
 
     perturbed = {
         name: (lambda stack, name=name: losses(**{name: stack}), getattr(point, name))
