@@ -24,8 +24,7 @@ model, diagnose of a non-fmi model, forward --tile with --frames K, forward
 --video-len without --frames K or shorter than K, a flag that the paradigm
 cannot apply (forward's visual flags on base; --frequency or --location on
 base and incontext; cost --frequency on a base or incontext paradigm), and
-cost --config with a cond_heads other than default_heads(C) when a priced
-paradigm builds attention (crossattn, or fmi with cond_kind=attn).
+a --config with a key that ModelConfig does not have.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costs, criteria, diagnostics, vision
-from .conditioning import VisualContext, default_heads
+from .conditioning import VisualContext
 from .configfile import read_kv, write_kv
 from .model import (
     LOCATIONS,
@@ -243,13 +242,6 @@ def cmd_cost(args) -> int:
             paradigms = (cfg.paradigm,)
     if args.paradigm:
         paradigms = (args.paradigm,)
-    if args.config and cfg.cond_heads not in (None, default_heads(cfg.C)) and (
-        "crossattn" in paradigms or ("fmi" in paradigms and cfg.cond_kind == "attn")
-    ):
-        raise ConfigError(
-            f"the cost model prices attention at {default_heads(cfg.C)} heads "
-            f"for C={cfg.C}; cond_heads={cfg.cond_heads} cannot be priced"
-        )
     if args.frequency is not None:
         if len(paradigms) == 1 and paradigms[0] in ("base", "incontext"):
             raise ConfigError(

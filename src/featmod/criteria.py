@@ -30,7 +30,7 @@ from .conditioning import (
     cond_mlp_pertoken,
     gradcheck_conditioner,
 )
-from .diagnostics import feature_drift, modulation_influence
+from .diagnostics import diagnose
 from .model import LOCATIONS, ModelConfig, base_twin, cast_model, forward, init_model, select_layers
 from .norm import LNParams, gradcheck_viln, layer_norm, random_viln_point
 from .tensors import make_rng
@@ -245,19 +245,17 @@ def diagnostics_soundness(seed: int) -> tuple[bool, str]:
     rng = make_rng(seed + 1)
     t_emb = rng.normal(size=(8, cfg.C))
     visual = VisualContext(rng.normal(size=(6, cfg.C)), "synthetic")
-    influence = modulation_influence(model, t_emb, visual)
+    influence, drift = diagnose(model, t_emb, visual)
     influence_zero = np.array_equal(influence.per_token, np.zeros_like(influence.per_token))
     aggregates_exact = all(
         stats.mean == float(row.mean()) and stats.min == float(row.min()) and stats.max == float(row.max())
         for stats, row in zip(influence.per_layer, influence.per_token)
     )
-    base = base_twin(model)
-    drift = feature_drift(base, base_twin(base), t_emb, None)
     drift_zero = np.array_equal(drift.per_token, np.zeros_like(drift.per_token))
     ok = influence_zero and aggregates_exact and drift_zero
     return ok, (
         f"zero-init influence zero {influence_zero}, aggregates exact {aggregates_exact}, "
-        f"base drift zero {drift_zero}"
+        f"drift from the base twin zero {drift_zero}"
     )
 
 

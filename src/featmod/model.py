@@ -94,7 +94,6 @@ class ModelConfig:
     norm_mode: str = "ln"
     eps: float = 1e-5
     seed: int = 0
-    cond_heads: int | None = None
     cond_kernel: int = 3
     cond_token_exp: int = 4
     cond_channel_exp: int = 4
@@ -120,7 +119,7 @@ class ModelConfig:
             raise ConfigError("eps must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("cond_heads", "cond_kernel", "cond_token_exp", "cond_channel_exp", "cond_visual_tokens"):
+        for name in ("cond_kernel", "cond_token_exp", "cond_channel_exp", "cond_visual_tokens"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
@@ -133,9 +132,8 @@ class ModelConfig:
         if self.paradigm == "fmi" and self.cond_kind == "conv" and self.cond_kernel % 2 == 0:
             raise ConfigError(f"cond_kernel must be odd, got {self.cond_kernel}")
         if self.paradigm == "crossattn" or (self.paradigm == "fmi" and self.cond_kind == "attn"):
-            heads = default_heads(self.C) if self.cond_heads is None else self.cond_heads
-            if self.C % heads != 0:
-                raise ConfigError(f"cond_heads {heads} must divide hidden size {self.C}")
+            if self.C % default_heads(self.C) != 0:
+                raise ConfigError(f"attention heads {default_heads(self.C)} must divide hidden size {self.C}")
 
 
 def round_half_up(x: float) -> int:
@@ -147,7 +145,8 @@ def select_layers(layers: int, frequency: float, location: str) -> tuple[int, ..
 
     shallow: the first k. deep: the last k. middle: a centered contiguous
     run starting at floor((L - k) / 2). uniform: round(j * L / k), half up,
-    which is j * (L / k) when k divides L.
+    which is j * (L / k) when k divides L. As 1 <= k <= L, the k picks are
+    distinct: uniform positions lie at least 1 apart before rounding.
     """
     if not 0.0 < frequency <= 1.0:
         raise ConfigError(f"frequency {frequency} outside (0, 1]")
@@ -162,11 +161,9 @@ def select_layers(layers: int, frequency: float, location: str) -> tuple[int, ..
         start = (layers - k) // 2
         picked = list(range(start, start + k))
     elif location == "uniform":
-        picked = sorted({round_half_up(j * layers / k) for j in range(k)})
+        picked = [round_half_up(j * layers / k) for j in range(k)]
     else:
         raise ConfigError(f"unknown location {location!r}")
-    if len(picked) != k or any(b <= a for a, b in zip(picked, picked[1:])):
-        raise ConfigError(f"layer selection degenerated: {picked}")
     return tuple(picked)
 
 
@@ -234,7 +231,7 @@ def _component_rng(seed: int, block: int, component: int) -> np.random.Generator
 
 def _init_cond_params(cfg: ModelConfig, rng: np.random.Generator):
     if cfg.cond_kind == "attn":
-        return AttnCondParams.init(rng, cfg.C, heads=cfg.cond_heads, std=_WEIGHT_STD)
+        return AttnCondParams.init(rng, cfg.C, std=_WEIGHT_STD)
     if cfg.cond_kind == "conv":
         return ConvCondParams.init(rng, cfg.C, kernel=cfg.cond_kernel, std=_WEIGHT_STD)
     return MlpCondParams.init(
@@ -272,7 +269,7 @@ def init_model(cfg: ModelConfig) -> Model:
             block.modulation = Modulation(cond, DeltaProjection.zero_init(c, c))
         if cfg.paradigm == "crossattn" and l in selected:
             extra = _component_rng(cfg.seed, l, 2)
-            attn = AttnCondParams.init(extra, c, heads=cfg.cond_heads, std=_WEIGHT_STD)
+            attn = AttnCondParams.init(extra, c, std=_WEIGHT_STD)
             attn.wo = np.zeros((c, c))
             block.insert = InsertParams(
                 attn=attn,

@@ -29,7 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensors import ConfigError, NumericError, ShapeError, check_finite, matmul, swish, swish_grad
+from .tensors import (
+    ConfigError, NumericError, ShapeError, check_finite, checks_at_boundaries, matmul, swish, swish_grad,
+)
 
 NormMode = str  # "ln" (mean subtracted) or "rms" (mean kept at zero)
 
@@ -73,15 +75,13 @@ class DeltaProjection:
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
-    """np.mean(a, axis=-1, keepdims=True) by np.mean's own sum and division, as a
-    new array: integer and bool rows sum in float64, float16 rows in float32."""
-    width = a.shape[-1]
-    if a.dtype.kind in "biu":
-        return np.add.reduce(a, axis=-1, keepdims=True, dtype=np.float64) / width
-    if a.dtype == np.float16:
-        return (np.add.reduce(a, axis=-1, keepdims=True, dtype=np.float32) / width).astype(np.float16)
+    """np.mean(a, axis=-1, keepdims=True) as a new array. float64 and float32
+    rows, the ones the model runs, skip np.mean's Python wrapper for its own
+    sum and division; every other dtype goes to np.mean itself."""
+    if a.dtype.char not in "df":
+        return np.mean(a, axis=-1, keepdims=True)
     mean = np.add.reduce(a, axis=-1, keepdims=True)
-    mean /= width
+    mean /= a.shape[-1]
     return mean
 
 
@@ -233,13 +233,16 @@ def max_gradient_error(analytic: dict[str, np.ndarray], perturbed: dict, eps_fd:
     perturbed maps each checked name to the (losses_fn, arr) pair that
     ``central_differences`` takes; analytic holds the gradients under the
     same names. eps_fd must lie in [1e-7, 1e-4]. A non-finite error in any
-    field raises NumericError.
+    field raises NumericError. The losses run inside checks_at_boundaries:
+    a NaN or Inf in any loss or analytic gradient makes the error non-finite.
     """
     if not 1e-7 <= eps_fd <= 1e-4:
         raise ConfigError(f"eps_fd {eps_fd} outside [1e-7, 1e-4]")
     worst = 0.0
     for name, (losses_fn, arr) in perturbed.items():
-        err = relative_gradient_error(analytic[name], central_differences(losses_fn, arr, eps_fd))
+        with checks_at_boundaries():
+            numeric = central_differences(losses_fn, arr, eps_fd)
+        err = relative_gradient_error(analytic[name], numeric)
         if not math.isfinite(err):
             raise NumericError(f"gradient check of {name} produced a non-finite error")
         worst = max(worst, err)

@@ -1,15 +1,14 @@
 """Deterministic dense-tensor substrate.
 
 All values travel as row-major numpy arrays, float64 on verification paths
-(float32 is accepted for bulk forward passes). Called on their own, the
-public operations check their output for NaN/Inf and raise NumericError on
-violation; shape problems raise ShapeError before any arithmetic runs.
-
-Inside ``checks_at_boundaries()``, which ``model.forward`` enters once per
-pass, those per-op checks are skipped and the caller checks the boundaries
-that a NaN or Inf has to cross instead, with ``check_finite``, which always
-runs. The scope also enters numpy's ``errstate(over="ignore",
-invalid="ignore")`` once, so ``matmul`` does not enter its own.
+(float32 is accepted for bulk forward passes). Shape problems raise
+ShapeError before any arithmetic runs. Called on their own, the checked ops
+``matmul``, ``depthwise_conv1d``, ``softmax_lastdim``, ``gelu`` and ``swish``
+(``_finite_op``) silence numpy's overflow and invalid warnings and raise
+NumericError on a NaN or Inf output. Inside ``checks_at_boundaries()``,
+entered once per ``model.forward`` pass and per field of
+``norm.max_gradient_error``, they run bare, and the caller checks the
+boundaries a NaN or Inf has to cross with ``check_finite``, which always runs.
 
 Hot-path convention: the ops on the forward, diagnose and gradient-check
 paths call numpy's ufuncs and ufunc methods directly (``np.add.reduce``,
@@ -23,12 +22,13 @@ and ``np.mean`` cost about 1.6-2.2 us more than
 about 1.6-2.0 us more than ``np.maximum.reduce`` and ``np.add.reduce``;
 ``np.clip`` about 1.2 us more than ``np.minimum`` of ``np.maximum``; and
 ``.all()`` 0.15 us more than ``np.logical_and.reduce``. A desk forward made
-88-108 such wrapper calls. Every output keeps its bits: a mean is
-``np.add.reduce`` divided by the count, as ``np.mean`` computes it, with
-integer and bool input summed in float64 and float16 input in float32, and
-a float32 sum divided in float32 rounds to the same bits as ``np.mean``'s
-float64 division for any count below 2**24. tests/test_hot_path.py fails on any call into numpy's
-``_methods.py`` or ``fromnumeric.py`` from those paths.
+88-108 such wrapper calls. Every output keeps its bits: a float64 or
+float32 mean is ``np.add.reduce`` divided by the count, as ``np.mean``
+computes it (a float32 sum divided in float32 rounds to the same bits as
+``np.mean``'s float64 division for any count below 2**24), and a mean of
+any other dtype calls ``np.mean`` itself. tests/test_hot_path.py fails on
+any call into numpy's ``_methods.py`` or ``fromnumeric.py`` from those
+paths.
 
 Seeded randomness uses numpy's PCG64 generator exclusively: equal seeds give
 bit-identical streams on every platform numpy supports.
@@ -54,6 +54,7 @@ traversed under this counter.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -141,14 +142,23 @@ def check_finite(name: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_finite(name: str, out: np.ndarray) -> np.ndarray:
-    """A public op's own output check, skipped inside checks_at_boundaries."""
-    return out if _AT_BOUNDARIES.get() else check_finite(name, out)
+def _finite_op(op):
+    """A public op that checks its own output, bare inside checks_at_boundaries."""
+
+    @functools.wraps(op)
+    def checked(*args, **kwargs):
+        if _AT_BOUNDARIES.get():
+            return op(*args, **kwargs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return check_finite(op.__name__, op(*args, **kwargs))
+
+    return checked
 
 
 # ---------------------------------------------------------------------------
 # Core ops
 
+@_finite_op
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product (..., m, k) @ (..., k, n); leading batch axes broadcast."""
     a = np.asarray(a)
@@ -156,17 +166,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul expects operands of at least 2-D, got {a.shape} @ {b.shape}")
     try:
-        if _AT_BOUNDARIES.get():
-            out = a @ b
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = a @ b
+        out = a @ b
     except ValueError:
         raise ShapeError(f"matmul operands do not match: {a.shape} @ {b.shape}") from None
     _record_macs(out.size * a.shape[-1])
-    return _check_finite("matmul", out)
+    return out
 
 
+@_finite_op
 def softmax_lastdim(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, always max-subtracted for stability.
 
@@ -182,9 +189,10 @@ def softmax_lastdim(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
-    return _check_finite("softmax", out)
+    return out
 
 
+@_finite_op
 def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Per-channel 1-D cross-correlation with same padding.
 
@@ -212,7 +220,7 @@ def depthwise_conv1d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     for j in range(k):
         out += kernel[..., j:j + 1] * padded[..., j:j + length]
     _record_macs(out.size * k)
-    return _check_finite("depthwise_conv1d", out)
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -222,10 +230,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+@_finite_op
 def swish(x: np.ndarray) -> np.ndarray:
     """x * sigmoid(x). Also known as SiLU."""
     x = np.asarray(x)
-    return _check_finite("swish", x * sigmoid(x))
+    return x * sigmoid(x)
 
 
 def swish_grad(x: np.ndarray) -> np.ndarray:
@@ -251,6 +260,7 @@ def _one_plus_erf(x: np.ndarray) -> np.ndarray:
     return cdf
 
 
+@_finite_op
 def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact (erf-based) GELU: 0.5 * x * (1 + erf(x / sqrt 2)), evaluated in
     that order, with erf taken on |x| (see _one_plus_erf): the same bits,
@@ -263,7 +273,7 @@ def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     cdf = _one_plus_erf(x)
     out = np.multiply(0.5, x, out=out)
     out *= cdf
-    return _check_finite("gelu", out)
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:

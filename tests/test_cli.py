@@ -152,28 +152,6 @@ class TestCost:
             assert [r["paradigm"] for r in csv.DictReader(fh)] == paradigms
         assert read_kv(out_dir / "run.meta")["paradigms"] == ",".join(paradigms)
 
-    def test_config_with_the_priced_head_count_is_accepted(self, tmp_path):
-        """cond_heads equal to default_heads(C), the count the cost model prices, costs as if unset."""
-        tables = []
-        for heads in (None, 1):  # default_heads(32) is 1
-            _, cfg_path = write_config(tmp_path, C=32, h=4, cond_heads=heads)
-            out_dir = tmp_path / f"run{heads}"
-            assert main(["cost", "--config", str(cfg_path), "--out", str(out_dir), "--frames", "8"]) == 0
-            tables.append((out_dir / "cost.csv").read_bytes())
-        assert tables[0] == tables[1]
-
-    @pytest.mark.parametrize("config", [
-        "paradigm=fmi\ncond_kind=conv\nL=4\nC=64\nh=4\nd_ff=64\ncond_heads=4\nfrequency=0.5",
-        "paradigm=base\nL=4\nC=64\nh=4\nd_ff=64\ncond_heads=4",
-    ], ids=["fmi-conv", "base"])
-    def test_cond_heads_without_priced_attention_is_accepted(self, config, tmp_path):
-        """cond_heads sizes the attn conditioner and the crossattn insert only,
-        so a config whose priced paradigm builds neither costs as forward runs it."""
-        cfg_path = tmp_path / "model.cfg"
-        cfg_path.write_text(config + "\n")
-        assert main(["cost", "--config", str(cfg_path), "--out", str(tmp_path / "cost"), "--frames", "8"]) == 0
-        assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "fwd"), "--tokens", "2"]) == 0
-
 
 class TestDiagnose:
     def test_writes_both_csvs(self, tmp_path):
@@ -210,10 +188,19 @@ _MLP_FOR_5_VISUAL_TOKENS = "paradigm=fmi\ncond_kind=mlp\ncond_visual_tokens=5\nL
 
 
 class TestErrors:
-    def test_unknown_config_key_exits_two(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("L=4\nmystery=1\n")
-        assert main(["equivalence", "--config", str(path)]) == 2
+    @pytest.mark.parametrize("command", ["forward", "equivalence", "cost", "diagnose"])
+    def test_unknown_config_key_exits_two(self, command, tmp_path, capsys):
+        """A descriptor with a key ModelConfig lacks, such as the cond_heads=none
+        line of descriptors saved while ModelConfig had that field."""
+        _, path = write_config(tmp_path)
+        path.write_text(path.read_text() + "cond_heads=none\n")
+        argv = [command, "--config", str(path)]
+        if command != "equivalence":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown config keys: ['cond_heads']" in err
+        assert not (tmp_path / "run").exists()
 
     def test_malformed_config_line_exits_two(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -262,7 +249,6 @@ class TestErrors:
         pytest.param(["diagnose", "--config", "{cfg}", "--out", "{tmp}"], _MLP_FOR_5_VISUAL_TOKENS,
                      id="diagnose-mlp-visual-count"),
         pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "L=none", id="config-none-for-int"),
-        pytest.param(["equivalence", "--config", "{cfg}"], "cond_heads=0", id="config-zero-heads"),
         pytest.param(["forward", "--config", "{cfg}", "--out", "{tmp}"], "cond_kind=conv\ncond_kernel=-1",
                      id="config-negative-kernel"),
         pytest.param(["cost", "--frames", "0", "--out", "{tmp}"], None, id="cost-frames-zero"),
@@ -292,17 +278,8 @@ class TestErrors:
                      id="forward-video-shorter-than-frames"),
         pytest.param(["forward", "--config", "{cfg}", "--weights", "{weights}", "--image-size", "56", "--out", "{tmp}"],
                      "paradigm=base\nL=2\nC=16\nh=2\nd_ff=32", id="forward-stored-base-image-size"),
-        pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "cond_heads=1", id="cost-unpriced-cond-heads"),
         pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "cond_kind=conv\ncond_kernel=4",
                      id="cost-config-even-kernel"),
-        pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"], "C=32\nh=4\ncond_heads=8",
-                     id="cost-unpriced-cond-heads-c32"),
-        pytest.param(["cost", "--config", "{cfg}", "--out", "{tmp}"],
-                     "paradigm=crossattn\nL=4\nC=64\nh=4\nd_ff=64\ncond_heads=4\nfrequency=0.5",
-                     id="cost-crossattn-unpriced-cond-heads"),
-        pytest.param(["cost", "--config", "{cfg}", "--paradigm", "crossattn", "--out", "{tmp}"],
-                     "paradigm=fmi\ncond_kind=conv\nL=4\nC=64\nh=4\nd_ff=64\ncond_heads=4\nfrequency=0.5",
-                     id="cost-paradigm-flag-prices-unpriced-cond-heads"),
         pytest.param(["cost", "--frequency", "0.01", "--out", "{tmp}"], None, id="cost-frequency-selects-no-block"),
         pytest.param(["cost", "--paradigm", "crossattn", "--frequency", "0.01", "--out", "{tmp}"], None,
                      id="cost-crossattn-frequency-selects-no-block"),

@@ -1,14 +1,17 @@
+import math
 import tracemalloc
-from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from featmod import model as model_module, norm, tensors
 from featmod.conditioning import AttnCondParams, VisualContext, apply_conditioner, attn_oracle, cond_attn
 from featmod.diagnostics import diagnose, feature_drift, modulation_influence
 from featmod.model import (
+    LOCATIONS,
     ForwardCapture,
     ModelConfig,
     _causal_self_attention,
@@ -41,6 +44,7 @@ from featmod.tensors import (
     softmax_lastdim,
     split_heads,
 )
+from featmod.vision import sample_frames
 
 
 def small_cfg(**overrides):
@@ -75,6 +79,27 @@ class TestSelectLayers:
     def test_zero_selection_rejected(self):
         with pytest.raises(ConfigError):
             select_layers(8, 0.05, "uniform")
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 1024), data=st.data())
+    def test_picks_are_distinct_sorted_and_in_range(self, n, data):
+        """select_layers(n, frequency, location) at every location and frequency,
+        and sample_frames(n, k) at every k <= n, pick k strictly increasing
+        indices in [0, n): neither needs a check for duplicates."""
+        frequency = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        location = data.draw(st.sampled_from(LOCATIONS))
+        k = math.floor(frequency * n + 0.5)
+        if k < 1:
+            with pytest.raises(ConfigError):
+                select_layers(n, frequency, location)
+        else:
+            picked = select_layers(n, frequency, location)
+            assert len(picked) == k and 0 <= picked[0] and picked[-1] < n
+            assert all(a < b for a, b in zip(picked, picked[1:]))
+        k = data.draw(st.integers(1, n))
+        picks = sample_frames(n, k)
+        assert len(picks) == k and picks[0] == 0 and picks[-1] == (n - 1 if k > 1 else 0)
+        assert all(a < b for a, b in zip(picks, picks[1:]))
 
 
 class TestConfigValidation:
@@ -690,7 +715,7 @@ _EXTRA_WEIGHT_LINES = {
 
 class TestSerialization:
     def test_config_round_trip(self):
-        cfg = small_cfg(cond_kind="mlp", cond_visual_tokens=6, norm_mode="rms", cond_heads=None)
+        cfg = small_cfg(cond_kind="mlp", cond_visual_tokens=6, norm_mode="rms")
         assert config_from_kv(config_to_kv(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
@@ -777,6 +802,10 @@ def _variant_case(variant):
     return model, t_emb, None if paradigm == "base" else visual
 
 
+def _warnings_off():
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _raises(model, t_emb, visual) -> bool:
     try:
         forward(model, t_emb, visual)
@@ -802,9 +831,9 @@ class TestBoundaryChecks:
                 kept = arr.flat[index]
                 for bad in (np.nan, np.inf, -np.inf):
                     arr.flat[index] = bad
-                    # with the scope a no-op every op checks its output, and warns on the way
-                    with monkeypatch.context() as patch, np.errstate(all="ignore"):
-                        patch.setattr(model_module, "checks_at_boundaries", nullcontext)
+                    # a scope that silences warnings, as the real one does, but lets every op check its output
+                    with monkeypatch.context() as patch:
+                        patch.setattr(model_module, "checks_at_boundaries", _warnings_off)
                         every_op.append((name, index, bad, _raises(model, t_emb, visual)))
                     boundaries.append((name, index, bad, _raises(model, t_emb, visual)))
                 arr.flat[index] = kept
@@ -824,7 +853,7 @@ class TestBoundaryChecks:
         other, so only that entry reaches -1e310. fmi/crossattn: each text
         token against the second of two visual tokens."""
         paradigm = "base" if where == "self_attention" else where
-        cfg = ModelConfig(L=1, C=4, h=1, d_ff=8, paradigm=paradigm, frequency=1.0, cond_heads=1)
+        cfg = ModelConfig(L=1, C=4, h=1, d_ff=8, paradigm=paradigm, frequency=1.0)  # default_heads(4) is 1
         model = init_model(cfg)
         rng = make_rng(5)
         t_emb = rng.normal(size=(2, 4))

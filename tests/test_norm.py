@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,17 @@ class TestGradcheck:
         rng = make_rng(11)
         with pytest.raises(ConfigError):
             gradcheck_viln(random_viln_point(rng), eps_fd=1e-3)
+
+    @pytest.mark.parametrize("field", ["x", "alpha", "beta", "cond", "w", "b"])
+    def test_nan_in_the_point_raises_numeric_error_and_never_warns(self, field):
+        """The losses run inside checks_at_boundaries, so their NaN surfaces
+        as the non-finite error of max_gradient_error."""
+        point = random_viln_point(make_rng(14))
+        getattr(point, field).flat[0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                gradcheck_viln(point)
 
     @pytest.mark.parametrize("key", ["x", "alpha", "beta", "deltas", "w", "b", "cond"])
     def test_nan_gradient_in_a_later_field_raises(self, key, monkeypatch):
