@@ -20,7 +20,7 @@ The mlp and conv mixers compute only what position 0 depends on:
   only column 0 of token_w2 is applied, so channel mixing runs on T rows
   instead of T * L. The T * C token-mix rows run in tiles of at most
   _Z1_TILE_BYTES of z1, so the (T, C, L*token_exp) pre-activation is never
-  built whole.
+  built whole, and the tiles run on every usable CPU (below).
 * conv: position 0 sees [t_i; v] up to position min(K // 2, V) only, so the
   depthwise conv runs on that cut signal, accumulating the same taps in the
   same order (bit-identical); SiLU and the pointwise map then act on T rows.
@@ -32,10 +32,30 @@ leading axis; the finite-difference gradient check uses this to evaluate
 every perturbed copy of an array in one call. Naive per-token loop oracles
 are kept alongside for verification. The analytic backward passes
 (unbatched) recompute only the forward stages whose values they use.
+
+Threads: the mlp token mix runs its tiles on the calling thread and on a
+thread pool created on first use, each thread taking the next tile in order
+as it finishes one, and joins their outputs in tile order; numpy and scipy's
+erf release the GIL inside each tile's ops. The thread count follows the
+process's CPU affinity (os.sched_getaffinity), so `taskset -c 0` pins a run
+to one thread; it is one when all rows fit one tile, and the threads hold
+no more than _Z1_THREADS_BYTES of z1 together, one tile each, so more CPUs
+take no more memory. The tiles do not depend on the thread count, so
+outputs, errors and counted MACs are the same for any count, the outputs
+bit for bit. Every tile runs under a copy of the caller's context, so
+checks_at_boundaries and numpy's error state hold there, and a failure
+re-raises the error of the earliest failing tile once every thread has
+stopped. BLAS threading stays the caller's choice (OPENBLAS_NUM_THREADS and
+the like); each thread makes its own BLAS calls.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -187,6 +207,9 @@ def _check_tokens(t: np.ndarray, v: np.ndarray) -> None:
 # Bytes of the token-mix pre-activation z1 evaluated per tile, so z1 and the
 # gelu buffers stay in cache instead of spanning T*C*L*token_exp elements.
 _Z1_TILE_BYTES = 512 * 1024
+# Bytes of z1 the token-mix threads hold at once, one tile each: the thread
+# count is capped so that their tiles fit, and more CPUs take no more memory.
+_Z1_THREADS_BYTES = 2 * _Z1_TILE_BYTES
 
 
 def _add_into(z: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -235,6 +258,94 @@ def _mix_tiles(tokens: int, channels: int, row_bytes: int) -> list[tuple[slice, 
     return [(slice(i, i + 1), slice(c, c + step)) for i in range(tokens) for c in range(0, channels, step)]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _mix_workers(tiles: list[tuple[slice, slice]], tokens: int, channels: int, row_bytes: int) -> int:
+    """Threads for the token mix over these tiles: one per usable CPU, but
+    no more than there are tiles or than hold one tile each, the first and
+    largest, within _Z1_THREADS_BYTES; one, with no pool, for a single tile."""
+    if len(tiles) == 1:
+        return 1
+    tile_tokens, tile_channels = tiles[0]
+    tile_bytes = len(range(tokens)[tile_tokens]) * len(range(channels)[tile_channels]) * row_bytes
+    return max(1, min(_usable_cpus(), len(tiles), _Z1_THREADS_BYTES // tile_bytes))
+
+
+# Worker threads of the token mix, one per usable CPU besides the caller's,
+# created on first use; a forked child starts without them (the parent's
+# threads do not survive a fork).
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="featmod-mix")
+        return _pool
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_threads(run, items: list, workers: int) -> list:
+    """[run(item) for item in items] on this thread and workers - 1 pool
+    threads, each taking the next item in order as it finishes one, so a
+    thread slowed by a busy core takes fewer. Every pool thread runs under a
+    copy of this thread's context and numpy error state, so
+    checks_at_boundaries holds there too. Returns once every thread has
+    stopped; after a failure no thread takes another item, and the error of
+    the earliest failing item is raised, the one a serial loop would meet."""
+    results: list = [None] * len(items)
+    order = iter(range(len(items)))  # shared; next() on it is atomic under the GIL
+
+    def drain() -> None:
+        for i in order:
+            try:
+                results[i] = run(items[i])
+            except BaseException as exc:
+                results[i] = exc
+                for _ in order:  # hand out no further items
+                    pass
+
+    pool = _executor()
+    err = np.geterr()
+    futures = [pool.submit(contextvars.copy_context().run, _with_errstate, err, drain) for _ in range(workers - 1)]
+    drain()
+    for future in futures:
+        future.result()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
+def _with_errstate(err: dict, run) -> None:
+    # numpy before 2.0 keeps its error state per thread, outside contextvars
+    with np.errstate(**err):
+        run()
+
+
+def _mix_tile(t, visual_term, p: MlpCondParams, w2: np.ndarray, tile: tuple[slice, slice]) -> np.ndarray:
+    """Token-mix output (..., rows, 1) of one tile."""
+    z1 = _token_mix(t, visual_term, p, *tile)
+    a1 = gelu(z1, out=z1)
+    return matmul(a1.reshape(*a1.shape[:-3], -1, a1.shape[-1]), w2)
+
+
 def cond_mlp(t: np.ndarray, v: np.ndarray, p: MlpCondParams) -> np.ndarray:
     """Slot 0 of the mixer over [t_i; v] for every text token; equals the
     per-token loop."""
@@ -246,11 +357,13 @@ def cond_mlp(t: np.ndarray, v: np.ndarray, p: MlpCondParams) -> np.ndarray:
     # token mixing, output position 0 only, tile by tile over the T*C rows
     row_bytes = p.token_w1.shape[-1] * max(t.itemsize, p.token_w1.itemsize)
     w2 = np.ascontiguousarray(p.token_w2[..., :, :1])
-    blocks = []
-    for tile in _mix_tiles(tokens, channels, row_bytes):
-        z1 = _token_mix(t, visual_term, p, *tile)
-        a1 = gelu(z1, out=z1)
-        blocks.append(matmul(a1.reshape(*a1.shape[:-3], -1, a1.shape[-1]), w2))
+    tiles = _mix_tiles(tokens, channels, row_bytes)
+    workers = _mix_workers(tiles, tokens, channels, row_bytes)
+    mix = functools.partial(_mix_tile, t, visual_term, p, w2)
+    if workers == 1:
+        blocks = [mix(tile) for tile in tiles]
+    else:
+        blocks = _in_threads(mix, tiles, workers)
     mixed = np.concatenate(blocks, axis=-2) + p.token_b2[..., None, :1]
     mixed = mixed.reshape(*mixed.shape[:-2], tokens, channels)
     # channel mixing of the T slot-0 rows

@@ -20,7 +20,7 @@ Conventions, chosen so the golden numbers are stable and reproducible:
   (heads, T, V) scores, as all attention runs through tensors.attend; the mlp
   conditioner's candidate is its whole token-mix pre-activation
   T*C*(V+1)*token_exp, of which the executable forward holds one tile of at
-  most 512 KiB at a time
+  most 512 KiB per thread and at most 1 MiB at a time
 
 A CostConfig is valid exactly when the model it prices is
 (``CostConfig.model_config``). Every analytic total is validated against an

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensors import (
-    ConfigError, NumericError, ShapeError, check_finite, checks_at_boundaries, matmul, swish, swish_grad,
+    ConfigError, NumericError, ShapeError, _finite_op, check_finite, checks_at_boundaries, matmul, swish, swish_grad,
 )
 
 NormMode = str  # "ln" (mean subtracted) or "rms" (mean kept at zero)
@@ -107,11 +107,13 @@ def _normalize(x: np.ndarray, params: LNParams, mode: NormMode) -> tuple[np.ndar
     return xhat, mu, denom
 
 
+@_finite_op
 def layer_norm(x: np.ndarray, params: LNParams, mode: NormMode = "ln") -> tuple[np.ndarray, np.ndarray]:
     """Normalize each row of x (..., T, C); returns (output, xhat).
 
     xhat is exposed so callers composing the modulated variant can reuse the
-    normalization statistics.
+    normalization statistics. Called on its own, a non-finite output raises
+    NumericError, as the tensors ops do; xhat is not checked.
     """
     xhat, _, _ = _normalize(x, params, mode)
     out = params.alpha[..., None, :] * xhat
@@ -121,13 +123,17 @@ def layer_norm(x: np.ndarray, params: LNParams, mode: NormMode = "ln") -> tuple[
     return np.add(out, beta, out=out if out.dtype == beta.dtype and beta.ndim == 2 else None), xhat
 
 
+@_finite_op
 def viln_apply(
     x: np.ndarray,
     deltas: tuple[np.ndarray, np.ndarray],
     params: LNParams,
     mode: NormMode = "ln",
 ) -> np.ndarray:
-    """Normalization of x (..., T, C) with per-token affine offsets (d_alpha, d_beta), (..., T, C) each."""
+    """Normalization of x (..., T, C) with per-token affine offsets (d_alpha, d_beta), (..., T, C) each.
+
+    Called on its own, a non-finite output raises NumericError, as the tensors ops do.
+    """
     d_alpha, d_beta = deltas
     if d_alpha.shape[-2:] != x.shape[-2:] or d_beta.shape[-2:] != x.shape[-2:]:
         raise ShapeError(

@@ -4,11 +4,12 @@ All values travel as row-major numpy arrays, float64 on verification paths
 (float32 is accepted for bulk forward passes). Shape problems raise
 ShapeError before any arithmetic runs. Called on their own, the checked ops
 ``matmul``, ``depthwise_conv1d``, ``softmax_lastdim``, ``gelu`` and ``swish``
-(``_finite_op``) silence numpy's overflow and invalid warnings and raise
-NumericError on a NaN or Inf output. Inside ``checks_at_boundaries()``,
-entered once per ``model.forward`` pass and per field of
-``norm.max_gradient_error``, they run bare, and the caller checks the
-boundaries a NaN or Inf has to cross with ``check_finite``, which always runs.
+(``_finite_op``, which ``norm.layer_norm`` and ``norm.viln_apply`` share)
+silence numpy's overflow and invalid warnings and raise NumericError on a
+NaN or Inf output. Inside ``checks_at_boundaries()``, entered once per
+``model.forward`` pass and per field of ``norm.max_gradient_error``, they
+run bare, and the caller checks the boundaries a NaN or Inf has to cross
+with ``check_finite``, which always runs.
 
 Hot-path convention: the ops on the forward, diagnose and gradient-check
 paths call numpy's ufuncs and ufunc methods directly (``np.add.reduce``,
@@ -48,7 +49,7 @@ checks each group's raw logits with ``check_finite``, even inside
 A process-global multiply-accumulate counter can be armed with
 ``count_macs()``; while armed, ``matmul`` records ``out.size * k`` MACs and
 ``depthwise_conv1d`` records ``out.size * K``, batch axes included, once the
-output exists. The analytic cost model is validated against forward passes
+output exists, on whichever thread runs them. The analytic cost model is validated against forward passes
 traversed under this counter.
 """
 
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
@@ -98,22 +100,33 @@ class MacCounter:
 
 
 _ACTIVE_COUNTERS: list[MacCounter] = []
+_COUNTERS_LOCK = threading.Lock()
 
 
 @contextmanager
 def count_macs() -> Iterator[MacCounter]:
-    """Arm a counter for the duration of the block. Not thread-safe."""
+    """Arm a counter for the duration of the block.
+
+    Ops on every thread count while it is armed, so the counter includes the
+    mlp conditioner's token-mix worker threads, and the total does not
+    depend on how many there are. Counters may be armed and read from
+    several threads at once.
+    """
     counter = MacCounter()
-    _ACTIVE_COUNTERS.append(counter)
+    with _COUNTERS_LOCK:
+        _ACTIVE_COUNTERS.append(counter)
     try:
         yield counter
     finally:
-        _ACTIVE_COUNTERS.remove(counter)
+        with _COUNTERS_LOCK:
+            _ACTIVE_COUNTERS.remove(counter)
 
 
 def _record_macs(n: int) -> None:
-    for counter in _ACTIVE_COUNTERS:
-        counter.macs += n
+    if _ACTIVE_COUNTERS:  # the lock is taken only while a counter is armed
+        with _COUNTERS_LOCK:
+            for counter in _ACTIVE_COUNTERS:
+                counter.macs += n
 
 
 _AT_BOUNDARIES: ContextVar[bool] = ContextVar("featmod_checks_at_boundaries", default=False)
@@ -143,14 +156,17 @@ def check_finite(name: str, out: np.ndarray) -> np.ndarray:
 
 
 def _finite_op(op):
-    """A public op that checks its own output, bare inside checks_at_boundaries."""
+    """A public op that checks its own output, bare inside checks_at_boundaries.
+    An op that returns a tuple has its output first; only that is checked."""
 
     @functools.wraps(op)
     def checked(*args, **kwargs):
         if _AT_BOUNDARIES.get():
             return op(*args, **kwargs)
         with np.errstate(over="ignore", invalid="ignore"):
-            return check_finite(op.__name__, op(*args, **kwargs))
+            result = op(*args, **kwargs)
+        check_finite(op.__name__, result[0] if isinstance(result, tuple) else result)
+        return result
 
     return checked
 
@@ -348,14 +364,10 @@ def sinusoid_positions(positions: np.ndarray | list[int], dim: int) -> np.ndarra
     cos channels.
     """
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 1)
-    out = np.zeros((pos.shape[0], dim), dtype=np.float64)
-    even = np.arange(0, dim, 2)
-    rates = 1.0 / np.power(10000.0, even / dim)
-    angles = pos * rates
-    out[:, even] = np.sin(angles)
-    odd = even + 1
-    odd = odd[odd < dim]
-    out[:, odd] = np.cos(angles[:, : odd.shape[0]])
+    out = np.empty((pos.shape[0], dim), dtype=np.float64)
+    angles = pos * (1.0 / np.power(10000.0, np.arange(0, dim, 2) / dim))
+    out[:, 0::2] = np.sin(angles)
+    out[:, 1::2] = np.cos(angles[:, : dim // 2])
     return out
 
 

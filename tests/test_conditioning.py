@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +33,9 @@ from featmod.conditioning import (
     param_arrays,
 )
 from featmod.model import ModelConfig, cast_model, init_model
-from featmod.tensors import ConfigError, NumericError, ShapeError, count_macs, make_rng, swish
+from featmod.tensors import (
+    ConfigError, NumericError, ShapeError, checks_at_boundaries, count_macs, make_rng, swish,
+)
 
 
 def random_case(seed, tokens=3, vis=4, channels=8):
@@ -420,3 +430,202 @@ class TestMlpTiles:
         finally:
             tracemalloc.stop()
         assert peak < 7e6
+
+
+class TestMlpWorkers:
+    """The token-mix tiles run on the calling thread and on worker threads,
+    one thread per usable CPU, each taking the next tile as it finishes one.
+    With TestMlpTiles' shape and a 1-byte _Z1_TILE_BYTES there are fifteen
+    tiles of at most 8 rows (640 bytes of z1 in float64); the tiles do not
+    depend on the thread count."""
+
+    COUNTS = (1, 2, 3, 7)
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def set_cpus(n):
+            monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
+            monkeypatch.setattr(conditioning, "_usable_cpus", lambda: n)
+            monkeypatch.setattr(conditioning, "_pool", None)  # a pool of n - 1 threads on first use
+        return set_cpus
+
+    @staticmethod
+    def case(seed, dtype=np.float64):
+        t, visual, p = TestMlpTiles.case(seed)
+        p = replace(p, **{name: arr.astype(dtype) for name, arr in param_arrays(p)})
+        return t.astype(dtype), visual.v.astype(dtype), p
+
+    def each_count(self, set_cpus, run):
+        """(output, counted MACs) per thread count, thread switches forced
+        often so that a lost counter update would show."""
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in self.COUNTS:
+                set_cpus(n)
+                with count_macs() as counter:
+                    results[n] = (run(), counter.macs)
+        finally:
+            sys.setswitchinterval(interval)
+        return results
+
+    def assert_same(self, results):
+        out, macs = results[1]
+        for n, (got, got_macs) in results.items():
+            assert got.dtype == out.dtype and got.tobytes() == out.tobytes(), n
+            assert got_macs == macs, n
+
+    def test_thread_count(self, cpus, monkeypatch):
+        tiles = _mix_tiles(16, 256, 18464)  # C=256, V=576: 24-row tiles of 443,136 bytes
+        monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 64)
+        assert conditioning._mix_workers(tiles, 16, 256, 18464) == 2  # two tiles fit _Z1_THREADS_BYTES
+        assert conditioning._mix_workers(_mix_tiles(2, 20, 80), 2, 20, 80) == 1  # one tile
+        workers = []
+        for n in (*self.COUNTS, 64):
+            cpus(n)
+            tiles = _mix_tiles(5, 20, 80)
+            workers.append(conditioning._mix_workers(tiles, 5, 20, 80))
+        assert len(tiles) == 15 and workers == [1, 2, 3, 7, 15]  # no more threads than tiles
+        monkeypatch.setattr(conditioning, "_Z1_THREADS_BYTES", 3 * 640)
+        assert conditioning._mix_workers(tiles, 5, 20, 80) == 3
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bits_and_macs_equal_for_any_worker_count(self, cpus, dtype):
+        t, v, p = self.case(57, dtype)
+        results = self.each_count(cpus, lambda: cond_mlp(t, v, p))
+        self.assert_same(results)
+        assert results[1][0].dtype == dtype
+
+    @pytest.mark.parametrize("operand", ["t", "v", *FIELDS["mlp"]])
+    def test_stacked_operand(self, cpus, operand):
+        t, v, p = self.case(58)
+        operands = {"t": t, "v": v}
+        base = operands[operand] if operand in operands else getattr(p, operand)
+        stack = base + make_rng(59).normal(scale=0.1, size=(3,) + base.shape)
+        if operand in operands:
+            operands[operand] = stack
+        else:
+            p = replace(p, **{operand: stack})
+        self.assert_same(self.each_count(cpus, lambda: cond_mlp(operands["t"], operands["v"], p)))
+
+    @staticmethod
+    def slow_caller(monkeypatch, caller):
+        """Make the caller thread sleep 50 ms per tile, so the workers take
+        the other tiles; returns the threads that ran a tile of non-finite t."""
+        bad_tile_threads = []
+        token_mix = conditioning._token_mix
+
+        def slow(t, visual_term, p, tokens, channels):
+            if threading.current_thread() is caller:
+                time.sleep(0.05)
+            if not np.isfinite(t[tokens, channels]).all():
+                bad_tile_threads.append(threading.current_thread())
+            return token_mix(t, visual_term, p, tokens, channels)
+
+        monkeypatch.setattr(conditioning, "_token_mix", slow)
+        return bad_tile_threads
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_nan_on_a_worker_raises_and_never_warns(self, cpus, n, monkeypatch):
+        t, v, p = self.case(60)
+        t[-1, -1] = np.nan  # the last tile
+        cpus(n)
+        errors = []
+
+        def call():
+            try:
+                cond_mlp(t, v, p)
+            except Exception as exc:
+                errors.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        bad_tile_threads = self.slow_caller(monkeypatch, caller)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            caller.start()
+            caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(errors) == 1 and isinstance(errors[0], NumericError)
+        assert bad_tile_threads and caller not in bad_tile_threads
+
+    def test_earliest_failing_tile_raises_once_every_thread_has_stopped(self, cpus, monkeypatch):
+        t, v, p = self.case(61)
+        cpus(7)
+        tiles = _mix_tiles(5, 20, 80)
+        started, ended = [], []
+        token_mix = conditioning._token_mix
+
+        def failing(t, visual_term, p, tokens, channels):
+            tile = tiles.index((tokens, channels))
+            started.append(tile)
+            try:
+                time.sleep({2: 0.2, 3: 0.4}.get(tile, 0.0))  # tile 2 fails after tile 4 does
+                if tile in (2, 4, 9):
+                    raise ValueError(f"tile {tile}")
+                return token_mix(t, visual_term, p, tokens, channels)
+            finally:
+                ended.append(tile)
+
+        monkeypatch.setattr(conditioning, "_token_mix", failing)
+        with pytest.raises(ValueError, match="tile 2"):
+            cond_mlp(t, v, p)
+        assert sorted(ended) == sorted(started)  # no tile is still running
+        assert {0, 1, 2} <= set(ended)
+
+    def test_checks_at_boundaries_reaches_the_workers(self, cpus, monkeypatch):
+        t, v, p = self.case(62)
+        t[-1, -1] = np.inf  # gelu meets -inf * 0: an invalid-value warning unless silenced
+        outs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 3):
+                cpus(n)
+                with checks_at_boundaries():
+                    outs.append(cond_mlp(t, v, p))
+                if n == 1:
+                    bad_tile_threads = self.slow_caller(monkeypatch, threading.current_thread())
+        assert bad_tile_threads and threading.current_thread() not in bad_tile_threads
+        assert np.isnan(outs[0][-1]).all() and np.isfinite(outs[0][:-1]).all()
+        assert outs[1].tobytes() == outs[0].tobytes()
+
+    def test_one_cpu_or_one_tile_starts_no_pool(self, cpus, monkeypatch):
+        t, v, p = self.case(63)
+        cpus(1)
+        cond_mlp(t, v, p)
+        assert conditioning._pool is None
+        cpus(7)
+        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1 << 20)
+        cond_mlp(t, v, p)
+        assert conditioning._pool is None
+        cpus(7)
+        cond_mlp(t, v, p)
+        assert conditioning._pool is not None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_the_token_mix(self):
+        script = textwrap.dedent("""
+            import os, signal, sys
+            from featmod import conditioning
+            from featmod.conditioning import MlpCondParams, cond_mlp
+            from featmod.tensors import make_rng
+
+            conditioning._Z1_TILE_BYTES = 1
+            conditioning._usable_cpus = lambda: 3
+            rng = make_rng(64)
+            t, v = rng.normal(size=(5, 20)), rng.normal(size=(4, 20))
+            p = MlpCondParams.init(rng, 20, 4, 2, 2, std=0.3)
+            expected = cond_mlp(t, v, p).tobytes()
+            for _ in range(3):  # the pool now counts its threads idle and would start none in the child
+                assert cond_mlp(t, v, p).tobytes() == expected
+            assert conditioning._pool is not None
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)  # a child waiting on the parent's threads dies instead of hanging
+                os._exit(0 if cond_mlp(t, v, p).tobytes() == expected else 3)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        src = str(Path(conditioning.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr

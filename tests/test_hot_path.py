@@ -8,11 +8,13 @@ The references below are the wrapper forms that the ops replace
 """
 
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from featmod import conditioning
 from featmod import model as model_module
 from featmod import norm
 from featmod.conditioning import AttnCondParams, ConvCondParams, MlpCondParams, VisualContext, gradcheck_conditioner
@@ -50,7 +52,8 @@ def desk_inputs(seed=3):
 
 
 def wrapper_calls(fn) -> list[str]:
-    """Calls into numpy's (_)core/_methods.py and (_)core/fromnumeric.py while fn runs."""
+    """Calls into numpy's (_)core/_methods.py and (_)core/fromnumeric.py while
+    fn runs, on this thread and on every thread started meanwhile."""
     calls = []
 
     def profile(frame, event, arg):
@@ -61,18 +64,26 @@ def wrapper_calls(fn) -> list[str]:
 
     previous = sys.getprofile()
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(previous)
+        threading.setprofile(None)
     return calls
 
 
 def hot_paths():
-    """One desk forward per paradigm, one diagnosis with its aggregates, one
-    gradient check per conditioner kind and one of the ViLN pipeline."""
+    """One desk forward per paradigm, one fmi/mlp forward whose token mix
+    runs in several tiles (T=32, V=64), one diagnosis with its aggregates,
+    one gradient check per conditioner kind and one of the ViLN pipeline."""
     t_emb, visual = desk_inputs()
     models = {variant: desk_model(variant) for variant in VARIANTS}
+    rng = make_rng(8)
+    tiled = init_model(ModelConfig(L=4, C=32, h=4, d_ff=64, paradigm="fmi", cond_kind="mlp", frequency=0.5,
+                                   seed=8, cond_visual_tokens=64))
+    randomize_modulation(tiled, rng)
+    t_tiled, v_tiled = rng.normal(size=(32, 32)), VisualContext(rng.normal(size=(64, 32)), "synthetic")
     rng = make_rng(9)
     points = {
         "attn": AttnCondParams.init(rng, 8, heads=2, std=0.3),
@@ -86,6 +97,7 @@ def hot_paths():
     def run():
         for variant, m in models.items():
             forward(m, t_emb, None if variant == "base" else visual)
+        forward(tiled, t_tiled, v_tiled)
         for trace in diagnose(models["fmi_attn"], t_emb, visual):
             trace.per_layer
         for kind, params in points.items():
@@ -95,15 +107,27 @@ def hot_paths():
     return run
 
 
-def test_hot_paths_never_call_numpy_python_wrappers():
+def test_hot_paths_never_call_numpy_python_wrappers(monkeypatch):
+    monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 2)  # the token mix runs on a worker thread too
     run = hot_paths()
     run()  # first calls may import lazily
+    # a fresh pool, so its threads start under the profile
+    monkeypatch.setattr(conditioning, "_pool", None)
     assert wrapper_calls(run) == []
+    assert conditioning._pool is not None
 
 
 def test_wrapper_calls_are_seen():
     x = np.ones((2, 3))
     assert wrapper_calls(lambda: (x.mean(axis=-1), np.max(x))) != []
+
+    def on_a_thread():
+        thread = threading.Thread(target=x.mean)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    assert wrapper_calls(on_a_thread) != []
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from featmod.norm import (
     viln_apply,
 )
 from featmod import norm
-from featmod.tensors import ConfigError, NumericError, ShapeError, make_rng
+from featmod.tensors import ConfigError, NumericError, ShapeError, checks_at_boundaries, make_rng
 
 # eps below double resolution behaves as exact zero while satisfying eps > 0
 EPS0 = 1e-300
@@ -183,6 +183,30 @@ class TestVilnApply:
         assert np.max(np.abs(combined - split)) < 1e-10
         scaled = viln_apply(x, (2.5 * d1[0], 2.5 * d1[1]), params) - f0
         assert np.max(np.abs(scaled - 2.5 * (viln_apply(x, d1, params) - f0))) < 1e-10
+
+
+class TestNonFiniteInput:
+    """Called on their own, layer_norm and viln_apply keep the contract of
+    the checked tensors ops: NumericError on a non-finite output, never a
+    numpy warning; inside checks_at_boundaries they run bare."""
+
+    OPS = {
+        "layer_norm": lambda x, deltas: layer_norm(x, identity_params(4))[0],
+        "viln_apply": lambda x, deltas: viln_apply(x, deltas, identity_params(4)),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("op, where", [("layer_norm", "x"), ("viln_apply", "x"), ("viln_apply", "d_beta")])
+    def test_raises_numeric_error_and_never_warns(self, op, where, bad):
+        x = make_rng(15).normal(size=(3, 4))
+        deltas = (np.zeros((3, 4)), np.zeros((3, 4)))
+        (x if where == "x" else deltas[1])[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"{op} produced non-finite values"):
+                self.OPS[op](x, deltas)
+            with checks_at_boundaries():
+                assert not np.isfinite(self.OPS[op](x, deltas)).all()
 
 
 class TestProjectDeltas:

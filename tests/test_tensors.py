@@ -432,6 +432,21 @@ class TestSinusoid:
     def test_odd_dim(self):
         assert sinusoid_positions([0, 1, 2], 5).shape == (3, 5)
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 128, 704])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 32, 33, 256])
+    def test_bytes_of_the_index_array_form(self, n, dim):
+        """Strided slices write the same bytes as the index-array form."""
+        pos = np.arange(n, dtype=np.float64).reshape(-1, 1)
+        expected = np.zeros((n, dim))
+        even = np.arange(0, dim, 2)
+        angles = pos * (1.0 / np.power(10000.0, even / dim))
+        expected[:, even] = np.sin(angles)
+        odd = even[even + 1 < dim] + 1
+        expected[:, odd] = np.cos(angles[:, : odd.shape[0]])
+        got = sinusoid_positions(np.arange(n), dim)
+        assert got.dtype == np.float64 and got.shape == (n, dim)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
