@@ -93,9 +93,8 @@ def _influence(capture: ForwardCapture) -> DiagnosticTrace:
     layers = sorted(capture.modulation)
     rows = []
     for layer in layers:
-        pairs = capture.modulation[layer]
-        slot_rows = [_row_distances(plain, modulated) for plain, modulated in pairs]
-        rows.append(np.add.reduce(slot_rows, axis=0) / len(slot_rows))
+        attn_slot, ffn_slot = (_row_distances(plain, modulated) for plain, modulated in capture.modulation[layer])
+        rows.append((attn_slot + ffn_slot) / 2)
     return DiagnosticTrace(layers=layers, per_token=np.array(rows))
 
 
@@ -122,8 +121,8 @@ def modulation_influence(model: Model, t_emb: np.ndarray, visual: VisualContext)
     """Distance between each modulated layer's plain-normalization output and
     its modulated output, per token, from a single forward pass.
 
-    When both slots of a block are modulated the two slot distances are
-    averaged per token.
+    Each modulated block's two slot distances, pre-attention and pre-FFN,
+    are averaged per token.
 
     The pass stops after the last modulated block, since no later block adds
     to the trace; so a NaN or Inf that first appears after it does not

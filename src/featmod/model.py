@@ -73,7 +73,10 @@ _WEIGHT_STD = 0.02
 
 @dataclass
 class ModelConfig:
-    """Architecture plus every ablation toggle.
+    """Architecture, vision-injection plan, conditioner shape and seed.
+
+    Every modulated block applies both delta pairs at both normalization
+    slots, and every slot is the mean-subtracted layer norm.
 
     cond_visual_tokens is required only for the mlp conditioner, whose
     token-mixing width is fixed to V+1 at construction.
@@ -87,11 +90,6 @@ class ModelConfig:
     cond_kind: str = "attn"
     frequency: float = 0.25
     location: str = "uniform"
-    modulate_attn: bool = True
-    modulate_ffn: bool = True
-    use_delta_alpha: bool = True
-    use_delta_beta: bool = True
-    norm_mode: str = "ln"
     eps: float = 1e-5
     seed: int = 0
     cond_kernel: int = 3
@@ -110,8 +108,6 @@ class ModelConfig:
             raise ConfigError(f"unknown conditioner kind {self.cond_kind!r}")
         if self.location not in LOCATIONS:
             raise ConfigError(f"unknown location {self.location!r}")
-        if self.norm_mode not in ("ln", "rms"):
-            raise ConfigError(f"unknown norm mode {self.norm_mode!r}")
         for f in fields(self):
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
@@ -125,8 +121,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.paradigm in ("fmi", "crossattn"):
             select_layers(self.L, self.frequency, self.location)
-        if self.paradigm == "fmi" and not (self.modulate_attn or self.modulate_ffn):
-            raise ConfigError("fmi needs at least one of modulate_attn / modulate_ffn")
         if self.paradigm == "fmi" and self.cond_kind == "mlp" and self.cond_visual_tokens is None:
             raise ConfigError("mlp conditioner requires cond_visual_tokens")
         if self.paradigm == "fmi" and self.cond_kind == "conv" and self.cond_kernel % 2 == 0:
@@ -215,8 +209,8 @@ class ForwardCapture:
     """Per-layer observations collected during one forward pass.
 
     hidden holds a copy of the hidden states after every block. modulation
-    maps a modulated layer index to the list of (plain normalization output,
-    modulated output) pairs actually applied there, one per active slot.
+    maps a modulated layer index to its two (plain normalization output,
+    modulated output) pairs, pre-attention slot first.
     """
 
     hidden: list[np.ndarray] = field(default_factory=list)
@@ -329,16 +323,15 @@ def _slot_norm(
     x: np.ndarray,
     ln: LNParams,
     deltas: tuple[np.ndarray, np.ndarray] | None,
-    cfg: ModelConfig,
     pairs: list[tuple[np.ndarray, np.ndarray]] | None,
 ) -> np.ndarray:
     """One normalization slot: plain without deltas, modulated with them.
     With pairs, x is normalized once for both the plain and the modulated output."""
     if deltas is None:
-        return layer_norm(x, ln, cfg.norm_mode)[0]
+        return layer_norm(x, ln)[0]
     if pairs is None:
-        return viln_apply(x, deltas, ln, cfg.norm_mode)
-    plain, xhat = layer_norm(x, ln, cfg.norm_mode)
+        return viln_apply(x, deltas, ln)
+    plain, xhat = layer_norm(x, ln)
     out = _modulate(xhat, deltas, ln)
     pairs.append((plain, out))
     return out
@@ -355,10 +348,9 @@ def block_forward(
 
     A block with an insert (crossattn) first runs it over visual. A block
     with a Modulation (fmi) conditions on its incoming hidden states and
-    visual, projects per-token affine deltas and applies them at the
-    normalization slots the config enables. A block with neither ignores
-    visual. pairs, when given, receives the (plain, modulated) output of
-    every modulated slot.
+    visual, projects per-token affine deltas and applies them at both
+    normalization slots. A block with neither ignores visual. pairs, when
+    given, receives the (plain, modulated) output of every modulated slot.
     """
     if visual is None and (p.insert is not None or p.modulation is not None):
         raise ConfigError("a block with an insert or a Modulation requires visual input")
@@ -368,15 +360,8 @@ def block_forward(
     if p.modulation is not None:
         cond = apply_conditioner(cfg.cond_kind, h, visual.v, p.modulation.cond)
         slot1, slot2 = project_deltas(cond, p.modulation.proj)
-        for d_alpha, d_beta in (slot1, slot2):  # views of one fresh array
-            if not cfg.use_delta_alpha:
-                d_alpha[...] = 0.0
-            if not cfg.use_delta_beta:
-                d_beta[...] = 0.0
-        slot1 = slot1 if cfg.modulate_attn else None
-        slot2 = slot2 if cfg.modulate_ffn else None
-    h = h + _causal_self_attention(_slot_norm(h, p.ln1, slot1, cfg, pairs), p, cfg.h)
-    return h + _ffn(_slot_norm(h, p.ln2, slot2, cfg, pairs), p)
+    h = h + _causal_self_attention(_slot_norm(h, p.ln1, slot1, pairs), p, cfg.h)
+    return h + _ffn(_slot_norm(h, p.ln2, slot2, pairs), p)
 
 
 def _insert_forward(h: np.ndarray, visual: VisualContext, ins: InsertParams) -> np.ndarray:
@@ -452,19 +437,11 @@ def cast_model(model: Model, dtype) -> Model:
 # ---------------------------------------------------------------------------
 # Serialization
 
-_BOOL_STRINGS = {"true": True, "false": False}
-
-
 def config_to_kv(cfg: ModelConfig) -> dict[str, str]:
     out = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if value is None:
-            out[f.name] = "none"
-        elif isinstance(value, bool):
-            out[f.name] = "true" if value else "false"
-        else:
-            out[f.name] = str(value)
+        out[f.name] = "none" if value is None else str(value)
     return out
 
 
@@ -484,10 +461,6 @@ def config_from_kv(kv: dict[str, str]) -> ModelConfig:
                 kwargs[name] = convert(raw)
             except ValueError:
                 raise ConfigError(f"config key {name} expects {convert.__name__}, got {raw!r}") from None
-        elif f.type == "bool":
-            if raw not in _BOOL_STRINGS:
-                raise ConfigError(f"boolean key {name} must be true/false, got {raw!r}")
-            kwargs[name] = _BOOL_STRINGS[raw]
         else:
             kwargs[name] = raw
     cfg = ModelConfig(**kwargs)

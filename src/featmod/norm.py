@@ -33,9 +33,6 @@ from .tensors import (
     ConfigError, NumericError, ShapeError, _finite_op, check_finite, checks_at_boundaries, matmul, swish, swish_grad,
 )
 
-NormMode = str  # "ln" (mean subtracted) or "rms" (mean kept at zero)
-
-
 @dataclass
 class LNParams:
     """Shared affine parameters, (..., C) each; eps is added to the std, not the variance."""
@@ -85,7 +82,7 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return mean
 
 
-def _normalize(x: np.ndarray, params: LNParams, mode: NormMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalize(x: np.ndarray, params: LNParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (xhat, mu, denom) with denom = population std + params.eps, per row.
 
     x is (..., T, C) with C >= 1 the width of params; leading batch axes pass through.
@@ -93,12 +90,7 @@ def _normalize(x: np.ndarray, params: LNParams, mode: NormMode) -> tuple[np.ndar
     width = params.alpha.shape[-1]
     if x.ndim < 2 or x.shape[-1] < 1 or x.shape[-1] != width:
         raise ShapeError(f"expected (..., T, {width}) input, got {x.shape}")
-    if mode == "ln":
-        mu = _row_mean(x)
-    elif mode == "rms":
-        mu = np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)
-    else:
-        raise ConfigError(f"unknown norm mode {mode!r}")
+    mu = _row_mean(x)
     centered = x - mu
     var = _row_mean(centered * centered)
     denom = np.sqrt(var, out=var) + params.eps
@@ -108,14 +100,14 @@ def _normalize(x: np.ndarray, params: LNParams, mode: NormMode) -> tuple[np.ndar
 
 
 @_finite_op
-def layer_norm(x: np.ndarray, params: LNParams, mode: NormMode = "ln") -> tuple[np.ndarray, np.ndarray]:
+def layer_norm(x: np.ndarray, params: LNParams) -> tuple[np.ndarray, np.ndarray]:
     """Normalize each row of x (..., T, C); returns (output, xhat).
 
     xhat is exposed so callers composing the modulated variant can reuse the
     normalization statistics. Called on its own, a non-finite output raises
     NumericError, as the tensors ops do; xhat is not checked.
     """
-    xhat, _, _ = _normalize(x, params, mode)
+    xhat, _, _ = _normalize(x, params)
     out = params.alpha[..., None, :] * xhat
     beta = params.beta[..., None, :]
     # beta is added in place unless it may widen the product: in dtype (float32
@@ -124,12 +116,7 @@ def layer_norm(x: np.ndarray, params: LNParams, mode: NormMode = "ln") -> tuple[
 
 
 @_finite_op
-def viln_apply(
-    x: np.ndarray,
-    deltas: tuple[np.ndarray, np.ndarray],
-    params: LNParams,
-    mode: NormMode = "ln",
-) -> np.ndarray:
+def viln_apply(x: np.ndarray, deltas: tuple[np.ndarray, np.ndarray], params: LNParams) -> np.ndarray:
     """Normalization of x (..., T, C) with per-token affine offsets (d_alpha, d_beta), (..., T, C) each.
 
     Called on its own, a non-finite output raises NumericError, as the tensors ops do.
@@ -139,7 +126,7 @@ def viln_apply(
         raise ShapeError(
             f"delta shapes {d_alpha.shape}/{d_beta.shape} do not match input {x.shape}"
         )
-    return _modulate(_normalize(x, params, mode)[0], deltas, params)
+    return _modulate(_normalize(x, params)[0], deltas, params)
 
 
 def _modulate(xhat: np.ndarray, deltas: tuple[np.ndarray, np.ndarray], params: LNParams) -> np.ndarray:
@@ -162,8 +149,9 @@ def project_deltas(
     Returns ((d_alpha1, d_beta1), (d_alpha2, d_beta2)) for cond (..., T, C_cond):
     the pairs of the pre-attention and pre-FFN slots, (..., T, C) each, views
     of one fresh (..., T, 4C) array in that chunk order. That array is checked
-    finite even inside checks_at_boundaries: a caller may zero or drop a
-    chunk, and a NaN there would then reach nothing else.
+    finite even inside checks_at_boundaries, so a NaN or Inf in the deltas
+    raises NumericError naming project_deltas, where it arises, rather than
+    the attention logits or block output it would reach next.
     """
     if cond.ndim < 2 or cond.shape[-1] != proj.w.shape[-2]:
         raise ShapeError(f"conditioning shape {cond.shape} does not match projection {proj.w.shape}")
@@ -184,7 +172,6 @@ class VilnPoint:
     w: np.ndarray      # (C_cond, 4C)
     b: np.ndarray      # (4C,)
     eps: float = 1e-5
-    mode: NormMode = "ln"
 
 
 def random_viln_point(
@@ -193,7 +180,6 @@ def random_viln_point(
     channels: int = 4,
     cond_dim: int = 5,
     eps: float = 1e-5,
-    mode: NormMode = "ln",
 ) -> VilnPoint:
     return VilnPoint(
         x=rng.normal(size=(tokens, channels)),
@@ -203,7 +189,6 @@ def random_viln_point(
         w=rng.normal(scale=0.2, size=(cond_dim, 4 * channels)),
         b=rng.normal(scale=0.2, size=4 * channels),
         eps=eps,
-        mode=mode,
     )
 
 
@@ -266,7 +251,7 @@ def viln_pipeline_gradients(point: VilnPoint) -> dict[str, np.ndarray]:
     eps dominates the perturbation.
     """
     slots = project_deltas(point.cond, DeltaProjection(point.w, point.b))
-    xhat, mu, denom = _normalize(point.x, LNParams(point.alpha, point.beta, point.eps), point.mode)
+    xhat, mu, denom = _normalize(point.x, LNParams(point.alpha, point.beta, point.eps))
     centered = point.x - mu
     sigma = denom - point.eps
     # d std / d x_k = centered_k / (C * std) and d xhat_j / d std = -centered_j / denom**2
@@ -276,9 +261,7 @@ def viln_pipeline_gradients(point: VilnPoint) -> dict[str, np.ndarray]:
         g_xhat = point.alpha + d_alpha
         sum_gc = np.add.reduce(g_xhat * centered, axis=1, keepdims=True)
         slot_dx = g_xhat / denom - np.where(sigma > 0, sum_gc * centered / std_scale, 0.0)
-        if point.mode == "ln":
-            slot_dx = slot_dx - np.add.reduce(g_xhat, axis=1, keepdims=True) / point.x.shape[1] / denom
-        dx.append(slot_dx)
+        dx.append(slot_dx - np.add.reduce(g_xhat, axis=1, keepdims=True) / point.x.shape[1] / denom)
     ones = np.ones_like(point.x)
     g_flat = np.concatenate([xhat, ones, xhat, ones], axis=1)
     return {
@@ -307,7 +290,7 @@ def gradcheck_viln(point: VilnPoint, eps_fd: float = 1e-5) -> float:
         if fields.keys() & {"cond", "w", "b"}:  # only the projection's inputs move the deltas
             slots = project_deltas(p.cond, DeltaProjection(p.w, p.b))
         params = LNParams(p.alpha, p.beta, p.eps)
-        xhat = _normalize(p.x, params, p.mode)[0]  # viln_apply's, shared by both slots
+        xhat = _normalize(p.x, params)[0]  # viln_apply's, shared by both slots
         return sum(np.add.reduce(_modulate(xhat, deltas, params), axis=(-2, -1)) for deltas in slots)
 
     perturbed = {

@@ -401,8 +401,8 @@ def save_tensors(manifest_path: str | Path, named: Mapping[str, np.ndarray]) -> 
     blobs = []
     for name, arr in named.items():
         arr = np.asarray(arr)
-        if " " in name:
-            raise ConfigError(f"tensor name may not contain spaces: {name!r}")
+        if not name or any(ch.isspace() for ch in name):  # the manifest splits lines, then fields at spaces
+            raise ConfigError(f"tensor name must be non-empty and free of whitespace: {name!r}")
         dtype_name = _DTYPE_NAMES.get(arr.dtype)
         if dtype_name is None:
             raise ConfigError(f"unsupported dtype {arr.dtype} for tensor {name!r}")
@@ -425,8 +425,9 @@ def load_tensors(manifest_path: str | Path) -> dict[str, np.ndarray]:
             continue
         try:
             name, shape_field, dtype_field = line.split(" ")
-            shape = tuple(int(d) for d in shape_field.removeprefix("shape=").split("x"))
-            if min(shape) < 0:
+            dims = shape_field.removeprefix("shape=")
+            shape = tuple(int(d) for d in dims.split("x")) if dims else ()  # "" is a 0-d tensor
+            if min(shape, default=0) < 0:
                 raise ValueError(f"negative dimension in {shape}")
             dtype = _DTYPES[dtype_field.removeprefix("dtype=")]
         except (ValueError, KeyError) as exc:

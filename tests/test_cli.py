@@ -190,16 +190,19 @@ _MLP_FOR_5_VISUAL_TOKENS = "paradigm=fmi\ncond_kind=mlp\ncond_visual_tokens=5\nL
 class TestErrors:
     @pytest.mark.parametrize("command", ["forward", "equivalence", "cost", "diagnose"])
     def test_unknown_config_key_exits_two(self, command, tmp_path, capsys):
-        """A descriptor with a key ModelConfig lacks, such as the cond_heads=none
-        line of descriptors saved while ModelConfig had that field."""
+        """A descriptor with keys ModelConfig lacks: the lines, at their old
+        defaults, of descriptors saved while ModelConfig still had cond_heads
+        and the sublayer, delta and norm-mode switches."""
         _, path = write_config(tmp_path)
-        path.write_text(path.read_text() + "cond_heads=none\n")
+        removed = ["cond_heads", "modulate_attn", "modulate_ffn", "norm_mode", "use_delta_alpha", "use_delta_beta"]
+        path.write_text(path.read_text() + "cond_heads=none\nmodulate_attn=true\nmodulate_ffn=true\n"
+                        "use_delta_alpha=true\nuse_delta_beta=true\nnorm_mode=ln\n")
         argv = [command, "--config", str(path)]
         if command != "equivalence":
             argv += ["--out", str(tmp_path / "run")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "unknown config keys: ['cond_heads']" in err
+        assert err.count("\n") == 1 and f"unknown config keys: {removed}" in err
         assert not (tmp_path / "run").exists()
 
     def test_malformed_config_line_exits_two(self, tmp_path):

@@ -115,11 +115,6 @@ class TestModulationInfluence:
         with pytest.raises(ConfigError):
             modulation_influence(base_twin(model), t_emb, visual)
 
-    def test_single_slot_capture(self):
-        model, t_emb, visual = fmi_setup(randomized=True, modulate_ffn=False)
-        trace = modulation_influence(model, t_emb, visual)
-        assert trace.per_token.shape == (2, 8)
-
     def test_stops_after_the_last_modulated_block(self, monkeypatch):
         """Blocks 0 and 2 of 4 are modulated: block 3 never runs, and the trace
         is that of a full forward's capture, bit for bit."""
@@ -192,8 +187,7 @@ class TestDiagnose:
         dict(cond_kind="attn"),
         dict(cond_kind="conv"),
         dict(cond_kind="mlp", cond_visual_tokens=6),
-        dict(modulate_attn=False),
-    ], ids=["attn", "conv", "mlp", "one-slot"])
+    ], ids=["attn", "conv", "mlp"])
     def test_equals_the_two_probes_bit_for_bit(self, overrides):
         model, t_emb, visual = fmi_setup(randomized=True, **overrides)
         influence, drift = diagnose(model, t_emb, visual)

@@ -133,8 +133,8 @@ def test_wrapper_calls_are_seen():
 # ---------------------------------------------------------------------------
 # Bit for bit against the wrappers
 
-def normalize_with_wrappers(x, eps, mode):
-    mu = x.mean(axis=-1, keepdims=True) if mode == "ln" else np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)
+def normalize_with_wrappers(x, eps):
+    mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     denom = np.sqrt(np.mean(centered * centered, axis=-1, keepdims=True)) + eps
     return centered / denom, mu, denom
@@ -145,25 +145,23 @@ def same_bits(got, expected):
 
 
 class TestNormalize:
-    @pytest.mark.parametrize("mode", ["ln", "rms"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
     @pytest.mark.parametrize("shape", [(1, 1), (8, 32), (3, 5, 7), (2, 3, 4, 1000)])
-    def test_float_rows(self, mode, dtype, shape):
+    def test_float_rows(self, dtype, shape):
         rng = make_rng(sum(shape))
         x = (rng.normal(loc=3.0, scale=50.0, size=shape)).astype(dtype)
         x[..., 0, :] = x[..., 0, :1]  # a constant row
         params = LNParams(np.ones(shape[-1], dtype), np.zeros(shape[-1], dtype), 1e-5)
-        for got, expected in zip(_normalize(x, params, mode), normalize_with_wrappers(x, 1e-5, mode)):
+        for got, expected in zip(_normalize(x, params), normalize_with_wrappers(x, 1e-5)):
             assert same_bits(got, expected)
 
-    @pytest.mark.parametrize("dtype, mode", [(np.int64, "ln"), (np.int64, "rms"), (np.int32, "ln"),
-                                             (np.uint8, "ln"), (np.bool_, "ln")])
-    def test_integer_and_bool_rows_sum_in_float64(self, dtype, mode):
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.bool_])
+    def test_integer_and_bool_rows_sum_in_float64(self, dtype):
         x = make_rng(2).integers(0, 200, size=(4, 6, 9)).astype(dtype)
         params = LNParams(np.ones(9), np.zeros(9), 1e-5)
-        got = _normalize(x, params, mode)
+        got = _normalize(x, params)
         assert got[0].dtype == np.float64
-        for g, expected in zip(got, normalize_with_wrappers(x, 1e-5, mode)):
+        for g, expected in zip(got, normalize_with_wrappers(x, 1e-5)):
             assert same_bits(g, expected)
 
 

@@ -103,10 +103,6 @@ class TestSelectLayers:
 
 
 class TestConfigValidation:
-    def test_no_sublayer_modulation_rejected(self):
-        with pytest.raises(ConfigError):
-            small_cfg(modulate_attn=False, modulate_ffn=False).validate()
-
     def test_empty_plan_rejected(self):
         with pytest.raises(ConfigError):
             small_cfg(L=8, frequency=0.05).validate()
@@ -121,11 +117,11 @@ class TestConfigValidation:
         small_cfg(cond_kind="mlp", cond_visual_tokens=6).validate()
 
 
-def naive_block_reference(h, p, heads, eps, mode="ln"):
+def naive_block_reference(h, p, heads, eps):
     """Per-position causal block, plain loops."""
 
     def ln(row, params):
-        mu = row.mean() if mode == "ln" else 0.0
+        mu = row.mean()
         sd = np.sqrt(((row - mu) ** 2).mean())
         return params.alpha * ((row - mu) / (sd + params.eps)) + params.beta
 
@@ -176,14 +172,6 @@ class TestBaseBlock:
             ref = naive_block_reference(h, p, cfg.h, cfg.eps)
             assert np.max(np.abs(ours - ref)) < 1e-10
             h = ours
-
-    def test_rms_mode_matches_reference(self):
-        cfg = small_cfg(paradigm="base", norm_mode="rms")
-        p = init_model(cfg).blocks[0]
-        rng = make_rng(3)
-        h = rng.normal(size=(4, cfg.C))
-        ref = naive_block_reference(h, p, cfg.h, cfg.eps, mode="rms")
-        assert np.max(np.abs(block_forward(h, p, cfg) - ref)) < 1e-10
 
 
 def untiled_attention_reference(h_in, p, heads):
@@ -418,25 +406,18 @@ class TestZeroInitEquivalence:
 
 
 def fmi_composition_reference(model, t_emb, visual):
-    """An fmi forward composed from its parts, honouring the config's slot and delta flags."""
+    """An fmi forward composed from its parts: both delta pairs at both slots of every modulated block."""
     cfg = model.cfg
 
     def norm(x, ln, deltas):
         return layer_norm(x, ln)[0] if deltas is None else viln_apply(x, deltas, ln)
-
-    def masked(d_alpha, d_beta):
-        return (d_alpha if cfg.use_delta_alpha else np.zeros_like(d_alpha),
-                d_beta if cfg.use_delta_beta else np.zeros_like(d_beta))
 
     h = t_emb + sinusoid_positions(np.arange(t_emb.shape[0]), cfg.C)
     for p in model.blocks:
         slot1 = slot2 = None
         if p.modulation is not None:
             cond = apply_conditioner(cfg.cond_kind, h, visual.v, p.modulation.cond)
-            deltas = project_deltas(cond, p.modulation.proj)
-            slot1, slot2 = (masked(*pair) for pair in deltas)
-            slot1 = slot1 if cfg.modulate_attn else None
-            slot2 = slot2 if cfg.modulate_ffn else None
+            slot1, slot2 = project_deltas(cond, p.modulation.proj)
         h = h + _causal_self_attention(norm(h, p.ln1, slot1), p, cfg.h)
         h = h + _ffn(norm(h, p.ln2, slot2), p)
     return h
@@ -469,45 +450,9 @@ class TestFmiForward:
         assert np.max(np.abs(out - out_zero)) > 1e-9
         assert np.array_equal(forward(model, t_emb, visual), out)
 
-    def test_delta_flags_disable_modulation_exactly(self):
-        cfg = small_cfg(use_delta_alpha=False, use_delta_beta=False)
-        model = init_model(cfg)
-        randomize_modulation(model, make_rng(8), scale=0.2)
-        t_emb, visual = make_inputs(cfg)
-        diff = np.abs(forward(model, t_emb, visual) - forward(base_twin(model), t_emb))
-        assert np.max(diff) == 0.0
-
-    @pytest.mark.parametrize("flag", ["use_delta_alpha", "use_delta_beta"])
-    def test_delta_flag_zeroes_its_own_chunks(self, flag):
-        cfg = small_cfg(**{flag: False})
-        model = init_model(cfg)
-        randomize_modulation(model, make_rng(10), scale=0.2)
-        weights = {name: arr.tobytes() for name, arr in model_tensors(model).items()}
-        t_emb, visual = make_inputs(cfg)
-        assert np.array_equal(forward(model, t_emb, visual), fmi_composition_reference(model, t_emb, visual))
-        assert {name: arr.tobytes() for name, arr in model_tensors(model).items()} == weights
-
-    def test_sublayer_flags_change_behavior(self):
-        outs = {}
-        for name, flags in {
-            "attn_only": dict(modulate_attn=True, modulate_ffn=False),
-            "ffn_only": dict(modulate_attn=False, modulate_ffn=True),
-            "both": dict(modulate_attn=True, modulate_ffn=True),
-        }.items():
-            cfg = small_cfg(**flags)
-            model = init_model(cfg)
-            randomize_modulation(model, make_rng(9), scale=0.2)
-            t_emb, visual = make_inputs(cfg)
-            outs[name] = forward(model, t_emb, visual)
-        assert np.max(np.abs(outs["attn_only"] - outs["ffn_only"])) > 1e-9
-        assert np.max(np.abs(outs["attn_only"] - outs["both"])) > 1e-9
-
     @pytest.mark.parametrize("kind", ["attn", "conv", "mlp"])
-    @pytest.mark.parametrize("modulate_attn, modulate_ffn", [(True, True), (True, False), (False, True)])
-    def test_matches_composition_reference(self, kind, modulate_attn, modulate_ffn):
-        cfg = small_cfg(
-            cond_kind=kind, cond_visual_tokens=6, modulate_attn=modulate_attn, modulate_ffn=modulate_ffn
-        )
+    def test_matches_composition_reference(self, kind):
+        cfg = small_cfg(cond_kind=kind, cond_visual_tokens=6)
         model = init_model(cfg)
         randomize_modulation(model, make_rng(15), scale=0.2)
         t_emb, visual = make_inputs(cfg)
@@ -610,8 +555,6 @@ class TestCrossAttn:
 
 @pytest.mark.parametrize("overrides, pairs_per_layer", [
     (dict(paradigm="fmi"), 2),
-    (dict(paradigm="fmi", modulate_ffn=False), 1),
-    (dict(paradigm="fmi", modulate_attn=False), 1),
     (dict(paradigm="incontext"), None),
     (dict(paradigm="crossattn"), None),
     (dict(paradigm="base"), None),
@@ -715,8 +658,15 @@ _EXTRA_WEIGHT_LINES = {
 
 class TestSerialization:
     def test_config_round_trip(self):
-        cfg = small_cfg(cond_kind="mlp", cond_visual_tokens=6, norm_mode="rms")
+        cfg = small_cfg(cond_kind="mlp", cond_visual_tokens=6)
         assert config_from_kv(config_to_kv(cfg)) == cfg
+
+    def test_descriptor_keys_are_pinned(self):
+        """Every descriptor key, in order: saved descriptors keep them."""
+        assert list(config_to_kv(ModelConfig())) == [
+            "L", "C", "h", "d_ff", "paradigm", "cond_kind", "frequency", "location", "eps", "seed",
+            "cond_kernel", "cond_token_exp", "cond_channel_exp", "cond_visual_tokens",
+        ]
 
     def test_unknown_key_rejected(self):
         kv = config_to_kv(small_cfg())
@@ -786,15 +736,11 @@ def test_block_forward_without_visual_is_config_error():
 
 
 _VARIANTS = ("base", "fmi_attn", "fmi_conv", "fmi_mlp", "incontext", "crossattn")
-# fmi flags under which block_forward zeroes or drops delta chunks
-_DELTA_FLAGS = {"no_alpha": dict(use_delta_alpha=False), "ffn_only": dict(modulate_attn=False)}
 
 
 def _variant_case(variant):
-    variant, _, flags = variant.partition("/")
     paradigm, _, kind = variant.partition("_")
-    cfg = small_cfg(paradigm=paradigm, cond_kind=kind or "attn", cond_visual_tokens=6 if kind == "mlp" else None,
-                    **_DELTA_FLAGS.get(flags, {}))
+    cfg = small_cfg(paradigm=paradigm, cond_kind=kind or "attn", cond_visual_tokens=6 if kind == "mlp" else None)
     model = init_model(cfg)
     randomize_modulation(model, make_rng(16), scale=0.2)
     randomize_insert(model, make_rng(17), scale=0.2)
@@ -818,7 +764,7 @@ class TestBoundaryChecks:
     """forward checks finiteness at its boundaries, not after every op; it
     must give the verdict of every-op checking on every non-finite input."""
 
-    @pytest.mark.parametrize("variant", _VARIANTS + tuple(f"fmi_attn/{flags}" for flags in _DELTA_FLAGS))
+    @pytest.mark.parametrize("variant", _VARIANTS)
     def test_same_verdict_as_every_op_checking(self, variant, monkeypatch):
         model, t_emb, visual = _variant_case(variant)
         arrays = {"t_emb": t_emb, **model_tensors(model)}

@@ -56,12 +56,6 @@ class TestLayerNorm:
             scaled, _ = layer_norm(c * x, identity_params(8))
             assert np.max(np.abs(scaled - base)) < 1e-10
 
-    def test_rms_mode_keeps_mean(self):
-        x = np.array([[1.0, 2.0, 3.0, 4.0]])
-        out, _ = layer_norm(x, identity_params(4), mode="rms")
-        rms = np.sqrt(np.mean(x[0] ** 2))
-        assert np.allclose(out[0], x[0] / rms, atol=1e-12)
-
     def test_eps_must_be_positive(self):
         for eps in (0.0, np.nan, np.inf):
             with pytest.raises(ConfigError):
@@ -105,7 +99,6 @@ class TestLayerNorm:
                 single = LNParams(*(a if a.ndim == 1 else a[i] for a in (stacked.alpha, stacked.beta)))
                 assert out[i].tobytes() == layer_norm(x, single)[0].tobytes()
 
-    @pytest.mark.parametrize("mode", ["ln", "rms"])
     @pytest.mark.parametrize("x_dtype, alpha_dtype, beta_dtype, out_dtype", [
         (np.float64, np.float64, np.float64, np.float64),
         (np.float32, np.float32, np.float32, np.float32),
@@ -113,7 +106,7 @@ class TestLayerNorm:
         (np.float32, np.float64, np.float32, np.float64),
         (np.float64, np.float32, np.float32, np.float64),
     ])
-    def test_leaves_x_and_keeps_dtype_promotion(self, mode, x_dtype, alpha_dtype, beta_dtype, out_dtype):
+    def test_leaves_x_and_keeps_dtype_promotion(self, x_dtype, alpha_dtype, beta_dtype, out_dtype):
         """layer_norm and viln_apply write only into their own buffers, and give
         the dtype and bits of the written-out formula over the same xhat."""
         rng = make_rng(7)
@@ -121,19 +114,19 @@ class TestLayerNorm:
         params = LNParams(rng.normal(size=8).astype(alpha_dtype), rng.normal(size=8).astype(beta_dtype), 1e-5)
         deltas = tuple(rng.normal(scale=0.1, size=(6, 8)).astype(x_dtype) for _ in range(2))
         before = x.copy()
-        out, xhat = layer_norm(x, params, mode)
+        out, xhat = layer_norm(x, params)
         assert out.dtype == out_dtype and xhat.dtype == x_dtype
         assert out.tobytes() == (params.alpha * xhat + params.beta).tobytes()
-        modulated = viln_apply(x, deltas, params, mode)
+        modulated = viln_apply(x, deltas, params)
         assert modulated.dtype == out_dtype
         expected = (params.alpha + deltas[0]) * xhat + (params.beta + deltas[1])
         assert modulated.tobytes() == expected.tobytes()
         assert x.tobytes() == before.tobytes()
 
     def test_integer_rows_normalize_as_floats(self):
-        out, xhat = layer_norm(np.array([[1, 2, 3, 4]]), identity_params(4), mode="rms")
+        out, xhat = layer_norm(np.array([[1, 2, 3, 4]]), identity_params(4))
         assert xhat.dtype == np.float64
-        assert np.allclose(out[0], np.array([1, 2, 3, 4]) / np.sqrt(7.5), atol=1e-12)
+        assert np.allclose(out[0], np.array([-1.5, -0.5, 0.5, 1.5]) / np.sqrt(1.25), atol=1e-12)
 
 
 class TestVilnApply:
@@ -285,10 +278,6 @@ class TestGradcheck:
         for _ in range(20):
             assert gradcheck_viln(random_viln_point(rng)) <= 1e-4
 
-    def test_rms_mode_point(self):
-        rng = make_rng(9)
-        assert gradcheck_viln(random_viln_point(rng, mode="rms")) <= 1e-4
-
     def test_constant_row_with_eps(self):
         rng = make_rng(10)
         point = random_viln_point(rng, eps=1e-2)
@@ -317,7 +306,7 @@ class TestGradcheck:
         def slots(p):
             params = LNParams(p.alpha, p.beta, p.eps)
             deltas = project_deltas(p.cond, DeltaProjection(p.w, p.b))
-            return [viln_apply(p.x, pair, params, p.mode) for pair in deltas]
+            return [viln_apply(p.x, pair, params) for pair in deltas]
 
         for name in ("x", "alpha", "beta", "cond", "w", "b"):
             arr = getattr(point, name)

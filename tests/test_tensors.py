@@ -450,19 +450,33 @@ class TestSinusoid:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
+        """0-d, zero-size and ordinary tensors in f64 and f32 come back with their shape, dtype and bits."""
         rng = make_rng(4)
         named = {
             "a.weight": rng.normal(size=(3, 4)),
             "b.bias": rng.normal(size=7),
             "c.single": rng.normal(size=(2, 2)).astype(np.float32),
+            "d.scalar": np.array(1.5),
+            "e.scalar": np.array(-2.5, np.float32),
+            "f.empty": np.zeros(0),
+            "g.empty": np.zeros((2, 0), np.float32),
         }
         path = tmp_path / "weights.manifest"
         save_tensors(path, named)
         loaded = load_tensors(path)
         assert list(loaded) == list(named)
-        for name in named:
-            assert loaded[name].dtype == named[name].dtype
-            assert np.array_equal(loaded[name], named[name])
+        for name, arr in named.items():
+            assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("name", ["", "a b", "a\tb", "x\t", "a\nb", "a\rb", "a\x0bb", "a\x0cb", "a\x1cb",
+                                      "a\x85b", "a\u2028b"])
+    def test_name_that_would_split_its_line_rejected(self, name, tmp_path):
+        """An empty name, or one with a space or a character str.splitlines breaks at, cannot be read back."""
+        path = tmp_path / "t.manifest"
+        with pytest.raises(ConfigError, match="tensor name"):
+            save_tensors(path, {"ok": np.zeros(1), name: np.zeros(1)})
+        assert not path.exists()
 
     def test_manifest_format(self, tmp_path):
         path = tmp_path / "t.manifest"
