@@ -425,10 +425,14 @@ def load_tensors(manifest_path: str | Path) -> dict[str, np.ndarray]:
             continue
         try:
             name, shape_field, dtype_field = line.split(" ")
+            if not (shape_field.startswith("shape=") and dtype_field.startswith("dtype=")):
+                raise ValueError("fields must read shape=... dtype=...")
             dims = shape_field.removeprefix("shape=")
-            shape = tuple(int(d) for d in dims.split("x")) if dims else ()  # "" is a 0-d tensor
-            if min(shape, default=0) < 0:
-                raise ValueError(f"negative dimension in {shape}")
+            dims = dims.split("x") if dims else []  # "" is a 0-d tensor
+            # plain ASCII digits only: int() would also take a sign, "_" and non-ASCII digits
+            if not all(d.isascii() and d.isdigit() for d in dims):
+                raise ValueError(f"dimensions must be non-negative decimal integers: {dims}")
+            shape = tuple(int(d) for d in dims)
             dtype = _DTYPES[dtype_field.removeprefix("dtype=")]
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"malformed manifest line: {line!r}") from exc

@@ -19,6 +19,7 @@ from featmod.model import (
     init_model,
     randomize_insert,
     randomize_modulation,
+    select_layers,
 )
 from featmod.tensors import ConfigError, NumericError, make_rng
 
@@ -115,6 +116,14 @@ class TestModulationInfluence:
         with pytest.raises(ConfigError):
             modulation_influence(base_twin(model), t_emb, visual)
 
+    @pytest.mark.parametrize("location", ["uniform", "shallow", "middle", "deep"])
+    def test_one_row_per_selected_layer(self, location):
+        """The trace covers exactly the layers the plan modulates, one row of per-token distances each."""
+        model, t_emb, visual = fmi_setup(randomized=True, location=location)
+        trace = modulation_influence(model, t_emb, visual)
+        assert trace.layers == list(select_layers(4, 0.5, location))
+        assert trace.per_token.shape == (2, 8) and len(trace.per_layer) == 2
+
     def test_stops_after_the_last_modulated_block(self, monkeypatch):
         """Blocks 0 and 2 of 4 are modulated: block 3 never runs, and the trace
         is that of a full forward's capture, bit for bit."""
@@ -187,7 +196,9 @@ class TestDiagnose:
         dict(cond_kind="attn"),
         dict(cond_kind="conv"),
         dict(cond_kind="mlp", cond_visual_tokens=6),
-    ], ids=["attn", "conv", "mlp"])
+        dict(location="shallow"),
+        dict(location="deep"),
+    ], ids=["attn", "conv", "mlp", "shallow", "deep"])
     def test_equals_the_two_probes_bit_for_bit(self, overrides):
         model, t_emb, visual = fmi_setup(randomized=True, **overrides)
         influence, drift = diagnose(model, t_emb, visual)

@@ -450,9 +450,10 @@ class TestFmiForward:
         assert np.max(np.abs(out - out_zero)) > 1e-9
         assert np.array_equal(forward(model, t_emb, visual), out)
 
+    @pytest.mark.parametrize("location", ["uniform", "shallow", "middle", "deep"])
     @pytest.mark.parametrize("kind", ["attn", "conv", "mlp"])
-    def test_matches_composition_reference(self, kind):
-        cfg = small_cfg(cond_kind=kind, cond_visual_tokens=6)
+    def test_matches_composition_reference(self, kind, location):
+        cfg = small_cfg(cond_kind=kind, cond_visual_tokens=6, location=location)
         model = init_model(cfg)
         randomize_modulation(model, make_rng(15), scale=0.2)
         t_emb, visual = make_inputs(cfg)
@@ -558,6 +559,9 @@ class TestCrossAttn:
     (dict(paradigm="incontext"), None),
     (dict(paradigm="crossattn"), None),
     (dict(paradigm="base"), None),
+    (dict(paradigm="fmi", cond_kind="conv"), 2),
+    (dict(paradigm="fmi", cond_kind="mlp", cond_visual_tokens=6), 2),
+    (dict(paradigm="fmi", location="deep"), 2),
 ])
 def test_capture_contract(overrides, pairs_per_layer):
     cfg = small_cfg(**overrides)
@@ -667,6 +671,18 @@ class TestSerialization:
             "L", "C", "h", "d_ff", "paradigm", "cond_kind", "frequency", "location", "eps", "seed",
             "cond_kernel", "cond_token_exp", "cond_channel_exp", "cond_visual_tokens",
         ]
+
+    @pytest.mark.parametrize("key, value", [
+        ("cond_heads", "none"), ("modulate_attn", "true"), ("modulate_ffn", "true"),
+        ("use_delta_alpha", "true"), ("use_delta_beta", "true"), ("norm_mode", "ln"),
+    ])
+    def test_removed_field_key_rejected(self, key, value):
+        """A line of a field ModelConfig no longer has is named, not ignored;
+        without that line the descriptor loads the same config."""
+        kv = config_to_kv(small_cfg())
+        with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+            config_from_kv({**kv, key: value})
+        assert config_from_kv(kv) == small_cfg()
 
     def test_unknown_key_rejected(self):
         kv = config_to_kv(small_cfg())

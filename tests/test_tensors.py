@@ -470,7 +470,7 @@ class TestManifest:
             assert loaded[name].tobytes() == arr.tobytes()
 
     @pytest.mark.parametrize("name", ["", "a b", "a\tb", "x\t", "a\nb", "a\rb", "a\x0bb", "a\x0cb", "a\x1cb",
-                                      "a\x85b", "a\u2028b"])
+                                      "a\x85b", "a\u2028b", "a\x1db", "a\x1eb", "a\u2029b"])
     def test_name_that_would_split_its_line_rejected(self, name, tmp_path):
         """An empty name, or one with a space or a character str.splitlines breaks at, cannot be read back."""
         path = tmp_path / "t.manifest"
@@ -489,6 +489,20 @@ class TestManifest:
         path.write_text("oops\n")
         path.with_suffix(".bin").write_bytes(b"")
         with pytest.raises(ConfigError):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("line", [
+        "x 2 f64", "x shape=2 f64", "x 2 dtype=f64", "x size=2 dtype=f64", "x shape=2 dtype=f16",
+        "x shape=2x dtype=f64", "x shape=+2 dtype=f64", "x shape=0_2 dtype=f64", "x shape=\u0662 dtype=f64",
+        "x shape=2 dtype=f64 extra", "x shape=2",
+    ], ids=["no-prefixes", "no-dtype-prefix", "no-shape-prefix", "wrong-key", "unknown-dtype", "empty-dim",
+            "signed-dim", "underscored-dim", "non-ascii-digit", "four-fields", "two-fields"])
+    def test_malformed_line_rejected(self, line, tmp_path):
+        """Each line would otherwise fit, or int() would read it as, a 2-element f64 tensor."""
+        path = tmp_path / "bad.manifest"
+        path.write_text(line + "\n")
+        path.with_suffix(".bin").write_bytes(bytes(16))
+        with pytest.raises(ConfigError, match="malformed manifest line"):
             load_tensors(path)
 
     @pytest.mark.parametrize("shape", ["-1x-2", "-2", "2x-1x-8"])
