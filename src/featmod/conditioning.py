@@ -21,9 +21,9 @@ The mlp and conv mixers compute only what position 0 depends on:
   instead of T * L. The T * C token-mix rows run in tiles of at most
   _Z1_TILE_BYTES of z1, so the (T, C, L*token_exp) pre-activation is never
   built whole, and the tiles run on every usable CPU (below).
-* conv: position 0 sees [t_i; v] up to position min(K // 2, V) only, so the
-  depthwise conv runs on that cut signal, accumulating the same taps in the
-  same order (bit-identical); SiLU and the pointwise map then act on T rows.
+* conv: position 0 reads the centre tap on t_i and the min(K // 2, V) taps
+  right of it on v, whose products are shared by all text tokens; only these
+  run (bit-identical), and SiLU and the pointwise map then act on T rows.
 
 All three run batched over text tokens. Their forwards take arrays (the
 model unwraps its VisualContext input) and broadcast over leading batch axes
@@ -429,15 +429,20 @@ def cond_conv(t: np.ndarray, v: np.ndarray, p: ConvCondParams) -> np.ndarray:
 
 
 def _conv_slot0(t: np.ndarray, v: np.ndarray, p: ConvCondParams) -> np.ndarray:
-    """(..., T, C) depthwise conv output at slot 0 of every [t_i; v]."""
-    reach = min(p.depthwise.shape[-1] // 2, v.shape[-2])
-    # slot 0 sees positions 0..reach of [t_i; v] only; the conv of that cut
-    # signal accumulates the same taps in the same order at position 0
-    batch = np.broadcast_shapes(t.shape[:-2], v.shape[:-2])
-    signals = np.empty(batch + t.shape[-2:] + (reach + 1,), dtype=t.dtype)
-    signals[..., 0] = t
-    signals[..., 1:] = v[..., None, :reach, :].swapaxes(-1, -2)
-    return depthwise_conv1d(signals, p.depthwise[..., None, :, :])[..., 0]
+    """(..., T, C) depthwise conv output at slot 0 of every [t_i; v]: the centre tap on
+    t_i, then tap pad+1+j on v[j] for j < reach, once for all t_i. Like a full conv of
+    [t_i; v] held in t's dtype, each product runs in result_type(t, taps) and the sum
+    in t's dtype, in tap order: the same bits, up to the sign of an exact zero."""
+    pad = p.depthwise.shape[-1] // 2
+    reach = min(pad, v.shape[-2])
+    dtype = np.result_type(t, p.depthwise)
+    centre = depthwise_conv1d(t.astype(dtype, copy=False)[..., None], p.depthwise[..., None, :, pad:pad + 1])
+    visual = v[..., :reach, :, None].astype(t.dtype, copy=False).astype(dtype, copy=False)
+    products = depthwise_conv1d(visual, p.depthwise[..., pad + 1:pad + 1 + reach, None].swapaxes(-3, -2))
+    z = centre[..., 0].astype(t.dtype, copy=False)
+    for j in range(reach):
+        z = (z + products[..., None, j, :, 0]).astype(t.dtype, copy=False)
+    return z if reach else z + np.zeros(v.shape[:-2] + (1, 1), t.dtype)  # K = 1 still broadcasts over v's batch
 
 
 def cond_conv_pertoken(t: np.ndarray, v: np.ndarray, p: ConvCondParams) -> np.ndarray:

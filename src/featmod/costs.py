@@ -42,8 +42,8 @@ position 0 only, and these are the MACs they run:
 * mlp: 2*C*V*L*token_exp (visual term, shared by all text tokens)
   + 2*T*C*L*token_exp (text term) + 2*T*C*L*token_exp (token_w2 column 0)
   + 4*T*C^2*channel_exp (channel mixing) + 8*T*C^2
-* conv: 2*T*C*K*(min(K//2, V) + 1) (depthwise over the positions slot 0
-  reaches) + 2*T*C^2 (pointwise) + 8*T*C^2
+* conv: 2*C*(T + min(K//2, V)) (the depthwise taps slot 0 reads, the visual
+  ones shared by all text tokens) + 2*T*C^2 (pointwise) + 8*T*C^2
 
 The inserted cross-attention module of the architectural baseline is priced
 as its executable counterpart: a full cross-attention (4*T*C^2 + 4*V*C^2 +
@@ -177,7 +177,7 @@ def flops_cond(
         mix = (v + 1) * token_exp
         return 2 * c * v * mix + 4 * t * c * mix + 4 * t * c * c * channel_exp + projection
     if cond_kind == "conv":
-        return 2 * t * c * kernel * (min(kernel // 2, v) + 1) + 2 * t * c * c + projection
+        return 2 * c * (t + min(kernel // 2, v)) + 2 * t * c * c + projection
     raise ConfigError(f"unknown conditioner kind {cond_kind!r}")
 
 
@@ -310,21 +310,12 @@ VIDEO_SWEEP_BASE = CostConfig(
 )
 
 
-def ratio_case_configs(case: FlopsRatioCase) -> tuple[CostConfig, CostConfig]:
-    common = dict(
-        L=case.L, C=case.C, h=case.h, d_ff=case.d_ff,
-        T=case.text_tokens, V=case.v_total, k=1, frequency=0.25,
-    )
-    return (
-        CostConfig(paradigm="fmi", cond_kind="attn", **common),
-        CostConfig(paradigm="incontext", **common),
-    )
-
-
 def flops_reduction_ratio(case: FlopsRatioCase) -> float:
     """Prefill FLOPs of the in-context baseline over the modulated stack."""
-    fmi_cfg, ctx_cfg = ratio_case_configs(case)
-    return cost_paradigm(ctx_cfg).total_flops / cost_paradigm(fmi_cfg).total_flops
+    common = dict(L=case.L, C=case.C, h=case.h, d_ff=case.d_ff, T=case.text_tokens, V=case.v_total, k=1,
+                  frequency=0.25)
+    fmi = cost_paradigm(CostConfig(paradigm="fmi", cond_kind="attn", **common))
+    return cost_paradigm(CostConfig(paradigm="incontext", **common)).total_flops / fmi.total_flops
 
 
 # ---------------------------------------------------------------------------

@@ -416,10 +416,11 @@ def save_tensors(manifest_path: str | Path, named: Mapping[str, np.ndarray]) -> 
 def load_tensors(manifest_path: str | Path) -> dict[str, np.ndarray]:
     """Read back tensors written by save_tensors, in manifest order."""
     manifest_path = Path(manifest_path)
+    lines = read_text(manifest_path).splitlines()  # before the binary, so a missing manifest is named
     raw = _bin_path(manifest_path).read_bytes()
     out: dict[str, np.ndarray] = {}
     offset = 0
-    for line in read_text(manifest_path).splitlines():
+    for line in lines:
         line = line.strip()
         if not line:
             continue

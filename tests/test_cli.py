@@ -418,6 +418,21 @@ class TestErrors:
             "forward", "--weights", str(tmp_path / "missing.manifest"), "--out", str(tmp_path)
         ]) == 2
 
+    @pytest.mark.parametrize("remove", ["manifest", "bin"])
+    def test_missing_weights_file_is_named(self, remove, tmp_path, capsys):
+        """The file that is missing, manifest or binary, is the one the error names."""
+        cfg, cfg_path = write_config(tmp_path)
+        weights = tmp_path / "model.manifest"
+        save_model(init_model(cfg), cfg_path, weights)
+        missing = weights.with_suffix("." + remove)
+        missing.unlink()
+        assert main([
+            "forward", "--config", str(cfg_path), "--weights", str(weights), "--out", str(tmp_path / "run"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(missing) in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_failing_gradcheck_exits_one_with_one_line(self, capsys, monkeypatch):
         monkeypatch.setattr(criteria, "GRADCHECK_TOL", 0.0)
         assert main(["gradcheck", "--points", "1"]) == 1

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -119,6 +120,54 @@ class TestConvConditioner:
         rng = make_rng(6)
         with pytest.raises(ConfigError):
             ConvCondParams(depthwise=rng.normal(size=(4, 2)), pointwise=np.eye(4))
+
+    @staticmethod
+    def cut_signal_slot0(t, v, depthwise):
+        """Oracle: the full K-tap conv over the cut signal [t_i; v[:reach]]
+        in t's dtype, every output position computed, read at position 0."""
+        reach = min(depthwise.shape[-1] // 2, v.shape[-2])
+        batch = np.broadcast_shapes(t.shape[:-2], v.shape[:-2])
+        signals = np.empty(batch + t.shape[-2:] + (reach + 1,), dtype=t.dtype)
+        signals[..., 0] = t
+        signals[..., 1:] = v[..., None, :reach, :].swapaxes(-1, -2)
+        return tensors.depthwise_conv1d(signals, depthwise[..., None, :, :])[..., 0]
+
+    @pytest.mark.parametrize("vis", [1, 2, 3, 6])
+    @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+    def test_slot0_bits_match_the_cut_signal_conv(self, kernel, vis):
+        """Bytes equal the full conv over the cut signal, up to the sign of an
+        exact zero, for every f32/f64 mix of t, v and the parameters, with a
+        stacked leading axis on each of t, v and depthwise in turn."""
+        rng = make_rng(62)
+        for dtypes in itertools.product(("f8", "f4"), repeat=3):
+            for stacked in (None, "t", "v", "depthwise"):
+                shapes = {"t": (4, 6), "v": (vis, 6), "depthwise": (6, kernel)}
+                if stacked:
+                    shapes[stacked] = (3,) + shapes[stacked]
+                t, v, depthwise = (rng.normal(size=shapes[name]).astype(dtype)
+                                   for name, dtype in zip(("t", "v", "depthwise"), dtypes))
+                p = ConvCondParams(depthwise=depthwise, pointwise=np.eye(6, dtype=dtypes[2]))
+                got = conditioning._conv_slot0(t, v, p)
+                want = self.cut_signal_slot0(t, v, depthwise)
+                assert got.dtype == want.dtype == t.dtype and got.shape == want.shape
+                # + 0.0 maps -0.0 to +0.0
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), (dtypes, stacked)
+
+    def test_kernel_channels_must_match_tokens(self):
+        rng, t, visual = random_case(63, tokens=3, vis=4, channels=6)
+        p = ConvCondParams.init(rng, 5, 3)
+        with pytest.raises(ShapeError):
+            cond_conv(t, visual.v, p)
+
+    def test_macs_are_the_taps_slot_0_reads(self):
+        """T=8, C=32, K=3, V=6: C*(T + reach) depthwise + T*C^2 pointwise."""
+        tokens, vis, channels, kernel = 8, 6, 32, 3
+        rng, t, visual = random_case(64, tokens=tokens, vis=vis, channels=channels)
+        p = ConvCondParams.init(rng, channels, kernel)
+        reach = min(kernel // 2, vis)
+        with count_macs() as counter:
+            cond_conv(t, visual.v, p)
+        assert counter.macs == channels * (tokens + reach) + tokens * channels**2 == 8480
 
 
 class TestAttnConditioner:
@@ -252,7 +301,7 @@ class TestSharedContracts:
         mix_width = (vis + 1) * token_exp
         expected = {
             "attn": tokens * channels**2 + 2 * vis * channels**2,
-            "conv": tokens * channels * kernel * (reach + 1),
+            "conv": channels * (tokens + reach),
             "mlp": channels * vis * mix_width + tokens * channels * mix_width,
         }[kind]
         with count_macs() as counter:
