@@ -51,17 +51,44 @@ A process-global multiply-accumulate counter can be armed with
 ``depthwise_conv1d`` records ``out.size * K``, batch axes included, once the
 output exists, on whichever thread runs them. The analytic cost model is validated against forward passes
 traversed under this counter.
+
+Threads: one thread pool, created on first use, runs three kinds of
+independent blocks on every usable CPU: ``attend``'s (query tile, head
+group) blocks, each writing its own slice of the context; the row blocks of
+``rowwise`` (the model's Q/K/V/O projections, its FFN, the attn
+conditioner's and crossattn insert's projections and the incontext
+connector); and the mlp conditioner's token-mix tiles. The calling thread
+and the pool threads each take the next block in order as they finish one
+(``_in_threads``); numpy and scipy's erf release the GIL inside each
+block's ops. The thread count follows the process's CPU affinity
+(os.sched_getaffinity), so `taskset -c 0` pins a run to one thread. A call
+whose work is under _SPLIT_MACS, or a row-wise product over fewer than
+SPLIT_ROWS rows, runs inline, and so does a call made on a pool thread, so
+a desk-sized forward, a gradient check and the op-walk never start the
+pool. Every block runs under a copy of the
+caller's context, so checks_at_boundaries and numpy's error state hold
+there, and a failure re-raises the error of the earliest failing block
+once every thread has stopped. Blocks write disjoint outputs and a row
+block is the same product on fewer rows, so outputs, errors and counted
+MACs are the same for any thread count, the outputs bit for bit as long as
+each BLAS call is itself deterministic: keep BLAS at one thread
+(OPENBLAS_NUM_THREADS=1 and the like), since OpenBLAS's own threads change
+the bits of some products. Each thread holds at most one attention logits
+group of _LOGITS_BYTES.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -108,9 +135,8 @@ def count_macs() -> Iterator[MacCounter]:
     """Arm a counter for the duration of the block.
 
     Ops on every thread count while it is armed, so the counter includes the
-    mlp conditioner's token-mix worker threads, and the total does not
-    depend on how many there are. Counters may be armed and read from
-    several threads at once.
+    pool threads' blocks, and the total does not depend on how many there
+    are. Counters may be armed and read from several threads at once.
     """
     counter = MacCounter()
     with _COUNTERS_LOCK:
@@ -169,6 +195,138 @@ def _finite_op(op):
         return result
 
     return checked
+
+
+# ---------------------------------------------------------------------------
+# Threads
+
+# Multiply-accumulates a call must reach before its blocks go to the pool.
+# A hand-off to a pool thread and back costs about 60 us (2-vCPU Xeon), the
+# time of 1-2e6 float64 MACs, so a call at this size saves several times
+# what it spends.
+_SPLIT_MACS = 1 << 24
+# Rows of a row block at least. A row-wise product over fewer than
+# SPLIT_ROWS rows runs whole, so a hot caller may skip rowwise for it.
+_BLOCK_ROWS = 128
+SPLIT_ROWS = 2 * _BLOCK_ROWS
+
+# The pool, one thread per usable CPU besides the caller's, created on first
+# use; a forked child starts without it (the parent's threads do not survive
+# a fork).
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+# Set while a thread runs _in_threads items: a nested call then runs inline,
+# since pool threads waiting on the pool could wait forever.
+_IN_POOL_WORK: ContextVar[bool] = ContextVar("featmod_in_pool_work", default=False)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="featmod-pool")
+        return _pool
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _workers(blocks: int, macs: int) -> int:
+    """Threads for `blocks` independent blocks of `macs` multiply-accumulates
+    in all: one per usable CPU and block, or 1 below _SPLIT_MACS."""
+    if blocks < 2 or macs < _SPLIT_MACS or _IN_POOL_WORK.get():
+        return 1
+    return min(_usable_cpus(), blocks)
+
+
+def _in_threads(run, items: Sequence, workers: int) -> list:
+    """[run(item) for item in items] on this thread and workers - 1 pool
+    threads, each taking the next item in order as it finishes one, so a
+    thread slowed by a busy core takes fewer. Every pool thread runs under a
+    copy of this thread's context and numpy error state, so
+    checks_at_boundaries holds there too. Returns once every thread has
+    stopped; after a failure no thread takes another item, and the error of
+    the earliest failing item is raised, the one a serial loop would meet.
+    With one worker, or called from inside an item, it is that serial loop."""
+    if workers < 2 or _IN_POOL_WORK.get():
+        return [run(item) for item in items]
+    results: list = [None] * len(items)
+    order = iter(range(len(items)))  # shared; next() on it is atomic under the GIL
+
+    def drain() -> None:
+        for i in order:
+            try:
+                results[i] = run(items[i])
+            except BaseException as exc:
+                results[i] = exc
+                for _ in order:  # hand out no further items
+                    pass
+
+    pool = _executor()
+    err = np.geterr()
+    token = _IN_POOL_WORK.set(True)
+    try:
+        futures = [pool.submit(contextvars.copy_context().run, _with_errstate, err, drain) for _ in range(workers - 1)]
+        drain()
+        for future in futures:
+            future.result()
+    finally:
+        _IN_POOL_WORK.reset(token)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
+def _with_errstate(err: dict, run) -> None:
+    # numpy before 2.0 keeps its error state per thread, outside contextvars
+    with np.errstate(**err):
+        run()
+
+
+def rowwise(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
+    """fn(x) for a 2-D x whose rows fn maps one by one through the products
+    with weights, in order (x @ w, or an FFN's x @ w1 then @ w2), run as
+    row blocks on the pool and joined in row order when the products are
+    large: at least SPLIT_ROWS rows and _SPLIT_MACS. There is one block
+    per thread; every block but the last is a multiple of 8 rows, so none
+    is ever a 1-row matrix-vector product. A row block of a product keeps
+    each element's sum order (Goto & van de Geijn, 2008), so the bits match
+    one whole call, but OpenBLAS 0.3.31's float64 Haswell kernels break
+    that for a column count that is not a multiple of 8: (256, 576) @
+    (576, 2308) split in two differs in the tail columns of the rows that
+    end a block. Such products run whole, as do a batched x or weight and
+    every call below the sizes; tests/test_tensors.py checks each split
+    shape family bit for bit."""
+    rows = len(x)
+    blocks = 1
+    if rows >= SPLIT_ROWS and x.ndim == 2 and all(w.ndim == 2 and w.shape[1] % 8 == 0 for w in weights):
+        blocks = _workers(rows // _BLOCK_ROWS, rows * sum(w.size for w in weights))
+    if blocks == 1:
+        return fn(x)
+    bounds = [rows * i // blocks // 8 * 8 for i in range(blocks)] + [rows]
+    return np.concatenate(_in_threads(lambda i: fn(x[bounds[i]:bounds[i + 1]]), range(blocks), blocks))
+
+
+def matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """matmul(x, w), as row blocks on the pool when large (see rowwise)."""
+    if len(x) < SPLIT_ROWS:  # most calls: no closure, no rowwise
+        return matmul(x, w)
+    return rowwise(lambda rows: matmul(rows, w), x, (w,))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +479,17 @@ _TILE_MASK.setflags(write=False)
 _LOGITS_BYTES = 512 * 1024
 
 
+def _score(q, k, v, ctx, scale, causal, a, b, keys, hs):
+    """One (tile, head group) block of attend: queries [a, b) of heads hs over keys [0, keys)."""
+    # Logits scaled, masked and softmaxed in place: no second logits-sized array.
+    # Checked even inside checks_at_boundaries: softmax maps a -inf logit to an exact 0.
+    logits = check_finite("attention logits", matmul(q[..., hs, a:b, :], k[..., hs, :keys, :].swapaxes(-1, -2)))
+    logits *= scale
+    if causal:
+        logits[..., a:] += _TILE_MASK[: b - a, : b - a]
+    ctx[..., hs, a:b, :] = matmul(softmax_lastdim(logits, out=logits), v[..., hs, :keys, :])
+
+
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool) -> np.ndarray:
     """Scaled dot-product attention of split-head queries (..., heads, n, dk)
     over keys and values (..., heads, m, dk), batch axes broadcasting; the
@@ -333,26 +502,33 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool) -> np.ndar
     so they stay in cache through softmax and the value product. numpy's
     batched matmul runs one BLAS call per head on the same operands and the
     rest is elementwise or per row, so any grouping gives the same bits.
+    The (tile, head group) blocks are independent, each writing its own
+    slice of the context, so they run on the pool when n * m query-key
+    pairs per head would take _SPLIT_MACS; smaller calls run them inline.
     """
     heads, n, dk = q.shape[-3:]
     batch = q.shape[:-3]
     if k.shape[:-3] != batch or v.shape[:-3] != batch:
-        batch = np.broadcast_shapes(batch, k.shape[:-3], v.shape[:-3])
+        try:
+            batch = np.broadcast_shapes(batch, k.shape[:-3], v.shape[:-3])
+        except ValueError:
+            raise ShapeError(f"attention batch axes do not broadcast: {q.shape} / {k.shape} / {v.shape}") from None
     ctx = np.empty(batch + (n, heads, v.shape[-1]), np.result_type(q, k, v)).swapaxes(-3, -2)
     scale = 1.0 / math.sqrt(dk)
+    # n * m query-key pairs per head at most; causal tiles score fewer
+    macs = math.prod(batch) * heads * n * k.shape[-2] * (dk + v.shape[-1])
+    blocks = []
     for a in range(0, n, _QUERY_TILE if causal else max(n, 1)):
         b = min(a + _QUERY_TILE, n) if causal else n
         keys = b if causal else k.shape[-2]
         group = max(1, _LOGITS_BYTES // ((b - a) * keys * q.itemsize))
         for g in range(0, heads, group):
-            hs = slice(g, g + group)
-            # Logits scaled, masked and softmaxed in place: no second logits-sized array.
-            # Checked even inside checks_at_boundaries: softmax maps a -inf logit to an exact 0.
-            logits = check_finite("attention logits", matmul(q[..., hs, a:b, :], k[..., hs, :keys, :].swapaxes(-1, -2)))
-            logits *= scale
-            if causal:
-                logits[..., a:] += _TILE_MASK[: b - a, : b - a]
-            ctx[..., hs, a:b, :] = matmul(softmax_lastdim(logits, out=logits), v[..., hs, :keys, :])
+            if macs < _SPLIT_MACS:
+                _score(q, k, v, ctx, scale, causal, a, b, keys, slice(g, g + group))
+            else:
+                blocks.append((a, b, keys, slice(g, g + group)))
+    if blocks:
+        _in_threads(lambda block: _score(q, k, v, ctx, scale, causal, *block), blocks, _workers(len(blocks), macs))
     return ctx
 
 

@@ -274,8 +274,8 @@ class TestSharedContracts:
 
     @pytest.mark.parametrize("kind", ["mlp", "conv", "attn"])
     @pytest.mark.parametrize("t_shape, v_shape", [
-        ((3, 6), (0, 6)), ((6,), (4, 6)), ((3, 6), (6,)), ((3, 6), (4, 5)),
-    ], ids=["no-visual-rows", "t-1d", "v-1d", "channels-differ"])
+        ((3, 6), (0, 6)), ((6,), (4, 6)), ((3, 6), (6,)), ((3, 6), (4, 5)), ((3, 5, 6), (2, 4, 6)),
+    ], ids=["no-visual-rows", "t-1d", "v-1d", "channels-differ", "batch-axes-differ"])
     def test_bad_token_shapes_raise_shape_error(self, kind, t_shape, v_shape):
         rng = make_rng(60)
         p = DRAWS[kind](rng)  # C=6; the mlp params are built for V=4
@@ -494,8 +494,8 @@ class TestMlpWorkers:
     def cpus(self, monkeypatch):
         def set_cpus(n):
             monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
-            monkeypatch.setattr(conditioning, "_usable_cpus", lambda: n)
-            monkeypatch.setattr(conditioning, "_pool", None)  # a pool of n - 1 threads on first use
+            monkeypatch.setattr(tensors, "_usable_cpus", lambda: n)
+            monkeypatch.setattr(tensors, "_pool", None)  # a pool of n - 1 threads on first use
         return set_cpus
 
     @staticmethod
@@ -527,7 +527,7 @@ class TestMlpWorkers:
 
     def test_thread_count(self, cpus, monkeypatch):
         tiles = _mix_tiles(16, 256, 18464)  # C=256, V=576: 24-row tiles of 443,136 bytes
-        monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(tensors, "_usable_cpus", lambda: 64)
         assert conditioning._mix_workers(tiles, 16, 256, 18464) == 2  # two tiles fit _Z1_THREADS_BYTES
         assert conditioning._mix_workers(_mix_tiles(2, 20, 80), 2, 20, 80) == 1  # one tile
         workers = []
@@ -642,32 +642,32 @@ class TestMlpWorkers:
         t, v, p = self.case(63)
         cpus(1)
         cond_mlp(t, v, p)
-        assert conditioning._pool is None
+        assert tensors._pool is None
         cpus(7)
         monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1 << 20)
         cond_mlp(t, v, p)
-        assert conditioning._pool is None
+        assert tensors._pool is None
         cpus(7)
         cond_mlp(t, v, p)
-        assert conditioning._pool is not None
+        assert tensors._pool is not None
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_the_token_mix(self):
         script = textwrap.dedent("""
             import os, signal, sys
-            from featmod import conditioning
+            from featmod import conditioning, tensors
             from featmod.conditioning import MlpCondParams, cond_mlp
             from featmod.tensors import make_rng
 
             conditioning._Z1_TILE_BYTES = 1
-            conditioning._usable_cpus = lambda: 3
+            tensors._usable_cpus = lambda: 3
             rng = make_rng(64)
             t, v = rng.normal(size=(5, 20)), rng.normal(size=(4, 20))
             p = MlpCondParams.init(rng, 20, 4, 2, 2, std=0.3)
             expected = cond_mlp(t, v, p).tobytes()
             for _ in range(3):  # the pool now counts its threads idle and would start none in the child
                 assert cond_mlp(t, v, p).tobytes() == expected
-            assert conditioning._pool is not None
+            assert tensors._pool is not None
             pid = os.fork()
             if pid == 0:
                 signal.alarm(30)  # a child waiting on the parent's threads dies instead of hanging

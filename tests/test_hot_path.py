@@ -14,10 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from featmod import conditioning
+from featmod import tensors
 from featmod import model as model_module
 from featmod import norm
 from featmod.conditioning import AttnCondParams, ConvCondParams, MlpCondParams, VisualContext, gradcheck_conditioner
+from featmod.costs import measured_flops
+from featmod.criteria import ORACLE_CONFIGS
 from featmod.diagnostics import DiagnosticTrace, _row_distances, diagnose
 from featmod.model import (
     ForwardCapture,
@@ -73,17 +75,12 @@ def wrapper_calls(fn) -> list[str]:
     return calls
 
 
-def hot_paths():
-    """One desk forward per paradigm, one fmi/mlp forward whose token mix
-    runs in several tiles (T=32, V=64), one diagnosis with its aggregates,
-    one gradient check per conditioner kind and one of the ViLN pipeline."""
+def desk_paths():
+    """One desk forward per paradigm, one diagnosis with its aggregates, one
+    gradient check per conditioner kind, one of the ViLN pipeline and the
+    op-walk of criterion 7."""
     t_emb, visual = desk_inputs()
     models = {variant: desk_model(variant) for variant in VARIANTS}
-    rng = make_rng(8)
-    tiled = init_model(ModelConfig(L=4, C=32, h=4, d_ff=64, paradigm="fmi", cond_kind="mlp", frequency=0.5,
-                                   seed=8, cond_visual_tokens=64))
-    randomize_modulation(tiled, rng)
-    t_tiled, v_tiled = rng.normal(size=(32, 32)), VisualContext(rng.normal(size=(64, 32)), "synthetic")
     rng = make_rng(9)
     points = {
         "attn": AttnCondParams.init(rng, 8, heads=2, std=0.3),
@@ -97,24 +94,75 @@ def hot_paths():
     def run():
         for variant, m in models.items():
             forward(m, t_emb, None if variant == "base" else visual)
-        forward(tiled, t_tiled, v_tiled)
         for trace in diagnose(models["fmi_attn"], t_emb, visual):
             trace.per_layer
         for kind, params in points.items():
             gradcheck_conditioner(kind, t_small, v_small, params)
         gradcheck_viln(viln_point)
+        for cfg in ORACLE_CONFIGS:
+            measured_flops(cfg, seed=0)
+
+    return run
+
+
+def pooled_incontext():
+    """An incontext block just large enough that, over V=256 and T=8, each
+    of its row products and its attention goes to the pool."""
+    return init_model(ModelConfig(L=1, C=256, h=8, d_ff=256, paradigm="incontext", seed=8))
+
+
+def hot_paths():
+    """The desk paths, one fmi/mlp forward whose token mix runs in several
+    tiles (T=32, V=64) and one incontext forward whose attention blocks and
+    V+T row products go to the pool (C=256, V=256, T=8)."""
+    desk = desk_paths()
+    rng = make_rng(8)
+    tiled = init_model(ModelConfig(L=4, C=32, h=4, d_ff=64, paradigm="fmi", cond_kind="mlp", frequency=0.5,
+                                   seed=8, cond_visual_tokens=64))
+    randomize_modulation(tiled, rng)
+    t_tiled, v_tiled = rng.normal(size=(32, 32)), VisualContext(rng.normal(size=(64, 32)), "synthetic")
+    pooled = pooled_incontext()
+    t_pooled, v_pooled = rng.normal(size=(8, 256)), VisualContext(rng.normal(size=(256, 256)), "synthetic")
+
+    def run():
+        desk()
+        forward(tiled, t_tiled, v_tiled)
+        forward(pooled, t_pooled, v_pooled)
 
     return run
 
 
 def test_hot_paths_never_call_numpy_python_wrappers(monkeypatch):
-    monkeypatch.setattr(conditioning, "_usable_cpus", lambda: 2)  # the token mix runs on a worker thread too
+    monkeypatch.setattr(tensors, "_usable_cpus", lambda: 2)  # pool work runs on a pool thread too
     run = hot_paths()
     run()  # first calls may import lazily
     # a fresh pool, so its threads start under the profile
-    monkeypatch.setattr(conditioning, "_pool", None)
+    monkeypatch.setattr(tensors, "_pool", None)
     assert wrapper_calls(run) == []
-    assert conditioning._pool is not None
+    assert tensors._pool is not None
+
+
+def test_desk_paths_start_no_pool(monkeypatch):
+    """Every desk forward, the diagnosis, the gradient checks and the op-walk
+    run their blocks inline, under the pool's size threshold."""
+    monkeypatch.setattr(tensors, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(tensors, "_pool", None)
+    desk_paths()()
+    assert tensors._pool is None
+
+
+def test_the_hot_path_incontext_forward_uses_the_pool(monkeypatch):
+    """Its attention blocks and its connector, projection and FFN row blocks
+    each reach the pool, so the wrapper check above sees them on a thread."""
+    monkeypatch.setattr(tensors, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tensors, "_pool", None)
+    calls = []
+    in_threads = tensors._in_threads
+    monkeypatch.setattr(tensors, "_in_threads", lambda run, items, workers: calls.append(workers) or
+                        in_threads(run, items, workers))
+    rng = make_rng(8)
+    forward(pooled_incontext(), rng.normal(size=(8, 256)), VisualContext(rng.normal(size=(256, 256)), "synthetic"))
+    assert calls.count(2) == 7  # connector, q, k, v, attention, o, FFN
 
 
 def test_wrapper_calls_are_seen():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -355,6 +356,49 @@ class TestHeadGroups:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2**20
+
+
+SPLIT_MACS = tensors._SPLIT_MACS
+
+
+class TestForwardsOnThePool:
+    """Forwards at the benchmark's image336 and video_long geometry (C=256,
+    h=8, d_ff=1024, V=576) hash the same at 1-4 simulated CPUs as with every
+    row and attention split off, which is how the product boundaries were
+    before the pool took them. Two blocks stand in for eight."""
+
+    @staticmethod
+    def digest(variant, tokens, monkeypatch, cpus=None, layers=2, split=True):
+        paradigm, _, kind = variant.partition("_")
+        cfg = ModelConfig(L=layers, C=256, h=8, d_ff=1024, paradigm=paradigm, cond_kind=kind or "attn",
+                          frequency=0.25 if layers == 8 else 0.5, seed=5,
+                          cond_visual_tokens=576 if kind == "mlp" else None)
+        model = init_model(cfg)
+        randomize_modulation(model, make_rng(6))
+        randomize_insert(model, make_rng(7))
+        rng = make_rng(8)
+        t_emb, visual = rng.normal(size=(tokens, 256)), VisualContext(rng.normal(size=(576, 256)), "synthetic")
+        if cpus is not None:
+            monkeypatch.setattr(tensors, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(tensors, "_pool", None)
+        monkeypatch.setattr(tensors, "_SPLIT_MACS", SPLIT_MACS if split else float("inf"))
+        return hashlib.sha256(forward(model, t_emb, visual).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("variant, tokens", [
+        ("incontext", 16), ("incontext", 128), ("fmi_attn", 128), ("crossattn", 128),
+    ])
+    def test_hash_at_each_count_equals_unsplit(self, variant, tokens, monkeypatch):
+        unsplit = self.digest(variant, tokens, monkeypatch, cpus=4, split=False)
+        for n in (1, 2, 3, 4):
+            assert self.digest(variant, tokens, monkeypatch, cpus=n) == unsplit, n
+        assert tensors._pool is not None
+
+    def test_image336_fmi_mlp_forward_hashes_as_unsplit(self, monkeypatch):
+        """All eight blocks, T=16: the mlp visual term, (256, 576) @ (576,
+        2308), stays one product, so the forward keeps its bits."""
+        unsplit = self.digest("fmi_mlp", 16, monkeypatch, cpus=4, layers=8, split=False)
+        for n in (2, 4):
+            assert self.digest("fmi_mlp", 16, monkeypatch, cpus=n, layers=8) == unsplit, n
 
 
 class TestZeroInitEquivalence:

@@ -1,6 +1,13 @@
 import contextlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +15,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from featmod import tensors
 from featmod.tensors import (
     ConfigError,
     NumericError,
     ShapeError,
+    attend,
     check_finite,
     checks_at_boundaries,
     count_macs,
@@ -21,7 +30,9 @@ from featmod.tensors import (
     load_tensors,
     make_rng,
     matmul,
+    matmul_rows,
     merge_heads,
+    rowwise,
     save_tensors,
     sigmoid,
     sinusoid_positions,
@@ -533,3 +544,226 @@ class TestManifest:
         path.with_suffix(".bin").write_bytes(bytes(16))
         with pytest.raises(ConfigError, match="bad.manifest"):
             load_tensors(path)
+
+
+# ---------------------------------------------------------------------------
+# The thread pool: row blocks, attention blocks, nested calls
+
+CPU_COUNTS = (1, 2, 3, 4)
+# Workload row counts: 576 visual tokens (connector, conditioner and insert
+# projections), 576 + 16 (image336 incontext) and 576 + 128 (video_long
+# incontext); 256 is the fewest rows that split.
+WORKLOAD_ROWS = (576, 592, 704, 256)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """set_cpus(n): n usable CPUs and a fresh pool, of n - 1 threads, on first use."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(tensors, "_usable_cpus", lambda: n)
+        monkeypatch.setattr(tensors, "_pool", None)
+
+    return set_cpus
+
+
+def assert_bits_at_each_count(set_cpus, run, expected: np.ndarray, pooled: bool) -> None:
+    """run() equals expected bit for bit, with the same counted MACs, at
+    1-4 simulated CPUs; from 2 CPUs on it starts the pool iff pooled."""
+    macs = []
+    for n in CPU_COUNTS:
+        set_cpus(n)
+        with count_macs() as counter:
+            got = run()
+        assert got.dtype == expected.dtype and got.shape == expected.shape, n
+        assert got.tobytes() == expected.tobytes(), n
+        macs.append(counter.macs)
+        assert (tensors._pool is not None) == (pooled and n > 1), n
+    assert len(set(macs)) == 1
+
+
+def ffn_params(rng, channels, hidden, dtype):
+    return SimpleNamespace(
+        w1=rng.normal(scale=0.05, size=(channels, hidden)).astype(dtype), b1=rng.normal(size=hidden).astype(dtype),
+        w2=rng.normal(scale=0.05, size=(hidden, channels)).astype(dtype), b2=rng.normal(size=channels).astype(dtype),
+    )
+
+
+def ffn_unsplit(x, p):
+    """The block FFN as one product per weight."""
+    z = matmul(x, p.w1)
+    z += p.b1
+    return matmul(gelu(z, out=z), p.w2) + p.b2
+
+
+class TestRowBlocks:
+    """Every shape family tensors.rowwise splits keeps the bits of the
+    unsplit products: C=256 projections and the C=256, d_ff=1024 FFN."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows", WORKLOAD_ROWS)
+    def test_projection_bits(self, cpus, rows, dtype):
+        rng = make_rng(rows)
+        x = rng.normal(size=(rows, 256)).astype(dtype)
+        w = rng.normal(scale=0.05, size=(256, 256)).astype(dtype)
+        assert_bits_at_each_count(cpus, lambda: matmul_rows(x, w), matmul(x, w), pooled=True)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows", WORKLOAD_ROWS)
+    def test_ffn_bits(self, cpus, rows, dtype):
+        from featmod.model import _ffn
+
+        rng = make_rng(rows + 1)
+        x = rng.normal(size=(rows, 256)).astype(dtype)
+        p = ffn_params(rng, 256, 1024, dtype)
+        assert_bits_at_each_count(cpus, lambda: _ffn(x, p), ffn_unsplit(x, p), pooled=True)
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((255, 256), (256, 256)),      # one row under SPLIT_ROWS
+        ((256, 256), (256, 248)),      # 256 * 256 * 248 MACs, under _SPLIT_MACS
+        ((592, 256), (256, 2308)),     # a column count that is not a multiple of 8
+        ((3, 592, 256), (256, 256)),   # a batched x
+        ((592, 256), (3, 256, 256)),   # a batched weight
+    ])
+    def test_below_the_threshold_or_unproven_runs_whole(self, cpus, x_shape, w_shape):
+        rng = make_rng(len(x_shape) + w_shape[-1])
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        calls = []
+        run = lambda: rowwise(lambda rows: calls.append(rows.shape) or matmul(rows, w), x, (w,))  # noqa: E731
+        assert_bits_at_each_count(cpus, run, matmul(x, w), pooled=False)
+        assert calls == [x_shape] * len(CPU_COUNTS)
+
+    def test_the_mlp_visual_term_family_is_never_split(self, cpus):
+        """(C, V) @ (V, (V+1)*token_exp) at C=256, V=576: its 2308 columns
+        are not a multiple of 8, so it runs whole."""
+        rng = make_rng(5)
+        x, w = rng.normal(size=(256, 576)), rng.normal(size=(576, 2308))
+        assert_bits_at_each_count(cpus, lambda: matmul_rows(x, w), matmul(x, w), pooled=False)
+
+    @pytest.mark.parametrize("rows", [256, 257, 263, 383, 592, 704, 1001])
+    def test_blocks_are_multiples_of_8_rows_in_order(self, cpus, rows):
+        x = make_rng(rows).normal(size=(rows, 256))
+        x[:, 0] = np.arange(rows)  # a block's first row names where it starts
+        w = np.eye(256)
+        for n in CPU_COUNTS:
+            cpus(n)
+            blocks = []
+            out = rowwise(lambda block: blocks.append((int(block[0, 0]), len(block))) or block.copy(), x, (w,))
+            assert out.tobytes() == x.tobytes()
+            blocks.sort()
+            assert len(blocks) == min(n, rows // tensors._BLOCK_ROWS)
+            assert [start for start, _ in blocks] == [0, *np.cumsum([size for _, size in blocks[:-1]])]
+            assert sum(size for _, size in blocks) == rows
+            assert all(size % 8 == 0 for _, size in blocks[:-1]) and blocks[-1][1] >= rows // len(blocks)
+
+
+class TestAttentionBlocks:
+    """attend's (query tile, head group) blocks on the pool keep the bits of
+    the serial loop: causal V+T self-attention and text-over-visual
+    cross-attention at the workloads' 8 heads of 32 channels."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n, m, causal, pooled", [
+        (592, 592, True, True),     # image336 incontext
+        (704, 704, True, True),     # video_long incontext
+        (256, 256, True, True),     # the fewest causal queries that split
+        (128, 128, True, False),    # video_long text: one tile, under _SPLIT_MACS
+        (128, 576, False, True),    # video_long conditioner and insert
+        (16, 576, False, False),    # image336 conditioner and insert
+    ])
+    def test_bits(self, cpus, n, m, causal, pooled, dtype):
+        rng = make_rng(n + m)
+        q = rng.normal(size=(8, n, 32)).astype(dtype)
+        k, v = (rng.normal(size=(8, m, 32)).astype(dtype) for _ in range(2))
+        cpus(1)
+        expected = attend(q, k, v, causal)
+        with checks_at_boundaries():
+            assert_bits_at_each_count(cpus, lambda: attend(q, k, v, causal), expected, pooled)
+
+    def test_nan_in_a_late_block_raises_the_earliest(self, cpus, monkeypatch):
+        rng = make_rng(3)
+        q, k, v = (rng.normal(size=(8, 592, 32)) for _ in range(3))
+        q[5, 300] = np.nan  # tile [256, 384), head 5
+        q[7, 590] = np.inf  # the last tile
+        cpus(4)
+        names = []
+        check = tensors.check_finite
+        monkeypatch.setattr(tensors, "check_finite", lambda name, out: names.append(name) or check(name, out))
+        with checks_at_boundaries(), pytest.raises(NumericError, match="attention logits"):
+            attend(q, k, v, True)
+        assert tensors._pool is not None and names
+
+    def test_batch_axes_that_do_not_broadcast_are_a_shape_error(self):
+        rng = make_rng(4)
+        q = rng.normal(size=(3, 2, 5, 4))
+        k = v = rng.normal(size=(2, 2, 6, 4))
+        with pytest.raises(ShapeError, match="attention batch axes"):
+            attend(q, k, v, False)
+
+
+class TestInThreads:
+    def test_nested_call_runs_inline_on_its_thread(self):
+        """With 2 CPUs the pool has one thread; an item that called the pool
+        again from that thread would wait on itself for ever. The check runs
+        in a child process, so a hang fails it instead of the whole run."""
+        script = textwrap.dedent("""
+            import threading, time
+            from featmod import tensors
+
+            tensors._usable_cpus = lambda: 2
+            caller = threading.current_thread()
+
+            def inner(i):
+                return threading.current_thread(), i
+
+            def outer(i):
+                if threading.current_thread() is caller:
+                    time.sleep(0.05)  # the pool thread takes the other items
+                return threading.current_thread(), tensors._in_threads(inner, range(3), 2)
+
+            results = tensors._in_threads(outer, range(4), 2)
+            for outer_thread, nested in results:
+                assert nested == [(outer_thread, i) for i in range(3)]
+            assert any(outer_thread is not caller for outer_thread, _ in results)
+            print("ok")
+        """)
+        src = str(Path(tensors.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("a nested _in_threads call did not return within 60 s")
+        assert run.returncode == 0 and run.stdout.strip() == "ok", run.stderr
+
+    def test_rowwise_on_a_pool_thread_runs_whole(self, cpus):
+        cpus(4)
+        x, w = make_rng(6).normal(size=(592, 256)), make_rng(7).normal(size=(256, 256))
+        calls = []
+
+        def item(i):
+            return rowwise(lambda rows: calls.append(len(rows)) or matmul(rows, w), x, (w,))
+
+        outs = tensors._in_threads(item, range(3), 3)
+        assert calls == [592] * 3
+        assert all(out.tobytes() == matmul(x, w).tobytes() for out in outs)
+
+    def test_the_earliest_failing_row_block_raises_once_every_thread_has_stopped(self, cpus):
+        cpus(4)
+        x = make_rng(8).normal(size=(592, 256))
+        x[:, 0] = np.arange(592)  # blocks start at rows 0, 144, 296 and 440
+        started, ended = [], []
+
+        def block(rows):
+            start = int(rows[0, 0])
+            started.append(start)
+            try:
+                time.sleep({0: 0.1, 144: 0.2}.get(start, 0.0))  # block 144 fails after the later ones
+                if start > 0:
+                    raise ValueError(f"block {start}")
+                return rows
+            finally:
+                ended.append(start)
+
+        with pytest.raises(ValueError, match="block 144"):
+            rowwise(block, x, (np.eye(256),))
+        assert sorted(ended) == sorted(started) and 144 in ended
