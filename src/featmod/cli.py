@@ -51,7 +51,7 @@ from .model import (
     load_model,
     randomize_modulation,
 )
-from .tensors import ConfigError, make_rng, save_tensors
+from .tensors import ConfigError, make_rng, parse_number, save_tensors
 
 
 def _fail(message: str) -> int:
@@ -64,9 +64,9 @@ def _int_at_least(minimum: int):
 
     def parse(raw: str) -> int:
         try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+            value = parse_number(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
@@ -80,7 +80,7 @@ _non_negative_int = _int_at_least(0)
 
 def _parse_frames(raw: str) -> list[int]:
     try:
-        frames = [int(part) for part in raw.split(",") if part]
+        frames = [parse_number(part) for part in raw.split(",") if part]
     except ValueError as exc:
         raise ConfigError(f"bad --frames list {raw!r}") from exc
     if not frames:

@@ -19,11 +19,9 @@ The mlp and conv mixers compute only what position 0 depends on:
   term is one (C, L*token_exp) product shared by all text tokens; after GELU
   only column 0 of token_w2 is applied, so channel mixing runs on T rows
   instead of T * L. The T * C token-mix rows run in tiles of at most
-  _Z1_TILE_BYTES of z1, so the (T, C, L*token_exp) pre-activation is never
-  built whole. The tiles run on the tensors thread pool, on no more
-  threads than hold _Z1_THREADS_BYTES of z1 together, one tile each, so
-  more CPUs take no more memory; the tiles do not depend on the thread
-  count.
+  tensors._BLOCK_BYTES of z1, so the (T, C, L*token_exp) pre-activation is
+  never built whole. The tiles run on the tensors thread pool, each thread
+  holding one tile at a time; the tiles do not depend on the thread count.
 * conv: position 0 reads the centre tap on t_i and the min(K // 2, V) taps
   right of it on v, whose products are shared by all text tokens; only these
   run (bit-identical), and SiLU and the pointwise map then act on T rows.
@@ -195,14 +193,6 @@ def _check_tokens(t: np.ndarray, v: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # MLP conditioner
 
-# Bytes of the token-mix pre-activation z1 evaluated per tile, so z1 and the
-# gelu buffers stay in cache instead of spanning T*C*L*token_exp elements.
-_Z1_TILE_BYTES = 512 * 1024
-# Bytes of z1 the token-mix threads hold at once, one tile each: the thread
-# count is capped so that their tiles fit, and more CPUs take no more memory.
-_Z1_THREADS_BYTES = 2 * _Z1_TILE_BYTES
-
-
 def _add_into(z: np.ndarray, other: np.ndarray) -> np.ndarray:
     """z + other, written into the fresh array z unless only other carries
     a batch axis (a batched operand in gradcheck's stacks)."""
@@ -236,12 +226,12 @@ def _token_mix(
 
 def _mix_tiles(tokens: int, channels: int, row_bytes: int) -> list[tuple[slice, slice]]:
     """(token, channel) blocks of the T*C token-mix rows in row order, each
-    holding at most _Z1_TILE_BYTES of z1 (8 rows at least): whole tokens
+    holding at most tensors._BLOCK_BYTES of z1 (8 rows at least): whole tokens
     when one token's C rows fit, else channel blocks of one token in
     multiples of 8 rows. OpenBLAS's matrix-vector product handles rows in
     groups of 4, so row blocks that are multiples of 4 give the same bits as
     one untiled product; other counts differ in the last bit."""
-    per_tile = _Z1_TILE_BYTES // row_bytes
+    per_tile = tensors._BLOCK_BYTES // row_bytes
     if tokens * channels <= per_tile:
         return [(slice(None), slice(None))]
     if channels <= per_tile:
@@ -249,17 +239,6 @@ def _mix_tiles(tokens: int, channels: int, row_bytes: int) -> list[tuple[slice, 
         return [(slice(i, i + step), slice(None)) for i in range(0, tokens, step)]
     step = max(8, per_tile // 8 * 8)
     return [(slice(i, i + 1), slice(c, c + step)) for i in range(tokens) for c in range(0, channels, step)]
-
-
-def _mix_workers(tiles: list[tuple[slice, slice]], tokens: int, channels: int, row_bytes: int) -> int:
-    """Threads for the token mix over these tiles: one per usable CPU, but
-    no more than there are tiles or than hold one tile each, the first and
-    largest, within _Z1_THREADS_BYTES; one, with no pool, for a single tile."""
-    if len(tiles) == 1:
-        return 1
-    tile_tokens, tile_channels = tiles[0]
-    tile_bytes = len(range(tokens)[tile_tokens]) * len(range(channels)[tile_channels]) * row_bytes
-    return max(1, min(tensors._usable_cpus(), len(tiles), _Z1_THREADS_BYTES // tile_bytes))
 
 
 def _mix_tile(t, visual_term, p: MlpCondParams, w2: np.ndarray, tile: tuple[slice, slice]) -> np.ndarray:
@@ -281,8 +260,7 @@ def cond_mlp(t: np.ndarray, v: np.ndarray, p: MlpCondParams) -> np.ndarray:
     row_bytes = p.token_w1.shape[-1] * max(t.itemsize, p.token_w1.itemsize)
     w2 = np.ascontiguousarray(p.token_w2[..., :, :1])
     tiles = _mix_tiles(tokens, channels, row_bytes)
-    workers = _mix_workers(tiles, tokens, channels, row_bytes)
-    blocks = tensors._in_threads(functools.partial(_mix_tile, t, visual_term, p, w2), tiles, workers)
+    blocks = tensors._in_threads(functools.partial(_mix_tile, t, visual_term, p, w2), tiles)
     mixed = np.concatenate(blocks, axis=-2) + p.token_b2[..., None, :1]
     mixed = mixed.reshape(*mixed.shape[:-2], tokens, channels)
     # channel mixing of the T slot-0 rows

@@ -14,13 +14,12 @@ Conventions, chosen so the golden numbers are stable and reproducible:
   embeddings are out of scope (the executable model has no tokenizer)
 * peak activation is the largest single intermediate of a naive batch-1
   forward pass, which for long sequences is the (heads, S, S) attention
-  score tensor, of which the executable forward holds one 128-query tile's
-  head group of at most 512 KiB (or one head) at a time; the attn
-  conditioner and the insert likewise hold one head group of their
-  (heads, T, V) scores, as all attention runs through tensors.attend; the mlp
-  conditioner's candidate is its whole token-mix pre-activation
-  T*C*(V+1)*token_exp, of which the executable forward holds one tile of at
-  most 512 KiB per thread and at most 1 MiB at a time
+  score tensor; the mlp conditioner's candidate is its whole token-mix
+  pre-activation T*C*(V+1)*token_exp. Each thread of the executable
+  forward holds at most one 512 KiB block of either: a head group (or one
+  head) of a 128-query tile's scores, or of the attn conditioner's and the
+  insert's (heads, T, V) scores, as all attention runs through
+  tensors.attend; or a tile of the token mix
 
 A CostConfig is valid exactly when the model it prices is
 (``CostConfig.model_config``). Every analytic total is validated against an

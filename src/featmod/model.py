@@ -35,7 +35,6 @@ never shift the base stream.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -65,6 +64,7 @@ from .tensors import (
     matmul,
     matmul_rows,
     merge_heads,
+    parse_number,
     rowwise,
     sinusoid_positions,
     split_heads,
@@ -97,7 +97,6 @@ class ModelConfig:
     cond_kind: str = "attn"
     frequency: float = 0.25
     location: str = "uniform"
-    eps: float = 1e-5
     seed: int = 0
     cond_kernel: int = 3
     cond_token_exp: int = 4
@@ -118,8 +117,6 @@ class ModelConfig:
         for f in fields(self):
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("cond_kernel", "cond_token_exp", "cond_channel_exp", "cond_visual_tokens"):
@@ -262,8 +259,8 @@ def init_model(cfg: ModelConfig) -> Model:
             b1=np.zeros(d_ff),
             w2=rng.normal(scale=_WEIGHT_STD, size=(d_ff, c)),
             b2=np.zeros(c),
-            ln1=LNParams.identity(c, cfg.eps),
-            ln2=LNParams.identity(c, cfg.eps),
+            ln1=LNParams.identity(c),
+            ln2=LNParams.identity(c),
         )
         if cfg.paradigm == "fmi" and l in selected:
             cond = _init_cond_params(cfg, _component_rng(cfg.seed, l, 1))
@@ -326,14 +323,14 @@ def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.n
 def _ffn(x: np.ndarray, p: BlockParams | InsertParams) -> np.ndarray:
     """GELU(x @ w1 + b1) @ w2 + b2, the whole of it per row block (tensors.rowwise)."""
     if len(x) < SPLIT_ROWS:  # runs whole: skip the rowwise layer, as above
-        return _ffn_rows(x, p)
-    return rowwise(functools.partial(_ffn_rows, p=p), x, (p.w1, p.w2))
+        return _ffn_rows(x, p.w1, p.b1, p.w2, p.b2)
+    return rowwise(_ffn_rows, x, p.w1, p.b1, p.w2, p.b2)
 
 
-def _ffn_rows(x: np.ndarray, p: BlockParams | InsertParams) -> np.ndarray:
-    z = matmul(x, p.w1)
-    z += p.b1
-    return matmul(gelu(z, out=z), p.w2) + p.b2
+def _ffn_rows(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    z = matmul(x, w1)
+    z += b1
+    return matmul(gelu(z, out=z), w2) + b2
 
 
 def _slot_norm(
@@ -409,6 +406,8 @@ def forward(
     cfg = model.cfg
     if visual is None and cfg.paradigm in ("fmi", "crossattn"):
         raise ConfigError(f"paradigm {cfg.paradigm!r} requires visual input")
+    if t_emb.ndim != 2 or t_emb.shape[1] != cfg.C:
+        raise ShapeError(f"text embeddings must be (T, C={cfg.C}), got {t_emb.shape}")
     with checks_at_boundaries():
         h = t_emb
         if cfg.paradigm == "incontext" and visual is not None:
@@ -473,11 +472,11 @@ def config_from_kv(kv: dict[str, str]) -> ModelConfig:
         if raw == "none" and f.type == "int | None":
             kwargs[name] = None
         elif f.type in ("int", "int | None", "float"):
-            convert = float if f.type == "float" else int
+            kind = float if f.type == "float" else int
             try:
-                kwargs[name] = convert(raw)
+                kwargs[name] = parse_number(raw, kind)
             except ValueError:
-                raise ConfigError(f"config key {name} expects {convert.__name__}, got {raw!r}") from None
+                raise ConfigError(f"config key {name} expects {kind.__name__}, got {raw!r}") from None
         else:
             kwargs[name] = raw
     cfg = ModelConfig(**kwargs)

@@ -57,15 +57,14 @@ independent blocks on every usable CPU: ``attend``'s (query tile, head
 group) blocks, each writing its own slice of the context; the row blocks of
 ``rowwise`` (the model's Q/K/V/O projections, its FFN, the attn
 conditioner's and crossattn insert's projections and the incontext
-connector); and the mlp conditioner's token-mix tiles. The calling thread
-and the pool threads each take the next block in order as they finish one
-(``_in_threads``); numpy and scipy's erf release the GIL inside each
-block's ops. The thread count follows the process's CPU affinity
-(os.sched_getaffinity), so `taskset -c 0` pins a run to one thread. A call
-whose work is under _SPLIT_MACS, or a row-wise product over fewer than
-SPLIT_ROWS rows, runs inline, and so does a call made on a pool thread, so
-a desk-sized forward, a gradient check and the op-walk never start the
-pool. Every block runs under a copy of the
+connector); and the mlp conditioner's token-mix tiles. ``_in_threads`` runs
+them on one thread per usable CPU and block, each thread taking the next
+block as it finishes one; numpy and scipy's erf release the GIL inside
+them. The CPUs are the process's affinity (os.sched_getaffinity), so
+`taskset -c 0` pins a run to one thread. One block, a call on a pool
+thread, a call under _SPLIT_MACS and a row-wise product over fewer than
+SPLIT_ROWS rows run inline, so a desk-sized forward, a gradient check and
+the op-walk never start the pool. Every block runs under a copy of the
 caller's context, so checks_at_boundaries and numpy's error state hold
 there, and a failure re-raises the error of the earliest failing block
 once every thread has stopped. Blocks write disjoint outputs and a row
@@ -73,8 +72,8 @@ block is the same product on fewer rows, so outputs, errors and counted
 MACs are the same for any thread count, the outputs bit for bit as long as
 each BLAS call is itself deterministic: keep BLAS at one thread
 (OPENBLAS_NUM_THREADS=1 and the like), since OpenBLAS's own threads change
-the bits of some products. Each thread holds at most one attention logits
-group of _LOGITS_BYTES.
+the bits of some products. Each thread holds at most one _BLOCK_BYTES
+block, an attention logits group or a token-mix tile.
 """
 
 from __future__ import annotations
@@ -83,6 +82,7 @@ import contextvars
 import functools
 import math
 import os
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -200,6 +200,8 @@ def _finite_op(op):
 # ---------------------------------------------------------------------------
 # Threads
 
+# Bytes of a thread's block, a logits group or a token-mix tile: it stays in L2.
+_BLOCK_BYTES = 512 * 1024
 # Multiply-accumulates a call must reach before its blocks go to the pool.
 # A hand-off to a pool thread and back costs about 60 us (2-vCPU Xeon), the
 # time of 1-2e6 float64 MACs, so a call at this size saves several times
@@ -245,24 +247,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _workers(blocks: int, macs: int) -> int:
-    """Threads for `blocks` independent blocks of `macs` multiply-accumulates
-    in all: one per usable CPU and block, or 1 below _SPLIT_MACS."""
-    if blocks < 2 or macs < _SPLIT_MACS or _IN_POOL_WORK.get():
-        return 1
-    return min(_usable_cpus(), blocks)
-
-
-def _in_threads(run, items: Sequence, workers: int) -> list:
-    """[run(item) for item in items] on this thread and workers - 1 pool
-    threads, each taking the next item in order as it finishes one, so a
-    thread slowed by a busy core takes fewer. Every pool thread runs under a
-    copy of this thread's context and numpy error state, so
-    checks_at_boundaries holds there too. Returns once every thread has
+def _in_threads(run, items: Sequence) -> list:
+    """[run(item) for item in items] on one thread per usable CPU and item,
+    this one and pool threads, each taking the next item in order as it
+    finishes one, so a thread slowed by a busy core takes fewer. Every pool
+    thread runs under a copy of this thread's context and numpy error state,
+    so checks_at_boundaries holds there too. Returns once every thread has
     stopped; after a failure no thread takes another item, and the error of
     the earliest failing item is raised, the one a serial loop would meet.
-    With one worker, or called from inside an item, it is that serial loop."""
-    if workers < 2 or _IN_POOL_WORK.get():
+    With one item or CPU, or called from inside an item, it is that loop."""
+    workers = 1 if len(items) < 2 or _IN_POOL_WORK.get() else min(_usable_cpus(), len(items))
+    if workers < 2:
         return [run(item) for item in items]
     results: list = [None] * len(items)
     order = iter(range(len(items)))  # shared; next() on it is atomic under the GIL
@@ -298,35 +293,37 @@ def _with_errstate(err: dict, run) -> None:
         run()
 
 
-def rowwise(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
-    """fn(x) for a 2-D x whose rows fn maps one by one through the products
-    with weights, in order (x @ w, or an FFN's x @ w1 then @ w2), run as
-    row blocks on the pool and joined in row order when the products are
-    large: at least SPLIT_ROWS rows and _SPLIT_MACS. There is one block
-    per thread; every block but the last is a multiple of 8 rows, so none
-    is ever a 1-row matrix-vector product. A row block of a product keeps
-    each element's sum order (Goto & van de Geijn, 2008), so the bits match
-    one whole call, but OpenBLAS 0.3.31's float64 Haswell kernels break
-    that for a column count that is not a multiple of 8: (256, 576) @
-    (576, 2308) split in two differs in the tail columns of the rows that
-    end a block. Such products run whole, as do a batched x or weight and
-    every call below the sizes; tests/test_tensors.py checks each split
-    shape family bit for bit."""
+def rowwise(fn: Callable[..., np.ndarray], x: np.ndarray, *operands: np.ndarray) -> np.ndarray:
+    """fn(x, *operands) for a 2-D x whose rows fn maps one by one through
+    the products with the 2-D operands in order (1-D ones are biases), run
+    as row blocks on the pool and joined in row order when the products are
+    large: at least SPLIT_ROWS rows and _SPLIT_MACS. There is one block per
+    thread; every block but the last is a multiple of 8 rows, so none is
+    ever a 1-row matrix-vector product. A row block of a product keeps each
+    element's sum order (Goto & van de Geijn, 2008), so the bits match one
+    whole call, but OpenBLAS 0.3.31's float64 Haswell kernels break that for
+    a column count that is not a multiple of 8: (256, 576) @ (576, 2308)
+    split in two differs in the tail columns of the rows that end a block.
+    Such products run whole, as do a batched x or weight, a call on a pool
+    thread and every call below the sizes; tests/test_tensors.py checks
+    each split shape family bit for bit."""
     rows = len(x)
+    weights = [w for w in operands if w.ndim > 1]
     blocks = 1
-    if rows >= SPLIT_ROWS and x.ndim == 2 and all(w.ndim == 2 and w.shape[1] % 8 == 0 for w in weights):
-        blocks = _workers(rows // _BLOCK_ROWS, rows * sum(w.size for w in weights))
+    if (rows >= SPLIT_ROWS and x.ndim == 2 and all(w.ndim == 2 and w.shape[1] % 8 == 0 for w in weights)
+            and rows * sum(w.size for w in weights) >= _SPLIT_MACS and not _IN_POOL_WORK.get()):
+        blocks = min(_usable_cpus(), rows // _BLOCK_ROWS)
     if blocks == 1:
-        return fn(x)
+        return fn(x, *operands)
     bounds = [rows * i // blocks // 8 * 8 for i in range(blocks)] + [rows]
-    return np.concatenate(_in_threads(lambda i: fn(x[bounds[i]:bounds[i + 1]]), range(blocks), blocks))
+    return np.concatenate(_in_threads(lambda i: fn(x[bounds[i]:bounds[i + 1]], *operands), range(blocks)))
 
 
 def matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """matmul(x, w), as row blocks on the pool when large (see rowwise)."""
-    if len(x) < SPLIT_ROWS:  # most calls: no closure, no rowwise
+    if len(x) < SPLIT_ROWS:  # most calls: no rowwise layer
         return matmul(x, w)
-    return rowwise(lambda rows: matmul(rows, w), x, (w,))
+    return rowwise(matmul, x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +472,6 @@ _QUERY_TILE = 128
 # The causal mask of a tile's diagonal block: -inf strictly above the diagonal.
 _TILE_MASK = np.triu(np.full((_QUERY_TILE, _QUERY_TILE), -np.inf), k=1)
 _TILE_MASK.setflags(write=False)
-# Logits bytes a tile scores at once: heads are grouped so a group fits in L2.
-_LOGITS_BYTES = 512 * 1024
 
 
 def _score(q, k, v, ctx, scale, causal, a, b, keys, hs):
@@ -498,7 +493,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool) -> np.ndar
     Causal calls (n == m) run 128-query tiles: tile [a, b) scores keys [0, b)
     only, and only its diagonal block takes the -inf mask. Non-causal calls
     run all queries as one tile, as tiling them saves no keys. A tile scores
-    its heads in groups whose logits fit _LOGITS_BYTES (one head at least),
+    its heads in groups whose logits fit _BLOCK_BYTES (one head at least),
     so they stay in cache through softmax and the value product. numpy's
     batched matmul runs one BLAS call per head on the same operands and the
     rest is elementwise or per row, so any grouping gives the same bits.
@@ -521,14 +516,14 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool) -> np.ndar
     for a in range(0, n, _QUERY_TILE if causal else max(n, 1)):
         b = min(a + _QUERY_TILE, n) if causal else n
         keys = b if causal else k.shape[-2]
-        group = max(1, _LOGITS_BYTES // ((b - a) * keys * q.itemsize))
+        group = max(1, _BLOCK_BYTES // ((b - a) * keys * q.itemsize))
         for g in range(0, heads, group):
             if macs < _SPLIT_MACS:
                 _score(q, k, v, ctx, scale, causal, a, b, keys, slice(g, g + group))
             else:
                 blocks.append((a, b, keys, slice(g, g + group)))
     if blocks:
-        _in_threads(lambda block: _score(q, k, v, ctx, scale, causal, *block), blocks, _workers(len(blocks), macs))
+        _in_threads(lambda block: _score(q, k, v, ctx, scale, causal, *block), blocks)
     return ctx
 
 
@@ -564,6 +559,16 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def parse_number(raw: str, kind: type = int):
+    """kind(raw), int or float, if raw is spelled as str() writes it: ASCII digits
+    after an optional "-", and for a float a fraction, "e-"/"e+" and an exponent,
+    inf or nan; else ValueError. int() and float() also take "+", "_" separators,
+    surrounding whitespace and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+" + (r"(\.[0-9]+)?(e[-+][0-9]+)?|-?inf|nan" if kind is float else ""), raw):
+        raise ValueError(f"invalid {kind.__name__} value: {raw!r}")
+    return kind(raw)
 
 
 def _bin_path(manifest_path: Path) -> Path:
@@ -606,10 +611,9 @@ def load_tensors(manifest_path: str | Path) -> dict[str, np.ndarray]:
                 raise ValueError("fields must read shape=... dtype=...")
             dims = shape_field.removeprefix("shape=")
             dims = dims.split("x") if dims else []  # "" is a 0-d tensor
-            # plain ASCII digits only: int() would also take a sign, "_" and non-ASCII digits
-            if not all(d.isascii() and d.isdigit() for d in dims):
-                raise ValueError(f"dimensions must be non-negative decimal integers: {dims}")
-            shape = tuple(int(d) for d in dims)
+            shape = tuple(parse_number(d) for d in dims)
+            if min(shape, default=0) < 0:
+                raise ValueError(f"dimensions must be non-negative: {dims}")
             dtype = _DTYPES[dtype_field.removeprefix("dtype=")]
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"malformed manifest line: {line!r}") from exc

@@ -7,6 +7,7 @@ checkout it runs from.
 """
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -34,3 +35,24 @@ def test_desk_run_is_correct(trace, tmp_path):
         record = json.loads((tmp_path / ".perfbench_out" / "desk-seed1-trace1.json").read_text())
         stale = {"norm.central_difference", "model.block_forward_base", "model.block_forward_fmi"}
         assert set(record["trace"]["unwrapped_functions"]) <= stale
+
+
+def test_op_digests_print_one_line_per_desk_operation():
+    """tools/op_digests.py prints `name sha256` for each timed operation, in
+    the benchmark's order. The lines do not depend on the simulated CPU
+    count, and every one but the op-walk's, whose configs are fixed, depends
+    on the seed."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in declared["end_to_end"] if m["name"] not in ("setup_s", "peak_rss_mb")]
+    outs = []
+    for argv in (["--seed", "1"], ["--seed", "1", "--cpus", "3"], ["--seed", "2"]):
+        run = subprocess.run([sys.executable, str(ROOT / "tools" / "op_digests.py"), "--workload", "desk", *argv],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    lines = [line.split(" ") for line in outs[0].splitlines()]
+    assert [name for name, _ in lines] == names
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
+    assert outs[1] == outs[0]
+    changed = [a.split(" ")[0] for a, b in zip(outs[0].splitlines(), outs[2].splitlines()) if a != b]
+    assert changed == names[:-1]

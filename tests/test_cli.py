@@ -236,8 +236,8 @@ class TestErrors:
         (["equivalence", "--seed", "-1"], None),
         (["equivalence", "--config", "{cfg}"], "seed=1.5"),
         (["equivalence", "--config", "{cfg}"], "frequency=abc"),
-        (["equivalence", "--config", "{cfg}"], "eps=nan"),
-        (["forward", "--config", "{cfg}", "--out", "{tmp}"], "eps=inf"),
+        (["equivalence", "--config", "{cfg}"], "frequency=nan"),
+        (["forward", "--config", "{cfg}", "--out", "{tmp}"], "frequency=inf"),
         (["diagnose", "--config", "{cfg}", "--out", "{tmp}"], "seed=-2"),
         (["forward", "--image-size", "0", "--out", "{tmp}"], None),
         (["forward", "--patch", "0", "--out", "{tmp}"], None),
@@ -256,6 +256,15 @@ class TestErrors:
                      id="config-negative-kernel"),
         pytest.param(["cost", "--frames", "0", "--out", "{tmp}"], None, id="cost-frames-zero"),
         pytest.param(["cost", "--frames", "a,b", "--out", "{tmp}"], None, id="cost-frames-junk"),
+        # number spellings str() never writes, which int() and float() accept
+        pytest.param(["equivalence", "--config", "{cfg}"], "L=+2", id="config-int-plus-sign"),
+        pytest.param(["equivalence", "--config", "{cfg}"], "L=1_0", id="config-int-underscore"),
+        pytest.param(["equivalence", "--config", "{cfg}"], "L=\u0663", id="config-int-arabic-indic-digit"),
+        pytest.param(["equivalence", "--config", "{cfg}"], "frequency=1_0e-1", id="config-float-underscore"),
+        pytest.param(["forward", "--tokens", "1_6", "--out", "{tmp}"], None, id="forward-tokens-underscore"),
+        pytest.param(["forward", "--tokens", "\u0661\u0666", "--out", "{tmp}"], None,
+                     id="forward-tokens-arabic-indic-digits"),
+        pytest.param(["cost", "--frames", "8,1_6", "--out", "{tmp}"], None, id="cost-frames-underscore"),
         pytest.param(["cost", "--frequency", "0", "--out", "{tmp}"], None, id="cost-frequency-zero"),
         pytest.param(["cost", "--frequency", "nan", "--out", "{tmp}"], None, id="cost-frequency-nan"),
         pytest.param(["equivalence", "--weights", "{weights}"], None, id="equivalence-weights"),

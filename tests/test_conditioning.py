@@ -377,21 +377,21 @@ class TestGradchecks:
 
 
 class TestAttnHeadGroups:
-    """tensors.attend scores heads in groups of at most _LOGITS_BYTES of
+    """tensors.attend scores heads in groups of at most _BLOCK_BYTES of
     logits; a 1-byte budget runs every head as its own group."""
 
     @pytest.mark.parametrize("operand", ["t", "v", *FIELDS["attn"]])
     def test_stacked_operand_under_one_byte_budget(self, operand, monkeypatch):
-        monkeypatch.setattr(tensors, "_LOGITS_BYTES", 1)
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 1)
         TestBatchedForwards().test_stacked_operand_equals_slices("attn", operand)
 
     def test_gradcheck_under_one_byte_budget(self, monkeypatch):
-        monkeypatch.setattr(tensors, "_LOGITS_BYTES", 1)
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 1)
         TestGradchecks().test_attn()
 
 
 class TestMlpTiles:
-    """The token mix runs in tiles of _Z1_TILE_BYTES of z1; shrinking the
+    """The token mix runs in tiles of tensors._BLOCK_BYTES of z1; shrinking the
     constant makes small shapes run many tiles. T=5, C=20, L*token_exp=10,
     so one z1 row is 80 bytes in float64."""
 
@@ -412,7 +412,7 @@ class TestMlpTiles:
         t, visual, p = self.case()
         one_tile = cond_mlp(t, visual.v, p)
         tile_bytes, count = self.TILES[tile]
-        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", tile_bytes)
         assert len(_mix_tiles(5, 20, 80)) == count
         tiled = cond_mlp(t, visual.v, p)
         assert np.max(np.abs(tiled - one_tile)) <= 1e-15 * np.max(np.abs(one_tile))
@@ -420,16 +420,16 @@ class TestMlpTiles:
 
     @pytest.mark.parametrize("operand", ["t", "v", *FIELDS["mlp"]])
     def test_stacked_operand_under_tiny_tiles(self, operand, monkeypatch):
-        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 1)
         TestBatchedForwards().test_stacked_operand_equals_slices("mlp", operand)
 
     def test_gradcheck_under_tiny_tiles(self, monkeypatch):
-        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 1)
         t, visual, p = self.case(51)
         assert gradcheck_conditioner("mlp", t, visual, p) <= 1e-4
 
     def test_float32_keeps_dtype(self, monkeypatch):
-        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 1)
         t, visual, p = self.case(52)
         p32 = replace(p, **{name: arr.astype(np.float32) for name, arr in param_arrays(p)})
         visual32 = VisualContext(visual.v.astype(np.float32), "synthetic")
@@ -439,7 +439,7 @@ class TestMlpTiles:
         assert np.max(np.abs(out32 - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     def test_nan_in_last_tile_raises(self, monkeypatch):
-        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 1)
         t, visual, p = self.case(53)
         t[-1, -1] = np.nan
         with pytest.raises(NumericError):
@@ -448,8 +448,8 @@ class TestMlpTiles:
     def test_mac_count_independent_of_tile_size(self, monkeypatch):
         t, visual, p = self.case(54)
         counts = []
-        for tile_bytes, _ in [(conditioning._Z1_TILE_BYTES, 1), *self.TILES.values()]:
-            monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", tile_bytes)
+        for tile_bytes, _ in [(tensors._BLOCK_BYTES, 1), *self.TILES.values()]:
+            monkeypatch.setattr(tensors, "_BLOCK_BYTES", tile_bytes)
             with count_macs() as counter:
                 cond_mlp(t, visual.v, p)
             counts.append(counter.macs)
@@ -484,7 +484,7 @@ class TestMlpTiles:
 class TestMlpWorkers:
     """The token-mix tiles run on the calling thread and on worker threads,
     one thread per usable CPU, each taking the next tile as it finishes one.
-    With TestMlpTiles' shape and a 1-byte _Z1_TILE_BYTES there are fifteen
+    With TestMlpTiles' shape and a 1-byte tensors._BLOCK_BYTES there are fifteen
     tiles of at most 8 rows (640 bytes of z1 in float64); the tiles do not
     depend on the thread count."""
 
@@ -493,7 +493,7 @@ class TestMlpWorkers:
     @pytest.fixture
     def cpus(self, monkeypatch):
         def set_cpus(n):
-            monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1)
+            monkeypatch.setattr(tensors, "_BLOCK_BYTES", 1)
             monkeypatch.setattr(tensors, "_usable_cpus", lambda: n)
             monkeypatch.setattr(tensors, "_pool", None)  # a pool of n - 1 threads on first use
         return set_cpus
@@ -525,19 +525,25 @@ class TestMlpWorkers:
             assert got.dtype == out.dtype and got.tobytes() == out.tobytes(), n
             assert got_macs == macs, n
 
-    def test_thread_count(self, cpus, monkeypatch):
-        tiles = _mix_tiles(16, 256, 18464)  # C=256, V=576: 24-row tiles of 443,136 bytes
-        monkeypatch.setattr(tensors, "_usable_cpus", lambda: 64)
-        assert conditioning._mix_workers(tiles, 16, 256, 18464) == 2  # two tiles fit _Z1_THREADS_BYTES
-        assert conditioning._mix_workers(_mix_tiles(2, 20, 80), 2, 20, 80) == 1  # one tile
-        workers = []
-        for n in (*self.COUNTS, 64):
-            cpus(n)
-            tiles = _mix_tiles(5, 20, 80)
-            workers.append(conditioning._mix_workers(tiles, 5, 20, 80))
-        assert len(tiles) == 15 and workers == [1, 2, 3, 7, 15]  # no more threads than tiles
-        monkeypatch.setattr(conditioning, "_Z1_THREADS_BYTES", 3 * 640)
-        assert conditioning._mix_workers(tiles, 5, 20, 80) == 3
+    def test_z1_peak_is_one_tile_per_thread(self, monkeypatch):
+        """At C=256, V=576 the 16 tokens' mix is 176 tiles of 443,136 bytes of
+        z1; each thread past the first adds at most one tile of z1, within
+        _BLOCK_BYTES, and the GELU buffer of its size to the traced peak."""
+        rng, t, visual = random_case(55, tokens=16, vis=576, channels=256)
+        p = MlpCondParams.init(rng, 256, 576)
+        peaks = {}
+        for n in (1, 2, 16):
+            monkeypatch.setattr(tensors, "_usable_cpus", lambda: n)
+            monkeypatch.setattr(tensors, "_pool", None)
+            cond_mlp(t, visual.v, p)  # starts the pool's threads outside the trace
+            tracemalloc.start()
+            try:
+                cond_mlp(t, visual.v, p)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        for n in (2, 16):
+            assert peaks[n] - peaks[1] <= (n - 1) * 2 * tensors._BLOCK_BYTES, peaks
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bits_and_macs_equal_for_any_worker_count(self, cpus, dtype):
@@ -644,7 +650,7 @@ class TestMlpWorkers:
         cond_mlp(t, v, p)
         assert tensors._pool is None
         cpus(7)
-        monkeypatch.setattr(conditioning, "_Z1_TILE_BYTES", 1 << 20)
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", 1 << 20)
         cond_mlp(t, v, p)
         assert tensors._pool is None
         cpus(7)
@@ -655,11 +661,11 @@ class TestMlpWorkers:
     def test_forked_child_runs_the_token_mix(self):
         script = textwrap.dedent("""
             import os, signal, sys
-            from featmod import conditioning, tensors
+            from featmod import tensors
             from featmod.conditioning import MlpCondParams, cond_mlp
             from featmod.tensors import make_rng
 
-            conditioning._Z1_TILE_BYTES = 1
+            tensors._BLOCK_BYTES = 1
             tensors._usable_cpus = lambda: 3
             rng = make_rng(64)
             t, v = rng.normal(size=(5, 20)), rng.normal(size=(4, 20))

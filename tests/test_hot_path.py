@@ -158,11 +158,10 @@ def test_the_hot_path_incontext_forward_uses_the_pool(monkeypatch):
     monkeypatch.setattr(tensors, "_pool", None)
     calls = []
     in_threads = tensors._in_threads
-    monkeypatch.setattr(tensors, "_in_threads", lambda run, items, workers: calls.append(workers) or
-                        in_threads(run, items, workers))
+    monkeypatch.setattr(tensors, "_in_threads", lambda run, items: calls.append(len(items)) or in_threads(run, items))
     rng = make_rng(8)
     forward(pooled_incontext(), rng.normal(size=(8, 256)), VisualContext(rng.normal(size=(256, 256)), "synthetic"))
-    assert calls.count(2) == 7  # connector, q, k, v, attention, o, FFN
+    assert len(calls) == 7 and min(calls) >= 2  # connector, q, k, v, attention, o, FFN
 
 
 def test_wrapper_calls_are_seen():

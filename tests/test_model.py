@@ -35,6 +35,7 @@ from featmod.norm import layer_norm, project_deltas, viln_apply
 from featmod.tensors import (
     ConfigError,
     NumericError,
+    ShapeError,
     checks_at_boundaries,
     count_macs,
     gelu,
@@ -118,7 +119,7 @@ class TestConfigValidation:
         small_cfg(cond_kind="mlp", cond_visual_tokens=6).validate()
 
 
-def naive_block_reference(h, p, heads, eps):
+def naive_block_reference(h, p, heads):
     """Per-position causal block, plain loops."""
 
     def ln(row, params):
@@ -161,7 +162,7 @@ class TestBaseBlock:
         rng = make_rng(1)
         h = rng.normal(size=(1, cfg.C))
         out = block_forward(h, p, cfg)
-        assert np.allclose(out, naive_block_reference(h, p, cfg.h, cfg.eps), atol=1e-12)
+        assert np.allclose(out, naive_block_reference(h, p, cfg.h), atol=1e-12)
 
     def test_matches_naive_reference(self):
         cfg = small_cfg(paradigm="base")
@@ -170,7 +171,7 @@ class TestBaseBlock:
         h = rng.normal(size=(7, cfg.C))
         for p in model.blocks:
             ours = block_forward(h, p, cfg)
-            ref = naive_block_reference(h, p, cfg.h, cfg.eps)
+            ref = naive_block_reference(h, p, cfg.h)
             assert np.max(np.abs(ours - ref)) < 1e-10
             h = ours
 
@@ -196,7 +197,7 @@ class TestTiledAttention:
         cfg = small_cfg(paradigm="base")
         p = init_model(cfg).blocks[0]
         h = make_rng(s).normal(size=(s, cfg.C))
-        ref = naive_block_reference(h, p, cfg.h, cfg.eps)
+        ref = naive_block_reference(h, p, cfg.h)
         assert np.max(np.abs(block_forward(h, p, cfg) - ref)) < 1e-10
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -232,11 +233,11 @@ class TestTiledAttention:
 
 
 def logits_budget(name, s, itemsize, keys=None):
-    """A _LOGITS_BYTES value: "three_heads" fits exactly 3 heads in the first
+    """A _BLOCK_BYTES value: "three_heads" fits exactly 3 heads in the first
     tile, so 8 heads run as groups of 3, 3 and a partial 2 there. With keys,
     the budget is for a non-causal call, whose one tile is all s queries."""
     first_tile = (min(s, 128) ** 2 if keys is None else s * keys) * itemsize
-    return {"one_byte": 1, "three_heads": 3 * first_tile, "default": tensors._LOGITS_BYTES, "huge": 1 << 62}[name]
+    return {"one_byte": 1, "three_heads": 3 * first_tile, "default": tensors._BLOCK_BYTES, "huge": 1 << 62}[name]
 
 
 def attention_setup(s, heads, dtype, channels=32):
@@ -262,7 +263,7 @@ def untiled_cond_attn_reference(t, v, p):
 
 
 class TestHeadGroups:
-    """Each tile scores its heads in groups whose logits fit _LOGITS_BYTES."""
+    """Each tile scores its heads in groups whose logits fit _BLOCK_BYTES."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("heads", [1, 4, 8])
@@ -270,11 +271,11 @@ class TestHeadGroups:
     def test_every_budget_is_bit_identical_to_one_group(self, s, heads, dtype, monkeypatch):
         h, p = attention_setup(s, heads, dtype)
         budgets = {name: logits_budget(name, s, np.dtype(dtype).itemsize) for name in ("one_byte", "three_heads", "default")}
-        monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget("huge", s, 8))
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", logits_budget("huge", s, 8))
         with count_macs() as counter:
             one_group = _causal_self_attention(h, p, heads)
         for name, budget in budgets.items():
-            monkeypatch.setattr(tensors, "_LOGITS_BYTES", budget)
+            monkeypatch.setattr(tensors, "_BLOCK_BYTES", budget)
             with count_macs() as grouped:
                 out = _causal_self_attention(h, p, heads)
             assert out.dtype == dtype
@@ -289,11 +290,11 @@ class TestHeadGroups:
         scores all its queries as one tile and groups only the heads."""
         t, visual, p = cross_attention_setup(tokens, heads, dtype)
         itemsize = np.dtype(dtype).itemsize
-        monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget("huge", tokens, 8))
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", logits_budget("huge", tokens, 8))
         with count_macs() as counter:
             one_group = cond_attn(t, visual.v, p)
         for name in ("one_byte", "three_heads", "default"):
-            monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget(name, tokens, itemsize, visual.count))
+            monkeypatch.setattr(tensors, "_BLOCK_BYTES", logits_budget(name, tokens, itemsize, visual.count))
             with count_macs() as grouped:
                 out = cond_attn(t, visual.v, p)
             assert out.dtype == dtype
@@ -310,7 +311,7 @@ class TestHeadGroups:
         """s = 293 is three tiles: [0, 128) fits 3 heads a group, [128, 256),
         with twice the keys, 1, and the 37-query [256, 293) 4."""
         h, p = attention_setup(293, 8, np.float64)
-        monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget(budget, 293, 8))
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", logits_budget(budget, 293, 8))
         names = []
         monkeypatch.setattr(tensors, "check_finite", lambda name, out: names.append(name) or out)
         with checks_at_boundaries():
@@ -321,7 +322,7 @@ class TestHeadGroups:
     def test_nan_in_the_last_group_raises(self, budget, monkeypatch):
         h, p = attention_setup(293, 8, np.float64)
         p.wq[:, -4:] = np.nan  # the query channels of head 7 only
-        monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget(budget, 293, 8))
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", logits_budget(budget, 293, 8))
         with checks_at_boundaries(), pytest.raises(NumericError, match="attention logits"):
             _causal_self_attention(h, p, 8)
 
@@ -329,7 +330,7 @@ class TestHeadGroups:
     def test_nan_in_the_last_cross_attention_group_raises(self, budget, monkeypatch):
         t, visual, p = cross_attention_setup(293, 8, np.float64)
         p.wq[:, -4:] = np.nan  # the query channels of head 7 only
-        monkeypatch.setattr(tensors, "_LOGITS_BYTES", logits_budget(budget, 293, 8, visual.count))
+        monkeypatch.setattr(tensors, "_BLOCK_BYTES", logits_budget(budget, 293, 8, visual.count))
         with checks_at_boundaries(), pytest.raises(NumericError, match="attention logits"):
             cond_attn(t, visual.v, p)
 
@@ -712,13 +713,13 @@ class TestSerialization:
     def test_descriptor_keys_are_pinned(self):
         """Every descriptor key, in order: saved descriptors keep them."""
         assert list(config_to_kv(ModelConfig())) == [
-            "L", "C", "h", "d_ff", "paradigm", "cond_kind", "frequency", "location", "eps", "seed",
+            "L", "C", "h", "d_ff", "paradigm", "cond_kind", "frequency", "location", "seed",
             "cond_kernel", "cond_token_exp", "cond_channel_exp", "cond_visual_tokens",
         ]
 
     @pytest.mark.parametrize("key, value", [
         ("cond_heads", "none"), ("modulate_attn", "true"), ("modulate_ffn", "true"),
-        ("use_delta_alpha", "true"), ("use_delta_beta", "true"), ("norm_mode", "ln"),
+        ("use_delta_alpha", "true"), ("use_delta_beta", "true"), ("norm_mode", "ln"), ("eps", "1e-05"),
     ])
     def test_removed_field_key_rejected(self, key, value):
         """A line of a field ModelConfig no longer has is named, not ignored;
@@ -806,6 +807,14 @@ def _variant_case(variant):
     randomize_insert(model, make_rng(17), scale=0.2)
     t_emb, visual = make_inputs(cfg)
     return model, t_emb, None if paradigm == "base" else visual
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
+@pytest.mark.parametrize("shape", [(32,), (2, 8, 32), (8, 31)], ids=["1-D", "3-D", "other-C"])
+def test_text_embeddings_not_t_by_c_are_a_shape_error(variant, shape):
+    model, _, visual = _variant_case(variant)
+    with pytest.raises(ShapeError, match=r"text embeddings must be \(T, C=32\)"):
+        forward(model, np.zeros(shape), visual)
 
 
 def _warnings_off():

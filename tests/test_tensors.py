@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -629,7 +630,7 @@ class TestRowBlocks:
         rng = make_rng(len(x_shape) + w_shape[-1])
         x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
         calls = []
-        run = lambda: rowwise(lambda rows: calls.append(rows.shape) or matmul(rows, w), x, (w,))  # noqa: E731
+        run = lambda: rowwise(lambda rows, w: calls.append(rows.shape) or matmul(rows, w), x, w)  # noqa: E731
         assert_bits_at_each_count(cpus, run, matmul(x, w), pooled=False)
         assert calls == [x_shape] * len(CPU_COUNTS)
 
@@ -648,7 +649,7 @@ class TestRowBlocks:
         for n in CPU_COUNTS:
             cpus(n)
             blocks = []
-            out = rowwise(lambda block: blocks.append((int(block[0, 0]), len(block))) or block.copy(), x, (w,))
+            out = rowwise(lambda block, w: blocks.append((int(block[0, 0]), len(block))) or block.copy(), x, w)
             assert out.tobytes() == x.tobytes()
             blocks.sort()
             assert len(blocks) == min(n, rows // tensors._BLOCK_ROWS)
@@ -719,9 +720,9 @@ class TestInThreads:
             def outer(i):
                 if threading.current_thread() is caller:
                     time.sleep(0.05)  # the pool thread takes the other items
-                return threading.current_thread(), tensors._in_threads(inner, range(3), 2)
+                return threading.current_thread(), tensors._in_threads(inner, range(3))
 
-            results = tensors._in_threads(outer, range(4), 2)
+            results = tensors._in_threads(outer, range(4))
             for outer_thread, nested in results:
                 assert nested == [(outer_thread, i) for i in range(3)]
             assert any(outer_thread is not caller for outer_thread, _ in results)
@@ -741,9 +742,9 @@ class TestInThreads:
         calls = []
 
         def item(i):
-            return rowwise(lambda rows: calls.append(len(rows)) or matmul(rows, w), x, (w,))
+            return rowwise(lambda rows, w: calls.append(len(rows)) or matmul(rows, w), x, w)
 
-        outs = tensors._in_threads(item, range(3), 3)
+        outs = tensors._in_threads(item, range(3))
         assert calls == [592] * 3
         assert all(out.tobytes() == matmul(x, w).tobytes() for out in outs)
 
@@ -753,7 +754,7 @@ class TestInThreads:
         x[:, 0] = np.arange(592)  # blocks start at rows 0, 144, 296 and 440
         started, ended = [], []
 
-        def block(rows):
+        def block(rows, w):
             start = int(rows[0, 0])
             started.append(start)
             try:
@@ -765,5 +766,73 @@ class TestInThreads:
                 ended.append(start)
 
         with pytest.raises(ValueError, match="block 144"):
-            rowwise(block, x, (np.eye(256),))
+            rowwise(block, x, np.eye(256))
         assert sorted(ended) == sorted(started) and 144 in ended
+
+    @staticmethod
+    def thread_names(expected: int):
+        """(note, names): note() adds the calling thread's name to names and
+        holds each thread's first block until `expected` threads hold one,
+        so every thread the pool starts runs a block, and a thread too few or
+        too many breaks the barrier instead of passing unseen."""
+        names: set = set()
+        lock = threading.Lock()
+        barrier = threading.Barrier(expected, timeout=10)
+
+        def note():
+            name = threading.current_thread().name
+            with lock:
+                first = name not in names
+                names.add(name)
+            if first:
+                barrier.wait()
+
+        return note, names
+
+    @pytest.mark.parametrize("kind", ["attention", "rows", "tiles"])
+    def test_one_thread_per_cpu_and_block(self, cpus, kind, monkeypatch):
+        """min(CPUs, blocks) threads run the blocks, counted by thread name,
+        and one block never starts the pool, for each kind of block: the 30
+        (query tile, head group) blocks of a causal 592-query attention and
+        the one of a one-head cross-attention; the row blocks of a 592-row
+        product, rows // _BLOCK_ROWS at most; and the 15 token-mix tiles of
+        a 5-token, 20-channel mix under a 1-byte budget, one tile under the
+        default budget."""
+        from featmod import conditioning
+        from featmod.conditioning import MlpCondParams, cond_mlp
+
+        rng = make_rng(9)
+        notes = []  # the note() of the current CPU count
+
+        def noted(fn):
+            return lambda *args: notes[-1]() or fn(*args)
+
+        default_budget = budget = tensors._BLOCK_BYTES
+        if kind == "attention":
+            q, k, v = (rng.normal(size=(8, 592, 32)) for _ in range(3))
+            one = [rng.normal(size=(1, n, 256)) for n in (128, 576, 576)]  # 38e6 MACs, one head
+            monkeypatch.setattr(tensors, "_score", noted(tensors._score))
+            run, blocks, run_one = lambda: attend(q, k, v, True), 30, lambda: attend(*one, False)
+        elif kind == "rows":
+            x, w = rng.normal(size=(592, 256)), np.eye(256)
+            run, blocks, run_one = lambda: rowwise(noted(matmul), x, w), 592 // tensors._BLOCK_ROWS, None
+        else:
+            t, v = rng.normal(size=(5, 20)), rng.normal(size=(4, 20))
+            p = MlpCondParams.init(rng, 20, 4, 2, 2, std=0.3)
+            monkeypatch.setattr(conditioning, "_mix_tile", noted(conditioning._mix_tile))
+            budget, blocks = 1, 15
+            run = run_one = lambda: cond_mlp(t, v, p)
+        for n in (1, 2, 3, 4, 16):
+            cpus(n)
+            monkeypatch.setattr(tensors, "_BLOCK_BYTES", budget)
+            note, names = self.thread_names(min(n, blocks))
+            notes.append(note)
+            run()
+            assert len(names) == min(n, blocks), (n, names)
+            assert (tensors._pool is not None) == (n > 1), n
+        if run_one is not None:  # a row-wise product is one block at 1 CPU only, checked above
+            cpus(16)
+            monkeypatch.setattr(tensors, "_BLOCK_BYTES", default_budget)
+            notes.append(self.thread_names(1)[0])
+            run_one()
+            assert tensors._pool is None
