@@ -78,6 +78,14 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
+def _float(raw: str) -> float:
+    """argparse type for a float spelled as str() writes it (see parse_number)."""
+    try:
+        return parse_number(raw, float)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_frames(raw: str) -> list[int]:
     try:
         frames = [parse_number(part) for part in raw.split(",") if part]
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_non_negative_int, default=None, help="overrides the config's seed")
         if paradigm_help:
             p.add_argument("--paradigm", choices=PARADIGMS, help=paradigm_help)
-        p.add_argument("--frequency", type=float, default=None, help="share of blocks given vision, (0, 1]")
+        p.add_argument("--frequency", type=_float, default=None, help="share of blocks given vision, (0, 1]")
         p.add_argument("--location", choices=LOCATIONS, help="where the selected blocks sit in the stack")
 
     p = sub.add_parser("forward", help="run a paradigm on synthetic inputs")
@@ -369,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.add_argument("--paradigm", choices=costs.SWEEP_PARADIGMS, help="overrides the config's paradigm")
     p.add_argument("--frames", default=",".join(str(k) for k in costs.SWEEP_FRAMES))
-    p.add_argument("--frequency", type=float, default=None)
+    p.add_argument("--frequency", type=_float, default=None)
     p.add_argument("--tokens", type=_positive_int, default=None)
     p.set_defaults(func=cmd_cost)
 

@@ -52,28 +52,31 @@ A process-global multiply-accumulate counter can be armed with
 output exists, on whichever thread runs them. The analytic cost model is validated against forward passes
 traversed under this counter.
 
-Threads: one thread pool, created on first use, runs three kinds of
+Threads: one thread pool, created on first use, runs four kinds of
 independent blocks on every usable CPU: ``attend``'s (query tile, head
 group) blocks, each writing its own slice of the context; the row blocks of
 ``rowwise`` (the model's Q/K/V/O projections, its FFN, the attn
 conditioner's and crossattn insert's projections and the incontext
-connector); and the mlp conditioner's token-mix tiles. ``_in_threads`` runs
-them on one thread per usable CPU and block, each thread taking the next
-block as it finishes one; numpy and scipy's erf release the GIL inside
-them. The CPUs are the process's affinity (os.sched_getaffinity), so
-`taskset -c 0` pins a run to one thread. One block, a call on a pool
-thread, a call under _SPLIT_MACS and a row-wise product over fewer than
-SPLIT_ROWS rows run inline, so a desk-sized forward, a gradient check and
-the op-walk never start the pool. Every block runs under a copy of the
-caller's context, so checks_at_boundaries and numpy's error state hold
-there, and a failure re-raises the error of the earliest failing block
-once every thread has stopped. Blocks write disjoint outputs and a row
-block is the same product on fewer rows, so outputs, errors and counted
-MACs are the same for any thread count, the outputs bit for bit as long as
-each BLAS call is itself deterministic: keep BLAS at one thread
+connector); the column blocks of ``matmul_cols`` (the mlp conditioner's
+visual term), each writing its own columns of the output; and the mlp
+conditioner's token-mix tiles. ``_in_threads`` runs them on one thread per
+usable CPU and block, each thread taking the next block as it finishes
+one; numpy and scipy's erf release the GIL inside them. The CPUs are the
+process's affinity (os.sched_getaffinity), so `taskset -c 0` pins a run to
+one thread. One block, a call on a pool thread, a call under _SPLIT_MACS,
+a row-wise product over fewer than SPLIT_ROWS rows and a product of fewer
+than two _BLOCK_COLS-column blocks run inline, so a desk-sized forward, a
+gradient check and the op-walk never start the pool. Every block runs
+under a copy of the caller's context, so checks_at_boundaries and numpy's
+error state hold there, and a failure re-raises the error of the earliest
+failing block once every thread has stopped. Blocks write disjoint outputs
+and a row or column block is the same product on fewer rows or columns, so
+outputs, errors and counted MACs are the same for any thread count, the
+outputs bit for bit for the block shapes rowwise and matmul_cols allow, as
+long as each BLAS call is itself deterministic: keep BLAS at one thread
 (OPENBLAS_NUM_THREADS=1 and the like), since OpenBLAS's own threads change
-the bits of some products. Each thread holds at most one _BLOCK_BYTES
-block, an attention logits group or a token-mix tile.
+the bits of some products, a whole one included. Each thread holds at most
+one _BLOCK_BYTES block, an attention logits group or a token-mix tile.
 """
 
 from __future__ import annotations
@@ -211,6 +214,9 @@ _SPLIT_MACS = 1 << 24
 # SPLIT_ROWS rows runs whole, so a hot caller may skip rowwise for it.
 _BLOCK_ROWS = 128
 SPLIT_ROWS = 2 * _BLOCK_ROWS
+# Columns and multiply-accumulates of a column block at least (matmul_cols).
+_BLOCK_COLS = 256
+_BLOCK_MACS = 1 << 22
 
 # The pool, one thread per usable CPU besides the caller's, created on first
 # use; a forked child starts without it (the parent's threads do not survive
@@ -301,12 +307,13 @@ def rowwise(fn: Callable[..., np.ndarray], x: np.ndarray, *operands: np.ndarray)
     thread; every block but the last is a multiple of 8 rows, so none is
     ever a 1-row matrix-vector product. A row block of a product keeps each
     element's sum order (Goto & van de Geijn, 2008), so the bits match one
-    whole call, but OpenBLAS 0.3.31's float64 Haswell kernels break that for
-    a column count that is not a multiple of 8: (256, 576) @ (576, 2308)
-    split in two differs in the tail columns of the rows that end a block.
-    Such products run whole, as do a batched x or weight, a call on a pool
-    thread and every call below the sizes; tests/test_tensors.py checks
-    each split shape family bit for bit."""
+    whole call, but OpenBLAS 0.3.31's float64 kernels (core SkylakeX) break
+    that for a column count that is not a multiple of 8: (256, 576) @ (576,
+    2308) split in two differs in the tail columns of the rows that end a
+    block. Such products run whole, as do a batched x or weight, a call on
+    a pool thread and every call below the sizes; matmul_cols splits their
+    columns instead. tests/test_tensors.py checks each split shape family
+    bit for bit."""
     rows = len(x)
     weights = [w for w in operands if w.ndim > 1]
     blocks = 1
@@ -326,18 +333,50 @@ def matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return rowwise(matmul, x, w)
 
 
+def matmul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """matmul(a, b) for 2-D operands, as column blocks of b on the pool, one
+    per thread, each written straight into its column slice of one (m, n)
+    output, when the product reaches _SPLIT_MACS. A column block is the
+    outer loop of Goto & van de Geijn (2008), and it keeps every bit as long
+    as each block has at least _BLOCK_COLS columns and _BLOCK_MACS MACs;
+    block bounds are multiples of 8 columns but the last. Under OpenBLAS
+    0.3.31 (core SkylakeX, one thread) a float64 tail block, the one holding
+    the n % 8 columns, narrower than 192 columns changed those columns, as
+    (256, 576) @ (576, 2308) split at 2120 | 188 or (512, 64) @ (64, 260)
+    split in two did, and a wider one did when its blocks fell under about
+    1e6 MACs, as (128, 6) @ (6, 2308) split at 1152 | 1156 did. A batched
+    operand, a call on a pool thread and a product too small for two such
+    blocks run whole; tests/test_tensors.py checks the split families bit
+    for bit."""
+    blocks = 1
+    if a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0] and not _IN_POOL_WORK.get():
+        (m, k), n = a.shape, b.shape[1]
+        if m * k * n >= _SPLIT_MACS:
+            # the fewest columns, a multiple of 8, that hold _BLOCK_MACS
+            width = max(_BLOCK_COLS, -(-_BLOCK_MACS // (m * k * 8)) * 8)
+            blocks = min(_usable_cpus(), n // width)
+    if blocks < 2:
+        return matmul(a, b)
+    out = np.empty((m, n), np.result_type(a, b))
+    bounds = [n * i // blocks // 8 * 8 for i in range(blocks)] + [n]
+    cols = [slice(start, end) for start, end in zip(bounds, bounds[1:])]
+    _in_threads(lambda s: matmul(a, b[:, s], out=out[:, s]), cols)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Core ops
 
 @_finite_op
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product (..., m, k) @ (..., k, n); leading batch axes broadcast."""
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product (..., m, k) @ (..., k, n); leading batch axes broadcast.
+    out, if given, is written and returned, a view as well as an array."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul expects operands of at least 2-D, got {a.shape} @ {b.shape}")
     try:
-        out = a @ b
+        out = a @ b if out is None else np.matmul(a, b, out=out)
     except ValueError:
         raise ShapeError(f"matmul operands do not match: {a.shape} @ {b.shape}") from None
     _record_macs(out.size * a.shape[-1])

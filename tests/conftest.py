@@ -1,4 +1,12 @@
-from hypothesis import settings
+import os
+
+# One BLAS thread, set before numpy loads: the bit-identity tests compare
+# split products with whole ones, and OpenBLAS's own threads change the
+# bits of the whole product itself (see README, Performance).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from hypothesis import settings  # noqa: E402
 
 settings.register_profile("deterministic", derandomize=True, max_examples=50, deadline=None)
 settings.load_profile("deterministic")

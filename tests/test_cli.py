@@ -340,6 +340,22 @@ class TestErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["forward", "equivalence", "diagnose", "cost"])
+    @pytest.mark.parametrize("raw", [" 0.5 ", "٠.٥", "2_5e-1", "+0.5"],
+                             ids=["whitespace", "arabic-indic-digits", "underscore", "plus-sign"])
+    def test_frequency_spelling_str_never_writes_exits_two_naming_it(self, command, raw, tmp_path, capsys):
+        """float() reads each of these as 0.5 or 2.5; the flag takes only
+        what str() writes, as the descriptor's frequency key does."""
+        argv = [command, "--frequency", raw] + ([] if command == "equivalence" else ["--out", str(tmp_path / "run")])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and repr(raw) in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command, config, manifest, message", [
         pytest.param("forward", b"L=2\xff\n", None, "can't decode", id="forward-config-not-utf8"),
         pytest.param("cost", b"L=2\xff\n", None, "can't decode", id="cost-config-not-utf8"),

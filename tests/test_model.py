@@ -394,12 +394,22 @@ class TestForwardsOnThePool:
             assert self.digest(variant, tokens, monkeypatch, cpus=n) == unsplit, n
         assert tensors._pool is not None
 
+    def assert_fmi_mlp_hashes_as_unsplit(self, tokens, monkeypatch):
+        unsplit = self.digest("fmi_mlp", tokens, monkeypatch, cpus=4, layers=8, split=False)
+        for n in (1, 2, 3, 4):
+            assert self.digest("fmi_mlp", tokens, monkeypatch, cpus=n, layers=8) == unsplit, n
+        assert tensors._pool is not None
+
     def test_image336_fmi_mlp_forward_hashes_as_unsplit(self, monkeypatch):
         """All eight blocks, T=16: the mlp visual term, (256, 576) @ (576,
-        2308), stays one product, so the forward keeps its bits."""
-        unsplit = self.digest("fmi_mlp", 16, monkeypatch, cpus=4, layers=8, split=False)
-        for n in (2, 4):
-            assert self.digest("fmi_mlp", 16, monkeypatch, cpus=n, layers=8) == unsplit, n
+        2308), runs as column blocks on the pool, and the forward keeps its
+        bits."""
+        self.assert_fmi_mlp_hashes_as_unsplit(16, monkeypatch)
+
+    def test_video_long_fmi_mlp_forward_hashes_as_unsplit(self, monkeypatch):
+        """video_long's one-token prompt over V=576: the visual term's
+        column blocks are most of the forward's pooled work."""
+        self.assert_fmi_mlp_hashes_as_unsplit(1, monkeypatch)
 
 
 class TestZeroInitEquivalence:

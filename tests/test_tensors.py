@@ -6,6 +6,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from featmod.tensors import (
     load_tensors,
     make_rng,
     matmul,
+    matmul_cols,
     matmul_rows,
     merge_heads,
     rowwise,
@@ -658,6 +660,102 @@ class TestRowBlocks:
             assert all(size % 8 == 0 for _, size in blocks[:-1]) and blocks[-1][1] >= rows // len(blocks)
 
 
+def visual_operands(channels, vis, cols, dtype=np.float64, seed=0):
+    """(C, V) @ (V, cols) as the mlp visual term reads them: a transposed
+    (V, C) token matrix and a row slice of token_w1."""
+    rng = make_rng(seed)
+    v = rng.normal(size=(vis, channels)).astype(dtype)
+    w1 = rng.normal(scale=0.05, size=(vis + 1, cols)).astype(dtype)
+    return v.T, w1[1:]
+
+
+def note_products(monkeypatch, note):
+    """Make tensors.matmul call note(a, b) before each product; returns the
+    unpatched matmul."""
+    whole = tensors.matmul
+    monkeypatch.setattr(tensors, "matmul", lambda a, b, **kw: note(a, b) or whole(a, b, **kw))
+    return whole
+
+
+class TestColumnBlocks:
+    """tensors.matmul_cols keeps the bits of one whole matmul: every block
+    has at least 256 columns and 2^22 MACs, and its bounds are multiples of
+    8 columns but the last."""
+
+    @pytest.mark.parametrize("channels, vis, cols, dtype", [
+        (256, 576, 2308, np.float64),   # the image336 and video_long visual term
+        (256, 576, 2308, np.float32),
+        (256, 576, 577, np.float64),    # token_exp 1: two blocks at most
+        (256, 576, 577, np.float32),
+        (64, 1152, 4612, np.float64),   # 1152 visual tokens at C=64
+    ])
+    def test_bits(self, cpus, channels, vis, cols, dtype):
+        a, b = visual_operands(channels, vis, cols, dtype, seed=cols)
+        assert_bits_at_each_count(cpus, lambda: matmul_cols(a, b), matmul(a, b), pooled=True)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 256, 576), (576, 2308)),   # a batched a
+        ((256, 576), (3, 576, 2308)),   # a batched b
+        ((128, 6), (6, 2308)),          # 1.8e6 MACs, under _SPLIT_MACS
+        ((256, 576), (576, 511)),       # fewer than two 256-column blocks
+    ])
+    def test_below_the_threshold_or_batched_runs_whole(self, cpus, monkeypatch, a_shape, b_shape):
+        rng = make_rng(a_shape[-1] + b_shape[-1])
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        expected = matmul(a, b)
+        calls = []
+        note_products(monkeypatch, lambda a, b: calls.append(b.shape))
+        assert_bits_at_each_count(cpus, lambda: matmul_cols(a, b), expected, pooled=False)
+        assert calls == [b_shape] * len(CPU_COUNTS)
+
+    def test_on_a_pool_thread_runs_whole(self, cpus, monkeypatch):
+        cpus(4)
+        a, b = visual_operands(256, 576, 2308)
+        calls = []
+        whole = note_products(monkeypatch, lambda a, b: calls.append(b.shape))
+        outs = tensors._in_threads(lambda i: matmul_cols(a, b), range(3))
+        assert calls == [b.shape] * 3
+        assert all(out.tobytes() == whole(a, b).tobytes() for out in outs)
+
+    @pytest.mark.parametrize("m, k, n", [
+        (256, 576, 512), (256, 576, 577), (256, 576, 1000), (256, 576, 2308), (64, 1152, 4612),
+        (64, 64, 4100),                 # 2^22 MACs take 1024 columns here
+    ])
+    def test_blocks_are_multiples_of_8_columns_in_order(self, cpus, monkeypatch, m, k, n):
+        a, b = visual_operands(m, k, n, seed=n)
+        b = b.copy()
+        b[0] = np.arange(n)  # a block's first column names where it starts
+        expected = matmul(a, b)
+        width = max(256, math.ceil(tensors._BLOCK_MACS / (m * k * 8)) * 8)
+        blocks = []
+        note_products(monkeypatch, lambda a, b: blocks.append((int(b[0, 0]), b.shape[1])))
+        for count in CPU_COUNTS:
+            cpus(count)
+            blocks.clear()
+            assert matmul_cols(a, b).tobytes() == expected.tobytes()
+            blocks.sort()
+            assert len(blocks) == min(count, n // width)
+            assert [start for start, _ in blocks] == [0, *np.cumsum([size for _, size in blocks[:-1]])]
+            assert sum(size for _, size in blocks) == n
+            assert all(size % 8 == 0 for _, size in blocks[:-1])
+            assert all(size >= 256 and m * k * size >= tensors._BLOCK_MACS for _, size in blocks)
+
+    def test_blocks_write_into_one_output(self, cpus):
+        """Each block writes its column slice of the output; beside it the
+        split allocates less than one more block's worth."""
+        a, b = visual_operands(256, 576, 2308)
+        cpus(2)
+        matmul_cols(a, b)  # starts the pool outside the trace
+        tracemalloc.start()
+        try:
+            out = matmul_cols(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.flags.c_contiguous and out.base is None
+        assert peak < out.nbytes * 1.25
+
+
 class TestAttentionBlocks:
     """attend's (query tile, head group) blocks on the pool keep the bits of
     the serial loop: causal V+T self-attention and text-over-visual
@@ -789,15 +887,17 @@ class TestInThreads:
 
         return note, names
 
-    @pytest.mark.parametrize("kind", ["attention", "rows", "tiles"])
+    @pytest.mark.parametrize("kind", ["attention", "rows", "columns", "tiles"])
     def test_one_thread_per_cpu_and_block(self, cpus, kind, monkeypatch):
         """min(CPUs, blocks) threads run the blocks, counted by thread name,
         and one block never starts the pool, for each kind of block: the 30
         (query tile, head group) blocks of a causal 592-query attention and
         the one of a one-head cross-attention; the row blocks of a 592-row
-        product, rows // _BLOCK_ROWS at most; and the 15 token-mix tiles of
-        a 5-token, 20-channel mix under a 1-byte budget, one tile under the
-        default budget."""
+        product, rows // _BLOCK_ROWS at most; the column blocks of a
+        4612-column product, columns // 256 at most, and the one of a
+        511-column product; and the 15 token-mix tiles of a 5-token,
+        20-channel mix under a 1-byte budget, one tile under the default
+        budget."""
         from featmod import conditioning
         from featmod.conditioning import MlpCondParams, cond_mlp
 
@@ -805,7 +905,7 @@ class TestInThreads:
         notes = []  # the note() of the current CPU count
 
         def noted(fn):
-            return lambda *args: notes[-1]() or fn(*args)
+            return lambda *args, **kwargs: notes[-1]() or fn(*args, **kwargs)
 
         default_budget = budget = tensors._BLOCK_BYTES
         if kind == "attention":
@@ -816,6 +916,11 @@ class TestInThreads:
         elif kind == "rows":
             x, w = rng.normal(size=(592, 256)), np.eye(256)
             run, blocks, run_one = lambda: rowwise(noted(matmul), x, w), 592 // tensors._BLOCK_ROWS, None
+        elif kind == "columns":
+            a, b = visual_operands(64, 1152, 4612)
+            one = visual_operands(256, 576, 511)
+            monkeypatch.setattr(tensors, "matmul", noted(matmul))
+            run, blocks, run_one = lambda: matmul_cols(a, b), 4612 // 256, lambda: matmul_cols(*one)
         else:
             t, v = rng.normal(size=(5, 20)), rng.normal(size=(4, 20))
             p = MlpCondParams.init(rng, 20, 4, 2, 2, std=0.3)
