@@ -17,10 +17,10 @@ The mlp and conv mixers compute only what position 0 depends on:
 * mlp: the token-mix pre-activation of row (i, c) is
   t[i, c] * token_w1[0] + (v.T @ token_w1[1:])[c] + token_b1. The visual
   term is one (C, L*token_exp) product shared by all text tokens, run as
-  column blocks on the tensors thread pool (tensors.matmul_cols), each
-  block of at least 256 columns written into one output; after GELU
-  only column 0 of token_w2 is applied, so channel mixing runs on T rows
-  instead of T * L. The T * C token-mix rows run in tiles of at most
+  column blocks on the tensors thread pool (tensors.matmul_cols) while
+  BLAS runs one thread, each block of at least 256 columns written into
+  one output; after GELU only column 0 of token_w2 is applied, so channel
+  mixing runs on T rows instead of T * L. The T * C token-mix rows run in tiles of at most
   tensors._BLOCK_BYTES of z1, so the (T, C, L*token_exp) pre-activation is
   never built whole. The tiles run on the tensors thread pool, each thread
   holding one tile at a time; the tiles do not depend on the thread count.
@@ -209,8 +209,8 @@ def _add_into(z: np.ndarray, other: np.ndarray) -> np.ndarray:
 def _visual_term(v: np.ndarray, p: MlpCondParams) -> np.ndarray:
     """(..., C, L*token_exp) part of the token-mix pre-activation that all
     text tokens share: v.T @ token_w1[1:] + token_b1. The product runs as
-    column blocks on the pool, written into one output, and token_b1 is
-    added in place: its column count need not be a multiple of 8, so row
+    column blocks on the pool while BLAS runs one thread, written into one
+    output, and token_b1 is added in place: its column count need not be a multiple of 8, so row
     blocks of it would not keep its bits, but column blocks of at least 256
     columns do (see tensors.matmul_cols)."""
     return _add_into(matmul_cols(v.swapaxes(-1, -2), p.token_w1[..., 1:, :]), p.token_b1[..., None, :])

@@ -58,10 +58,11 @@ group) blocks, each writing its own slice of the context; the row blocks of
 ``rowwise`` (the model's Q/K/V/O projections, its FFN, the attn
 conditioner's and crossattn insert's projections and the incontext
 connector); the column blocks of ``matmul_cols`` (the mlp conditioner's
-visual term), each writing its own columns of the output; and the mlp
-conditioner's token-mix tiles. ``_in_threads`` runs them on one thread per
-usable CPU and block, each thread taking the next block as it finishes
-one; numpy and scipy's erf release the GIL inside them. The CPUs are the
+visual term), each writing its own columns of the output, while numpy's
+OpenBLAS runs one thread; and the mlp conditioner's token-mix tiles.
+``_in_threads`` runs them on one thread per usable CPU and block, each
+thread taking the next block as it finishes one; numpy and scipy's erf
+release the GIL inside them. The CPUs are the
 process's affinity (os.sched_getaffinity), so `taskset -c 0` pins a run to
 one thread. One block, a call on a pool thread, a call under _SPLIT_MACS,
 a row-wise product over fewer than SPLIT_ROWS rows and a product of fewer
@@ -82,7 +83,9 @@ one _BLOCK_BYTES block, an attention logits group or a token-mix tile.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import functools
+import glob
 import math
 import os
 import re
@@ -299,6 +302,36 @@ def _with_errstate(err: dict, run) -> None:
         run()
 
 
+def _bounds(size: int, blocks: int) -> list[int]:
+    """Bounds of `blocks` near-equal blocks of range(size), each but the
+    last a multiple of 8 long."""
+    return [size * i // blocks // 8 * 8 for i in range(blocks)] + [size]
+
+
+@functools.cache
+def _openblas(name: str):
+    """OpenBLAS function `name` (e.g. "get_num_threads") of the library
+    bundled with numpy's wheels, through ctypes, or None where numpy carries
+    none."""
+    root = os.path.dirname(np.__file__)
+    for path in glob.glob(os.path.join(root, "..", "numpy.libs", "libscipy_openblas*")) + \
+            glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}"):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS runs a product on, or None if unknown."""
+    get = _openblas("get_num_threads")
+    return get() if get is not None else None
+
+
 def rowwise(fn: Callable[..., np.ndarray], x: np.ndarray, *operands: np.ndarray) -> np.ndarray:
     """fn(x, *operands) for a 2-D x whose rows fn maps one by one through
     the products with the 2-D operands in order (1-D ones are biases), run
@@ -322,7 +355,7 @@ def rowwise(fn: Callable[..., np.ndarray], x: np.ndarray, *operands: np.ndarray)
         blocks = min(_usable_cpus(), rows // _BLOCK_ROWS)
     if blocks == 1:
         return fn(x, *operands)
-    bounds = [rows * i // blocks // 8 * 8 for i in range(blocks)] + [rows]
+    bounds = _bounds(rows, blocks)
     return np.concatenate(_in_threads(lambda i: fn(x[bounds[i]:bounds[i + 1]], *operands), range(blocks)))
 
 
@@ -336,29 +369,33 @@ def matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def matmul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """matmul(a, b) for 2-D operands, as column blocks of b on the pool, one
     per thread, each written straight into its column slice of one (m, n)
-    output, when the product reaches _SPLIT_MACS. A column block is the
-    outer loop of Goto & van de Geijn (2008), and it keeps every bit as long
-    as each block has at least _BLOCK_COLS columns and _BLOCK_MACS MACs;
-    block bounds are multiples of 8 columns but the last. Under OpenBLAS
-    0.3.31 (core SkylakeX, one thread) a float64 tail block, the one holding
-    the n % 8 columns, narrower than 192 columns changed those columns, as
-    (256, 576) @ (576, 2308) split at 2120 | 188 or (512, 64) @ (64, 260)
-    split in two did, and a wider one did when its blocks fell under about
-    1e6 MACs, as (128, 6) @ (6, 2308) split at 1152 | 1156 did. A batched
-    operand, a call on a pool thread and a product too small for two such
-    blocks run whole; tests/test_tensors.py checks the split families bit
-    for bit."""
+    output, when the product reaches _SPLIT_MACS and BLAS runs one thread.
+    A column block is the outer loop of Goto & van de Geijn (2008), and it
+    keeps every bit as long as each block has at least _BLOCK_COLS columns
+    and _BLOCK_MACS MACs; block bounds are multiples of 8 columns but the
+    last. Under OpenBLAS 0.3.31 (core SkylakeX, one thread) a float64 tail
+    block, the one holding the n % 8 columns, narrower than 192 columns
+    changed those columns, as (256, 576) @ (576, 2308) split at 2120 | 188
+    or (512, 64) @ (64, 260) split in two did, and blocks under about 1e6
+    MACs changed them even when wider, as (128, 6) @ (6, 2308) split at
+    1152 | 1156 and (128, 6) @ (6, 21846) in 32 blocks of 680-688 columns
+    did. OpenBLAS's own threads split each product's rows, and then
+    (256, 576) @ (576, 577) whole and in two column blocks differ from row
+    128 on, so with more than one BLAS thread, or a BLAS whose thread count
+    is unknown, the product runs whole, as do a batched operand, a call on
+    a pool thread and a product too small for two blocks.
+    tests/test_tensors.py checks the split families bit for bit."""
     blocks = 1
     if a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0] and not _IN_POOL_WORK.get():
         (m, k), n = a.shape, b.shape[1]
-        if m * k * n >= _SPLIT_MACS:
+        if m * k * n >= _SPLIT_MACS and _blas_threads() == 1:
             # the fewest columns, a multiple of 8, that hold _BLOCK_MACS
             width = max(_BLOCK_COLS, -(-_BLOCK_MACS // (m * k * 8)) * 8)
             blocks = min(_usable_cpus(), n // width)
     if blocks < 2:
         return matmul(a, b)
     out = np.empty((m, n), np.result_type(a, b))
-    bounds = [n * i // blocks // 8 * 8 for i in range(blocks)] + [n]
+    bounds = _bounds(n, blocks)
     cols = [slice(start, end) for start, end in zip(bounds, bounds[1:])]
     _in_threads(lambda s: matmul(a, b[:, s], out=out[:, s]), cols)
     return out

@@ -400,15 +400,22 @@ class TestForwardsOnThePool:
             assert self.digest("fmi_mlp", tokens, monkeypatch, cpus=n, layers=8) == unsplit, n
         assert tensors._pool is not None
 
-    def test_image336_fmi_mlp_forward_hashes_as_unsplit(self, monkeypatch):
+    @pytest.mark.parametrize("blas", ["default", "one thread"])
+    def test_image336_fmi_mlp_forward_hashes_as_unsplit(self, blas, request, monkeypatch):
         """All eight blocks, T=16: the mlp visual term, (256, 576) @ (576,
-        2308), runs as column blocks on the pool, and the forward keeps its
-        bits."""
+        2308), runs as column blocks on the pool under one BLAS thread and
+        whole under more, and the forward keeps its bits either way."""
+        if blas == "one thread":
+            request.getfixturevalue("one_blas_thread")
         self.assert_fmi_mlp_hashes_as_unsplit(16, monkeypatch)
 
-    def test_video_long_fmi_mlp_forward_hashes_as_unsplit(self, monkeypatch):
-        """video_long's one-token prompt over V=576: the visual term's
-        column blocks are most of the forward's pooled work."""
+    @pytest.mark.parametrize("blas", ["default", "one thread"])
+    def test_video_long_fmi_mlp_forward_hashes_as_unsplit(self, blas, request, monkeypatch):
+        """video_long's one-token prompt over V=576: under one BLAS thread
+        the visual term's column blocks are most of the forward's pooled
+        work."""
+        if blas == "one thread":
+            request.getfixturevalue("one_blas_thread")
         self.assert_fmi_mlp_hashes_as_unsplit(1, monkeypatch)
 
 

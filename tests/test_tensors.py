@@ -677,10 +677,11 @@ def note_products(monkeypatch, note):
     return whole
 
 
+@pytest.mark.usefixtures("one_blas_thread")
 class TestColumnBlocks:
-    """tensors.matmul_cols keeps the bits of one whole matmul: every block
-    has at least 256 columns and 2^22 MACs, and its bounds are multiples of
-    8 columns but the last."""
+    """tensors.matmul_cols keeps the bits of one whole matmul under one BLAS
+    thread: every block has at least 256 columns and 2^22 MACs, and its
+    bounds are multiples of 8 columns but the last."""
 
     @pytest.mark.parametrize("channels, vis, cols, dtype", [
         (256, 576, 2308, np.float64),   # the image336 and video_long visual term
@@ -707,6 +708,39 @@ class TestColumnBlocks:
         note_products(monkeypatch, lambda a, b: calls.append(b.shape))
         assert_bits_at_each_count(cpus, lambda: matmul_cols(a, b), expected, pooled=False)
         assert calls == [b_shape] * len(CPU_COUNTS)
+
+    def test_many_cpus_keep_2_22_macs_a_block(self, cpus, monkeypatch):
+        """At 32 and 64 CPUs, 256-column-or-wider blocks of (128, 6) @ (6,
+        21846) hold 5e5 or 2.6e5 MACs each and change the tail's bits;
+        three blocks of at least 2^22 MACs keep them."""
+        a, b = visual_operands(128, 6, 21846)
+        expected = matmul(a, b)
+        widths = []
+        note_products(monkeypatch, lambda a, b: widths.append(b.shape[1]))
+        for count in (32, 64):
+            cpus(count)
+            widths.clear()
+            assert matmul_cols(a, b).tobytes() == expected.tobytes(), count
+            assert sorted(widths) == [7280, 7280, 7286], count
+
+    def test_two_blas_threads_run_whole(self, cpus, monkeypatch):
+        """OpenBLAS's two threads split each product's rows, and then this
+        product whole and in two column blocks differ from row 128 on."""
+        tensors._openblas("set_num_threads")(2)
+        assert tensors._blas_threads() == 2
+        a, b = visual_operands(256, 576, 577, seed=577)
+        calls = []
+        whole = note_products(monkeypatch, lambda a, b: calls.append(b.shape))
+        assert_bits_at_each_count(cpus, lambda: matmul_cols(a, b), whole(a, b), pooled=False)
+        assert calls == [b.shape] * len(CPU_COUNTS)
+
+    def test_unknown_blas_threads_run_whole(self, cpus, monkeypatch):
+        monkeypatch.setattr(tensors, "_blas_threads", lambda: None)
+        a, b = visual_operands(256, 576, 2308)
+        calls = []
+        whole = note_products(monkeypatch, lambda a, b: calls.append(b.shape))
+        assert_bits_at_each_count(cpus, lambda: matmul_cols(a, b), whole(a, b), pooled=False)
+        assert calls == [b.shape] * len(CPU_COUNTS)
 
     def test_on_a_pool_thread_runs_whole(self, cpus, monkeypatch):
         cpus(4)
@@ -888,16 +922,16 @@ class TestInThreads:
         return note, names
 
     @pytest.mark.parametrize("kind", ["attention", "rows", "columns", "tiles"])
-    def test_one_thread_per_cpu_and_block(self, cpus, kind, monkeypatch):
+    def test_one_thread_per_cpu_and_block(self, cpus, kind, monkeypatch, request):
         """min(CPUs, blocks) threads run the blocks, counted by thread name,
         and one block never starts the pool, for each kind of block: the 30
         (query tile, head group) blocks of a causal 592-query attention and
         the one of a one-head cross-attention; the row blocks of a 592-row
         product, rows // _BLOCK_ROWS at most; the column blocks of a
-        4612-column product, columns // 256 at most, and the one of a
-        511-column product; and the 15 token-mix tiles of a 5-token,
-        20-channel mix under a 1-byte budget, one tile under the default
-        budget."""
+        4612-column product under one BLAS thread, columns // 256 at most,
+        and the one of a 511-column product; and the 15 token-mix tiles of
+        a 5-token, 20-channel mix under a 1-byte budget, one tile under the
+        default budget."""
         from featmod import conditioning
         from featmod.conditioning import MlpCondParams, cond_mlp
 
@@ -917,6 +951,7 @@ class TestInThreads:
             x, w = rng.normal(size=(592, 256)), np.eye(256)
             run, blocks, run_one = lambda: rowwise(noted(matmul), x, w), 592 // tensors._BLOCK_ROWS, None
         elif kind == "columns":
+            request.getfixturevalue("one_blas_thread")  # matmul_cols splits only there
             a, b = visual_operands(64, 1152, 4612)
             one = visual_operands(256, 576, 511)
             monkeypatch.setattr(tensors, "matmul", noted(matmul))
