@@ -16,14 +16,14 @@ The mlp and conv mixers compute only what position 0 depends on:
 
 * mlp: the token-mix pre-activation of row (i, c) is
   t[i, c] * token_w1[0] + (v.T @ token_w1[1:])[c] + token_b1. The visual
-  term is one (C, L*token_exp) product shared by all text tokens, run as
-  column blocks on the tensors thread pool (tensors.matmul_cols) while
-  BLAS runs one thread, each block of at least 256 columns written into
-  one output; after GELU only column 0 of token_w2 is applied, so channel
+  term is one (C, L*token_exp) product shared by all text tokens, run
+  through tensors.matmul_cols, which may split its columns on the tensors
+  thread pool; after GELU only column 0 of token_w2 is applied, so channel
   mixing runs on T rows instead of T * L. The T * C token-mix rows run in tiles of at most
   tensors._BLOCK_BYTES of z1, so the (T, C, L*token_exp) pre-activation is
-  never built whole. The tiles run on the tensors thread pool, each thread
-  holding one tile at a time; the tiles do not depend on the thread count.
+  never built whole. Two or more tiles run on the tensors thread pool,
+  however few MACs they hold, each thread holding one tile at a time; the
+  tiles do not depend on the thread count.
 * conv: position 0 reads the centre tap on t_i and the min(K // 2, V) taps
   right of it on v, whose products are shared by all text tokens; only these
   run (bit-identical), and SiLU and the pointwise map then act on T rows.
@@ -55,8 +55,8 @@ from .tensors import (
     gelu_grad,
     matmul,
     matmul_cols,
-    matmul_rows,
     merge_heads,
+    rowwise,
     softmax_lastdim,
     split_heads,
     swish,
@@ -208,11 +208,10 @@ def _add_into(z: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 def _visual_term(v: np.ndarray, p: MlpCondParams) -> np.ndarray:
     """(..., C, L*token_exp) part of the token-mix pre-activation that all
-    text tokens share: v.T @ token_w1[1:] + token_b1. The product runs as
-    column blocks on the pool while BLAS runs one thread, written into one
-    output, and token_b1 is added in place: its column count need not be a multiple of 8, so row
-    blocks of it would not keep its bits, but column blocks of at least 256
-    columns do (see tensors.matmul_cols)."""
+    text tokens share: v.T @ token_w1[1:] + token_b1, with token_b1 added
+    in place. Its column count need not be a multiple of 8, so the product
+    runs through tensors.matmul_cols, not rowwise, whose row blocks would
+    not keep its bits."""
     return _add_into(matmul_cols(v.swapaxes(-1, -2), p.token_w1[..., 1:, :]), p.token_b1[..., None, :])
 
 
@@ -265,6 +264,10 @@ def cond_mlp(t: np.ndarray, v: np.ndarray, p: MlpCondParams) -> np.ndarray:
     row_bytes = p.token_w1.shape[-1] * max(t.itemsize, p.token_w1.itemsize)
     w2 = np.ascontiguousarray(p.token_w2[..., :, :1])
     tiles = _mix_tiles(tokens, channels, row_bytes)
+    # Two or more tiles go to the pool whatever their MACs, which can stay
+    # far under tensors._SPLIT_MACS: GELU, not the products, takes most of
+    # a tile's time. At C=256, V=6, T=128 the 15 tiles hold 1.8e6 MACs and
+    # take 12.2 ms on one Xeon core, 7.0 ms of it in GELU.
     blocks = tensors._in_threads(functools.partial(_mix_tile, t, visual_term, p, w2), tiles)
     mixed = np.concatenate(blocks, axis=-2) + p.token_b2[..., None, :1]
     mixed = mixed.reshape(*mixed.shape[:-2], tokens, channels)
@@ -396,14 +399,14 @@ def cond_conv_backward(
 def cond_attn(t: np.ndarray, v: np.ndarray, p: AttnCondParams) -> np.ndarray:
     """Multi-head cross-attention, text queries over all visual tokens."""
     _check_tokens(t, v)
-    return matmul_rows(merge_heads(attend(*_attn_heads(t, v, p), causal=False)), p.wo)
+    return rowwise(matmul, merge_heads(attend(*_attn_heads(t, v, p), causal=False)), p.wo)
 
 
 def _attn_heads(t: np.ndarray, v: np.ndarray, p: AttnCondParams):
     """Split-head query, key and value projections (q, k, val)."""
-    q = split_heads(matmul_rows(t, p.wq), p.heads)
-    k = split_heads(matmul_rows(v, p.wk), p.heads)
-    val = split_heads(matmul_rows(v, p.wv), p.heads)
+    q = split_heads(rowwise(matmul, t, p.wq), p.heads)
+    k = split_heads(rowwise(matmul, v, p.wk), p.heads)
+    val = split_heads(rowwise(matmul, v, p.wv), p.heads)
     return q, k, val
 
 

@@ -54,7 +54,6 @@ from .conditioning import (
 from .configfile import read_kv, write_kv
 from .norm import DeltaProjection, LNParams, _modulate, layer_norm, project_deltas, viln_apply
 from .tensors import (
-    SPLIT_ROWS,
     ConfigError,
     ShapeError,
     attend,
@@ -62,7 +61,6 @@ from .tensors import (
     checks_at_boundaries,
     gelu,
     matmul,
-    matmul_rows,
     merge_heads,
     parse_number,
     rowwise,
@@ -311,26 +309,23 @@ def randomize_insert(model: Model, rng: np.random.Generator, scale: float = 0.05
 
 def _causal_self_attention(h_in: np.ndarray, p: BlockParams, heads: int) -> np.ndarray:
     """Causal multi-head self-attention: tensors.attend between the projections."""
-    # Under SPLIT_ROWS the projections run whole; plain matmul skips a call
-    # layer that costs a desk forward a few percent.
-    project = matmul if len(h_in) < SPLIT_ROWS else matmul_rows
-    q = split_heads(project(h_in, p.wq), heads)
-    k = split_heads(project(h_in, p.wk), heads)
-    v = split_heads(project(h_in, p.wv), heads)
-    return project(merge_heads(attend(q, k, v, causal=True)), p.wo)
+    q = split_heads(rowwise(matmul, h_in, p.wq), heads)
+    k = split_heads(rowwise(matmul, h_in, p.wk), heads)
+    v = split_heads(rowwise(matmul, h_in, p.wv), heads)
+    return rowwise(matmul, merge_heads(attend(q, k, v, causal=True)), p.wo)
 
 
 def _ffn(x: np.ndarray, p: BlockParams | InsertParams) -> np.ndarray:
     """GELU(x @ w1 + b1) @ w2 + b2, the whole of it per row block (tensors.rowwise)."""
-    if len(x) < SPLIT_ROWS:  # runs whole: skip the rowwise layer, as above
-        return _ffn_rows(x, p.w1, p.b1, p.w2, p.b2)
     return rowwise(_ffn_rows, x, p.w1, p.b1, p.w2, p.b2)
 
 
-def _ffn_rows(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+def _ffn_rows(
+    x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     z = matmul(x, w1)
     z += b1
-    return matmul(gelu(z, out=z), w2) + b2
+    return np.add(matmul(gelu(z, out=z), w2), b2, out=out)
 
 
 def _slot_norm(
@@ -411,7 +406,7 @@ def forward(
     with checks_at_boundaries():
         h = t_emb
         if cfg.paradigm == "incontext" and visual is not None:
-            prefix = matmul_rows(visual.v, model.connector_w) + model.connector_b
+            prefix = rowwise(matmul, visual.v, model.connector_w) + model.connector_b
             h = np.concatenate([prefix, t_emb], axis=0)
         h = h + sinusoid_positions(np.arange(h.shape[0]), h.shape[1]).astype(h.dtype)
         for l, p in enumerate(model.blocks):

@@ -54,30 +54,58 @@ traversed under this counter.
 
 Threads: one thread pool, created on first use, runs four kinds of
 independent blocks on every usable CPU: ``attend``'s (query tile, head
-group) blocks, each writing its own slice of the context; the row blocks of
-``rowwise`` (the model's Q/K/V/O projections, its FFN, the attn
-conditioner's and crossattn insert's projections and the incontext
-connector); the column blocks of ``matmul_cols`` (the mlp conditioner's
-visual term), each writing its own columns of the output, while numpy's
-OpenBLAS runs one thread; and the mlp conditioner's token-mix tiles.
+group) blocks, the row blocks of ``rowwise`` (the model's Q/K/V/O
+projections, its FFN, the attn conditioner's and crossattn insert's
+projections and the incontext connector) and the column blocks of
+``matmul_cols`` (the mlp conditioner's visual term), each writing its own
+slice of one output allocated before they run; and the mlp conditioner's
+token-mix tiles, joined once they have run.
 ``_in_threads`` runs them on one thread per usable CPU and block, each
 thread taking the next block as it finishes one; numpy and scipy's erf
-release the GIL inside them. The CPUs are the
-process's affinity (os.sched_getaffinity), so `taskset -c 0` pins a run to
-one thread. One block, a call on a pool thread, a call under _SPLIT_MACS,
-a row-wise product over fewer than SPLIT_ROWS rows and a product of fewer
-than two _BLOCK_COLS-column blocks run inline, so a desk-sized forward, a
-gradient check and the op-walk never start the pool. Every block runs
-under a copy of the caller's context, so checks_at_boundaries and numpy's
-error state hold there, and a failure re-raises the error of the earliest
-failing block once every thread has stopped. Blocks write disjoint outputs
-and a row or column block is the same product on fewer rows or columns, so
-outputs, errors and counted MACs are the same for any thread count, the
-outputs bit for bit for the block shapes rowwise and matmul_cols allow, as
-long as each BLAS call is itself deterministic: keep BLAS at one thread
-(OPENBLAS_NUM_THREADS=1 and the like), since OpenBLAS's own threads change
-the bits of some products, a whole one included. Each thread holds at most
-one _BLOCK_BYTES block, an attention logits group or a token-mix tile.
+release the GIL inside them. The CPUs are the process's affinity
+(os.sched_getaffinity), so `taskset -c 0` pins a run to one thread. Every
+block runs under a copy of the caller's context, so checks_at_boundaries
+and numpy's error state hold there, and a failure re-raises the error of
+the earliest failing block once every thread has stopped.
+
+The split rule. Row and column blocks are the two outer partitions of one
+product (Goto & van de Geijn, 2008), and ``_split`` cuts both. A call
+under _SPLIT_MACS, a call on a pool thread, and a call too short for two
+blocks of the least length (_BLOCK_ROWS rows; _BLOCK_COLS columns and
+_BLOCK_MACS MACs) run as one plain call on the caller's thread; any other
+has one block per usable CPU, at most as many as fit the least length,
+each but the last a multiple of 8 rows or columns long, so no block is a
+1-row matrix-vector product. ``attend`` sends its blocks to the pool under
+the same _SPLIT_MACS gate. The token-mix tiles are cut by _BLOCK_BYTES
+instead, and go to the pool whenever there are two or more (see
+conditioning.cond_mlp). A desk-sized forward, a gradient check and the
+op-walk fall under every gate and make one tile, so they never start the
+pool. Each thread holds at most one _BLOCK_BYTES block, an attention
+logits group or a token-mix tile.
+
+A block is the same product on fewer rows or columns, so outputs, errors
+and counted MACs are the same for any thread count, and the outputs bit
+for bit for the shapes the rule allows, which tests/test_tensors.py checks
+family by family. Outside them OpenBLAS 0.3.31 (core SkylakeX, one thread)
+changed bits:
+
+* row blocks, for a column count that is not a multiple of 8: (256, 576) @
+  (576, 2308) split in two differs in the tail columns of the rows that end
+  a block. rowwise therefore splits only 2-D x and weights whose column
+  counts are multiples of 8;
+* column blocks, for a float64 tail block, the one holding the n % 8
+  columns, narrower than 192 columns, as (256, 576) @ (576, 2308) split at
+  2120 | 188, (256, 576) @ (576, 577) split in four or (512, 64) @ (64,
+  260) split in two, and for blocks under about 1e6 MACs even when wider,
+  as (128, 6) @ (6, 2308) split at 1152 | 1156 and (128, 6) @ (6, 21846)
+  in 32 blocks of 680-688 columns; hence the least width;
+* both, under OpenBLAS's own threads, which split each product's rows:
+  (256, 576) @ (576, 577) whole and in two column blocks differ in column
+  576 from row 128 on. matmul_cols therefore splits only while numpy's
+  OpenBLAS reports one thread (read through ctypes), and any run that must
+  keep its bits should keep BLAS at one thread (OPENBLAS_NUM_THREADS=1 and
+  the like), since those threads change the bits of some whole products
+  too.
 """
 
 from __future__ import annotations
@@ -213,10 +241,8 @@ _BLOCK_BYTES = 512 * 1024
 # time of 1-2e6 float64 MACs, so a call at this size saves several times
 # what it spends.
 _SPLIT_MACS = 1 << 24
-# Rows of a row block at least. A row-wise product over fewer than
-# SPLIT_ROWS rows runs whole, so a hot caller may skip rowwise for it.
+# Rows of a row block at least (rowwise).
 _BLOCK_ROWS = 128
-SPLIT_ROWS = 2 * _BLOCK_ROWS
 # Columns and multiply-accumulates of a column block at least (matmul_cols).
 _BLOCK_COLS = 256
 _BLOCK_MACS = 1 << 22
@@ -302,10 +328,16 @@ def _with_errstate(err: dict, run) -> None:
         run()
 
 
-def _bounds(size: int, blocks: int) -> list[int]:
-    """Bounds of `blocks` near-equal blocks of range(size), each but the
-    last a multiple of 8 long."""
-    return [size * i // blocks // 8 * 8 for i in range(blocks)] + [size]
+def _split(size: int, least: int, macs: int) -> list[slice]:
+    """Blocks of range(size) for a call of `macs` MACs, in order: one per
+    usable CPU, `least` long at least, each but the last a multiple of 8
+    long; one whole block under _SPLIT_MACS, on a pool thread or when
+    range(size) holds fewer than two blocks of `least`."""
+    if macs < _SPLIT_MACS or size < 2 * least or _IN_POOL_WORK.get():
+        return [slice(0, size)]
+    blocks = min(_usable_cpus(), size // least)
+    bounds = [size * i // blocks // 8 * 8 for i in range(blocks)] + [size]
+    return [slice(start, end) for start, end in zip(bounds, bounds[1:])]
 
 
 @functools.cache
@@ -334,69 +366,40 @@ def _blas_threads() -> int | None:
 
 def rowwise(fn: Callable[..., np.ndarray], x: np.ndarray, *operands: np.ndarray) -> np.ndarray:
     """fn(x, *operands) for a 2-D x whose rows fn maps one by one through
-    the products with the 2-D operands in order (1-D ones are biases), run
-    as row blocks on the pool and joined in row order when the products are
-    large: at least SPLIT_ROWS rows and _SPLIT_MACS. There is one block per
-    thread; every block but the last is a multiple of 8 rows, so none is
-    ever a 1-row matrix-vector product. A row block of a product keeps each
-    element's sum order (Goto & van de Geijn, 2008), so the bits match one
-    whole call, but OpenBLAS 0.3.31's float64 kernels (core SkylakeX) break
-    that for a column count that is not a multiple of 8: (256, 576) @ (576,
-    2308) split in two differs in the tail columns of the rows that end a
-    block. Such products run whole, as do a batched x or weight, a call on
-    a pool thread and every call below the sizes; matmul_cols splits their
-    columns instead. tests/test_tensors.py checks each split shape family
-    bit for bit."""
+    the products with the 2-D operands in order (1-D ones are biases). When
+    it splits, row block s runs fn(x[s], *operands, out=out[s]), writing its
+    rows of one output with the last weight's column count and the
+    operands' result type; a call that does not split is the plain
+    fn(x, *operands). Only a 2-D x whose weights are 2-D with a multiple of
+    8 columns splits (see the module docstring)."""
     rows = len(x)
-    weights = [w for w in operands if w.ndim > 1]
-    blocks = 1
-    if (rows >= SPLIT_ROWS and x.ndim == 2 and all(w.ndim == 2 and w.shape[1] % 8 == 0 for w in weights)
-            and rows * sum(w.size for w in weights) >= _SPLIT_MACS and not _IN_POOL_WORK.get()):
-        blocks = min(_usable_cpus(), rows // _BLOCK_ROWS)
-    if blocks == 1:
+    if rows < 2 * _BLOCK_ROWS:  # most calls: nothing more to check
         return fn(x, *operands)
-    bounds = _bounds(rows, blocks)
-    return np.concatenate(_in_threads(lambda i: fn(x[bounds[i]:bounds[i + 1]], *operands), range(blocks)))
-
-
-def matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """matmul(x, w), as row blocks on the pool when large (see rowwise)."""
-    if len(x) < SPLIT_ROWS:  # most calls: no rowwise layer
-        return matmul(x, w)
-    return rowwise(matmul, x, w)
+    weights = [w for w in operands if w.ndim > 1]
+    blocks = [slice(0, rows)]
+    if x.ndim == 2 and all(w.ndim == 2 and w.shape[1] % 8 == 0 for w in weights):
+        blocks = _split(rows, _BLOCK_ROWS, rows * sum(w.size for w in weights))
+    if len(blocks) < 2:
+        return fn(x, *operands)
+    out = np.empty((rows, weights[-1].shape[1]), np.result_type(x, *operands))
+    _in_threads(lambda s: fn(x[s], *operands, out=out[s]), blocks)
+    return out
 
 
 def matmul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """matmul(a, b) for 2-D operands, as column blocks of b on the pool, one
-    per thread, each written straight into its column slice of one (m, n)
-    output, when the product reaches _SPLIT_MACS and BLAS runs one thread.
-    A column block is the outer loop of Goto & van de Geijn (2008), and it
-    keeps every bit as long as each block has at least _BLOCK_COLS columns
-    and _BLOCK_MACS MACs; block bounds are multiples of 8 columns but the
-    last. Under OpenBLAS 0.3.31 (core SkylakeX, one thread) a float64 tail
-    block, the one holding the n % 8 columns, narrower than 192 columns
-    changed those columns, as (256, 576) @ (576, 2308) split at 2120 | 188
-    or (512, 64) @ (64, 260) split in two did, and blocks under about 1e6
-    MACs changed them even when wider, as (128, 6) @ (6, 2308) split at
-    1152 | 1156 and (128, 6) @ (6, 21846) in 32 blocks of 680-688 columns
-    did. OpenBLAS's own threads split each product's rows, and then
-    (256, 576) @ (576, 577) whole and in two column blocks differ from row
-    128 on, so with more than one BLAS thread, or a BLAS whose thread count
-    is unknown, the product runs whole, as do a batched operand, a call on
-    a pool thread and a product too small for two blocks.
-    tests/test_tensors.py checks the split families bit for bit."""
-    blocks = 1
-    if a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0] and not _IN_POOL_WORK.get():
-        (m, k), n = a.shape, b.shape[1]
-        if m * k * n >= _SPLIT_MACS and _blas_threads() == 1:
-            # the fewest columns, a multiple of 8, that hold _BLOCK_MACS
-            width = max(_BLOCK_COLS, -(-_BLOCK_MACS // (m * k * 8)) * 8)
-            blocks = min(_usable_cpus(), n // width)
-    if blocks < 2:
+    """matmul(a, b) for 2-D operands, as column blocks of b, each written
+    into its columns of one output, while BLAS runs one thread; blocks have
+    at least _BLOCK_COLS columns and _BLOCK_MACS MACs (see the module
+    docstring). A call that does not split is the plain matmul(a, b)."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        return matmul(a, b)
+    (m, k), n = a.shape, b.shape[1]
+    # the fewest columns, a multiple of 8, that hold _BLOCK_MACS
+    width = max(_BLOCK_COLS, -(-_BLOCK_MACS // (8 * max(m * k, 1))) * 8)
+    cols = _split(n, width, m * k * n)
+    if len(cols) < 2 or _blas_threads() != 1:
         return matmul(a, b)
     out = np.empty((m, n), np.result_type(a, b))
-    bounds = _bounds(n, blocks)
-    cols = [slice(start, end) for start, end in zip(bounds, bounds[1:])]
     _in_threads(lambda s: matmul(a, b[:, s], out=out[:, s]), cols)
     return out
 

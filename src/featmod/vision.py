@@ -6,8 +6,7 @@ top of that sit the scaling helpers: non-overlapping tiling for large images,
 uniform frame sampling for video, per-frame 2x2 adaptive average pooling and
 a shared sinusoidal temporal offset per frame.
 
-No image decoding here; tests and the CLI build synthetic gradients and
-checkerboards.
+No image decoding here; tests and the CLI build synthetic gradients.
 """
 
 from __future__ import annotations
@@ -164,13 +163,6 @@ def gradient_image(height: int, width: int, channels: int = 3) -> ImageGrid:
     x = np.linspace(0.0, 1.0, width).reshape(1, -1, 1)
     c = np.arange(1, channels + 1).reshape(1, 1, -1)
     return ImageGrid(y * x * c)
-
-
-def checkerboard_image(height: int, width: int, channels: int = 3, cell: int = 8) -> ImageGrid:
-    y = np.arange(height).reshape(-1, 1) // cell
-    x = np.arange(width).reshape(1, -1) // cell
-    board = ((y + x) % 2).astype(np.float64)
-    return ImageGrid(np.repeat(board[:, :, None], channels, axis=2))
 
 
 def image_tokens(

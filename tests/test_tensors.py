@@ -33,7 +33,6 @@ from featmod.tensors import (
     make_rng,
     matmul,
     matmul_cols,
-    matmul_rows,
     merge_heads,
     rowwise,
     save_tensors,
@@ -609,7 +608,7 @@ class TestRowBlocks:
         rng = make_rng(rows)
         x = rng.normal(size=(rows, 256)).astype(dtype)
         w = rng.normal(scale=0.05, size=(256, 256)).astype(dtype)
-        assert_bits_at_each_count(cpus, lambda: matmul_rows(x, w), matmul(x, w), pooled=True)
+        assert_bits_at_each_count(cpus, lambda: rowwise(matmul, x, w), matmul(x, w), pooled=True)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("rows", WORKLOAD_ROWS)
@@ -622,7 +621,7 @@ class TestRowBlocks:
         assert_bits_at_each_count(cpus, lambda: _ffn(x, p), ffn_unsplit(x, p), pooled=True)
 
     @pytest.mark.parametrize("x_shape, w_shape", [
-        ((255, 256), (256, 256)),      # one row under SPLIT_ROWS
+        ((255, 256), (256, 256)),      # one row under two 128-row blocks
         ((256, 256), (256, 248)),      # 256 * 256 * 248 MACs, under _SPLIT_MACS
         ((592, 256), (256, 2308)),     # a column count that is not a multiple of 8
         ((3, 592, 256), (256, 256)),   # a batched x
@@ -632,7 +631,7 @@ class TestRowBlocks:
         rng = make_rng(len(x_shape) + w_shape[-1])
         x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
         calls = []
-        run = lambda: rowwise(lambda rows, w: calls.append(rows.shape) or matmul(rows, w), x, w)  # noqa: E731
+        run = lambda: rowwise(lambda rows, w, **kw: calls.append(rows.shape) or matmul(rows, w, **kw), x, w)  # noqa: E731
         assert_bits_at_each_count(cpus, run, matmul(x, w), pooled=False)
         assert calls == [x_shape] * len(CPU_COUNTS)
 
@@ -641,7 +640,7 @@ class TestRowBlocks:
         are not a multiple of 8, so it runs whole."""
         rng = make_rng(5)
         x, w = rng.normal(size=(256, 576)), rng.normal(size=(576, 2308))
-        assert_bits_at_each_count(cpus, lambda: matmul_rows(x, w), matmul(x, w), pooled=False)
+        assert_bits_at_each_count(cpus, lambda: rowwise(matmul, x, w), matmul(x, w), pooled=False)
 
     @pytest.mark.parametrize("rows", [256, 257, 263, 383, 592, 704, 1001])
     def test_blocks_are_multiples_of_8_rows_in_order(self, cpus, rows):
@@ -651,13 +650,56 @@ class TestRowBlocks:
         for n in CPU_COUNTS:
             cpus(n)
             blocks = []
-            out = rowwise(lambda block, w: blocks.append((int(block[0, 0]), len(block))) or block.copy(), x, w)
+            out = rowwise(lambda block, w, out=None: blocks.append((int(block[0, 0]), len(block)))
+                          or np.positive(block, out=out), x, w)
             assert out.tobytes() == x.tobytes()
-            blocks.sort()
+            assert_blocks_in_order(blocks, rows)
             assert len(blocks) == min(n, rows // tensors._BLOCK_ROWS)
-            assert [start for start, _ in blocks] == [0, *np.cumsum([size for _, size in blocks[:-1]])]
-            assert sum(size for _, size in blocks) == rows
-            assert all(size % 8 == 0 for _, size in blocks[:-1]) and blocks[-1][1] >= rows // len(blocks)
+
+    def test_blocks_write_into_one_output(self, cpus):
+        rng = make_rng(10)
+        x, w = rng.normal(size=(592, 256)), rng.normal(size=(256, 256))
+        assert_blocks_write_into_one_output(cpus, lambda: rowwise(matmul, x, w))
+
+    def test_the_output_takes_the_unsplit_result_type(self, cpus):
+        """The output exists before the blocks run, so its dtype comes from
+        the operands: float32 rows and weights with float64 biases give the
+        float64 of the unsplit FFN, bit for bit."""
+        from featmod.model import _ffn
+
+        rng = make_rng(11)
+        x = rng.normal(size=(592, 256)).astype(np.float32)
+        p = ffn_params(rng, 256, 1024, np.float32)
+        p.b1, p.b2 = rng.normal(size=1024), rng.normal(size=256)
+        expected = ffn_unsplit(x, p)
+        assert expected.dtype == np.float64
+        assert_bits_at_each_count(cpus, lambda: _ffn(x, p), expected, pooled=True)
+
+
+def assert_blocks_write_into_one_output(set_cpus, run):
+    """At 2 simulated CPUs each of run()'s blocks writes its slice of one
+    output; beside it the split allocates less than a quarter of the
+    output more."""
+    set_cpus(2)
+    run()  # starts the pool outside the trace
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.flags.c_contiguous and out.base is None
+    assert peak < out.nbytes * 1.25
+
+
+def assert_blocks_in_order(blocks, size):
+    """blocks, (start, length) pairs in the order they ran, are tensors._split's:
+    they tile range(size) in order, each but the last a multiple of 8 long,
+    the last at least the mean length."""
+    blocks = sorted(blocks)
+    assert [start for start, _ in blocks] == [0, *np.cumsum([length for _, length in blocks[:-1]])]
+    assert sum(length for _, length in blocks) == size
+    assert all(length % 8 == 0 for _, length in blocks[:-1]) and blocks[-1][1] >= size // len(blocks)
 
 
 def visual_operands(channels, vis, cols, dtype=np.float64, seed=0):
@@ -767,27 +809,13 @@ class TestColumnBlocks:
             cpus(count)
             blocks.clear()
             assert matmul_cols(a, b).tobytes() == expected.tobytes()
-            blocks.sort()
+            assert_blocks_in_order(blocks, n)
             assert len(blocks) == min(count, n // width)
-            assert [start for start, _ in blocks] == [0, *np.cumsum([size for _, size in blocks[:-1]])]
-            assert sum(size for _, size in blocks) == n
-            assert all(size % 8 == 0 for _, size in blocks[:-1])
             assert all(size >= 256 and m * k * size >= tensors._BLOCK_MACS for _, size in blocks)
 
     def test_blocks_write_into_one_output(self, cpus):
-        """Each block writes its column slice of the output; beside it the
-        split allocates less than one more block's worth."""
         a, b = visual_operands(256, 576, 2308)
-        cpus(2)
-        matmul_cols(a, b)  # starts the pool outside the trace
-        tracemalloc.start()
-        try:
-            out = matmul_cols(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.flags.c_contiguous and out.base is None
-        assert peak < out.nbytes * 1.25
+        assert_blocks_write_into_one_output(cpus, lambda: matmul_cols(a, b))
 
 
 class TestAttentionBlocks:
@@ -874,7 +902,7 @@ class TestInThreads:
         calls = []
 
         def item(i):
-            return rowwise(lambda rows, w: calls.append(len(rows)) or matmul(rows, w), x, w)
+            return rowwise(lambda rows, w, **kw: calls.append(len(rows)) or matmul(rows, w, **kw), x, w)
 
         outs = tensors._in_threads(item, range(3))
         assert calls == [592] * 3
@@ -886,7 +914,7 @@ class TestInThreads:
         x[:, 0] = np.arange(592)  # blocks start at rows 0, 144, 296 and 440
         started, ended = [], []
 
-        def block(rows, w):
+        def block(rows, w, out=None):
             start = int(rows[0, 0])
             started.append(start)
             try:
