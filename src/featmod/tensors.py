@@ -39,6 +39,8 @@ numpy-style: (..., m, k) @ (..., k, n) and (..., C, L) signals against
 (..., C, K) kernels, so multi-head attention is one batched product and a
 stack of perturbed copies runs in one call. ``matmul``'s inner and batch axes
 are checked by numpy's ``@`` before it computes; a mismatch raises ShapeError.
+A float product whose inner dimension is 1, the mlp token mix's outer
+product, runs as a broadcast multiply instead, with the bits of ``@``.
 
 ``attend`` is the one attention kernel: the model's causal self-attention,
 the attn conditioner and the crossattn insert all run through it. It scores
@@ -70,13 +72,18 @@ the earliest failing block once every thread has stopped.
 
 The split rule. Row and column blocks are the two outer partitions of one
 product (Goto & van de Geijn, 2008), and ``_split`` cuts both. A call
-under _SPLIT_MACS, a call on a pool thread, and a call too short for two
-blocks of the least length (_BLOCK_ROWS rows; _BLOCK_COLS columns and
-_BLOCK_MACS MACs) run as one plain call on the caller's thread; any other
-has one block per usable CPU, at most as many as fit the least length,
-each but the last a multiple of 8 rows or columns long, so no block is a
-1-row matrix-vector product. ``attend`` sends its blocks to the pool under
-the same _SPLIT_MACS gate. The token-mix tiles are cut by _BLOCK_BYTES
+under _SPLIT_MACS (2^23), a call on a pool thread, and a call too short for
+two blocks of the least length (_BLOCK_ROWS = 64 rows; _BLOCK_COLS columns
+and _BLOCK_MACS MACs) run as one plain call on the caller's thread; any
+other has one block per usable CPU, at most as many as fit the least
+length, each but the last a multiple of 8 rows or columns long, so no block
+is a 1-row matrix-vector product. ``attend`` sends its blocks to the pool
+under the same _SPLIT_MACS gate. At C=256 the gate and the 64-row least
+take every product of 128 rows or more: a 128-row forward's Q/K/V/O
+projections (2^23 MACs each) and FFN run as two 64-row blocks and its
+causal self-attention as two head groups, and so do the attn conditioner's
+and crossattn insert's 128-row products, while the 16 text rows of an
+image336 forward run whole. The token-mix tiles are cut by _BLOCK_BYTES
 instead, and go to the pool whenever there are two or more (see
 conditioning.cond_mlp). A desk-sized forward, a gradient check and the
 op-walk fall under every gate and make one tile, so they never start the
@@ -237,12 +244,13 @@ def _finite_op(op):
 # Bytes of a thread's block, a logits group or a token-mix tile: it stays in L2.
 _BLOCK_BYTES = 512 * 1024
 # Multiply-accumulates a call must reach before its blocks go to the pool.
-# A hand-off to a pool thread and back costs about 60 us (2-vCPU Xeon), the
-# time of 1-2e6 float64 MACs, so a call at this size saves several times
-# what it spends.
-_SPLIT_MACS = 1 << 24
+# A hand-off to a pool thread and back costs about 60 us (2-vCPU Xeon). A
+# 2^23-MAC product, a 128-row projection at C=256, takes about 0.3 ms on one
+# core, so two blocks save about 0.15 ms, 2.5 times the hand-off; at 2^22
+# the saving barely covers it.
+_SPLIT_MACS = 1 << 23
 # Rows of a row block at least (rowwise).
-_BLOCK_ROWS = 128
+_BLOCK_ROWS = 64
 # Columns and multiply-accumulates of a column block at least (matmul_cols).
 _BLOCK_COLS = 256
 _BLOCK_MACS = 1 << 22
@@ -370,8 +378,10 @@ def rowwise(fn: Callable[..., np.ndarray], x: np.ndarray, *operands: np.ndarray)
     it splits, row block s runs fn(x[s], *operands, out=out[s]), writing its
     rows of one output with the last weight's column count and the
     operands' result type; a call that does not split is the plain
-    fn(x, *operands). Only a 2-D x whose weights are 2-D with a multiple of
-    8 columns splits (see the module docstring)."""
+    fn(x, *operands). Only a 2-D x of two _BLOCK_ROWS blocks or more (128
+    rows) whose weights are 2-D with a multiple of 8 columns splits, and
+    only once rows times the weights' entries reach _SPLIT_MACS (see the
+    module docstring)."""
     rows = len(x)
     if rows < 2 * _BLOCK_ROWS:  # most calls: nothing more to check
         return fn(x, *operands)
@@ -415,11 +425,18 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul expects operands of at least 2-D, got {a.shape} @ {b.shape}")
+    k = a.shape[-1]
     try:
-        out = a @ b if out is None else np.matmul(a, b, out=out)
+        if k == 1 == b.shape[-2] and a.dtype.kind == b.dtype.kind == "f":
+            # An outer product, which BLAS runs at about 0.3 GMAC/s. BLAS sums
+            # from +0, so + 0.0 gives an exact -0 product its sign: the bits of a @ b.
+            out = np.multiply(a, b, out=out)
+            out += 0.0
+        else:
+            out = a @ b if out is None else np.matmul(a, b, out=out)
     except ValueError:
         raise ShapeError(f"matmul operands do not match: {a.shape} @ {b.shape}") from None
-    _record_macs(out.size * a.shape[-1])
+    _record_macs(out.size * k)
     return out
 
 

@@ -151,17 +151,35 @@ def test_desk_paths_start_no_pool(monkeypatch):
     assert tensors._pool is None
 
 
+def hand_offs_at_2_cpus(monkeypatch) -> list[int]:
+    """The item counts of every _in_threads call from now on, at 2 simulated
+    CPUs and a fresh pool."""
+    monkeypatch.setattr(tensors, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tensors, "_pool", None)
+    calls: list[int] = []
+    in_threads = tensors._in_threads
+    monkeypatch.setattr(tensors, "_in_threads", lambda run, items: calls.append(len(items)) or in_threads(run, items))
+    return calls
+
+
 def test_the_hot_path_incontext_forward_uses_the_pool(monkeypatch):
     """Its attention blocks and its connector, projection and FFN row blocks
     each reach the pool, so the wrapper check above sees them on a thread."""
-    monkeypatch.setattr(tensors, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(tensors, "_pool", None)
-    calls = []
-    in_threads = tensors._in_threads
-    monkeypatch.setattr(tensors, "_in_threads", lambda run, items: calls.append(len(items)) or in_threads(run, items))
+    calls = hand_offs_at_2_cpus(monkeypatch)
     rng = make_rng(8)
     forward(pooled_incontext(), rng.normal(size=(8, 256)), VisualContext(rng.normal(size=(256, 256)), "synthetic"))
     assert len(calls) == 7 and min(calls) >= 2  # connector, q, k, v, attention, o, FFN
+
+
+@pytest.mark.parametrize("tokens, hand_offs", [(128, 6), (16, 0)])
+def test_base_forward_hand_offs_per_block(tokens, hand_offs, monkeypatch):
+    """At C=256 and 2 CPUs each block of a 128-token base forward hands its
+    q, k, v, attention, o and FFN to the pool, each at 2^23 MACs or more;
+    a 16-token one runs whole."""
+    calls = hand_offs_at_2_cpus(monkeypatch)
+    model = init_model(ModelConfig(L=2, C=256, h=8, d_ff=1024, paradigm="base", seed=8))
+    forward(model, make_rng(8).normal(size=(tokens, 256)))
+    assert calls == [2] * 2 * hand_offs
 
 
 def test_wrapper_calls_are_seen():

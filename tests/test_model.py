@@ -370,8 +370,11 @@ class TestForwardsOnThePool:
 
     @staticmethod
     def digest(variant, tokens, monkeypatch, cpus=None, layers=2, split=True):
+        """SHA-256 of the variant's forward, or for "diagnose" of an fmi/attn
+        model's influence and drift traces."""
         paradigm, _, kind = variant.partition("_")
-        cfg = ModelConfig(L=layers, C=256, h=8, d_ff=1024, paradigm=paradigm, cond_kind=kind or "attn",
+        cfg = ModelConfig(L=layers, C=256, h=8, d_ff=1024, paradigm="fmi" if paradigm == "diagnose" else paradigm,
+                          cond_kind=kind or "attn",
                           frequency=0.25 if layers == 8 else 0.5, seed=5,
                           cond_visual_tokens=576 if kind == "mlp" else None)
         model = init_model(cfg)
@@ -383,10 +386,15 @@ class TestForwardsOnThePool:
             monkeypatch.setattr(tensors, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(tensors, "_pool", None)
         monkeypatch.setattr(tensors, "_SPLIT_MACS", SPLIT_MACS if split else float("inf"))
-        return hashlib.sha256(forward(model, t_emb, visual).tobytes()).hexdigest()
+        if variant == "diagnose":
+            out = b"".join(trace.per_token.tobytes() for trace in diagnose(model, t_emb, visual))
+        else:
+            out = forward(model, t_emb, None if paradigm == "base" else visual).tobytes()
+        return hashlib.sha256(out).hexdigest()
 
     @pytest.mark.parametrize("variant, tokens", [
-        ("incontext", 16), ("incontext", 128), ("fmi_attn", 128), ("crossattn", 128),
+        ("incontext", 16), ("incontext", 128), ("fmi_attn", 128), ("crossattn", 128), ("base", 128),
+        ("diagnose", 128),
     ])
     def test_hash_at_each_count_equals_unsplit(self, variant, tokens, monkeypatch):
         unsplit = self.digest(variant, tokens, monkeypatch, cpus=4, split=False)

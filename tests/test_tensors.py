@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -137,6 +138,52 @@ class TestMatmul:
             with count_macs() as counter, scope(), pytest.raises(ShapeError):
                 matmul(np.zeros(a_shape), np.zeros(b_shape))
             assert counter.macs == 0
+
+    @pytest.mark.parametrize("dtypes", [
+        (np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float32),
+    ])
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((7, 1), (1, 9)),
+        ((3, 7, 1), (1, 9)),            # a batched a
+        ((7, 1), (2, 1, 9)),            # a batched b
+        ((2, 1, 7, 1), (3, 1, 9)),      # batch axes that broadcast
+        ((1, 1), (1, 1)),
+        ((0, 1), (1, 9)),               # a 0-row operand
+        ((7, 1), (1, 0)),
+    ])
+    def test_inner_dimension_1_bits(self, a_shape, b_shape, dtypes):
+        """An outer product, run off BLAS, has the bits of np.matmul, also
+        where an exact product is -0, which BLAS, summing from +0, turns
+        into +0; its MACs are m * n per batch entry."""
+        rng = make_rng(a_shape[-2] + b_shape[-1])
+        a, b = rng.normal(size=a_shape).astype(dtypes[0]), rng.normal(size=b_shape).astype(dtypes[1])
+        a.reshape(-1)[::3], a.reshape(-1)[1::3], b.reshape(-1)[::2] = 0.0, -0.0, -0.0
+        expected = np.matmul(a, b)
+        with count_macs() as counter:
+            got = matmul(a, b)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        bits = np.uint64 if got.itemsize == 8 else np.uint32
+        assert np.array_equal(got.view(bits), expected.view(bits))
+        assert counter.macs == expected.size
+
+    def test_inner_dimension_1_into_a_view(self):
+        rng = make_rng(13)
+        a, b = rng.normal(size=(7, 1)), rng.normal(size=(1, 9))
+        a[::2] = -0.0
+        base = np.full((9, 12), np.nan)
+        out = base[1:8, 2:11]
+        assert matmul(a, b, out=out) is out
+        assert np.array_equal(out.view(np.uint64), np.matmul(a, b).view(np.uint64))
+        assert np.isnan(base[0]).all() and np.isnan(base[:, :2]).all() and np.isnan(base[:, 11:]).all()
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 1), (3, 4)),               # a bare multiply would broadcast it to (3, 4)
+        ((2, 3, 1), (3, 1, 4)),         # batch axes that do not broadcast
+    ])
+    def test_inner_dimension_1_mismatch_is_shape_error(self, a_shape, b_shape):
+        with count_macs() as counter, pytest.raises(ShapeError):
+            matmul(np.ones(a_shape), np.ones(b_shape))
+        assert counter.macs == 0
 
     def test_associativity(self):
         rng = make_rng(1)
@@ -553,9 +600,10 @@ class TestManifest:
 
 CPU_COUNTS = (1, 2, 3, 4)
 # Workload row counts: 576 visual tokens (connector, conditioner and insert
-# projections), 576 + 16 (image336 incontext) and 576 + 128 (video_long
-# incontext); 256 is the fewest rows that split.
-WORKLOAD_ROWS = (576, 592, 704, 256)
+# projections), 576 + 16 (image336 incontext), 576 + 128 (video_long
+# incontext) and 128 (video_long text); 128 is the fewest rows that split, at
+# 2^23 MACs for a C=256 projection, and 256 the fewest that split in four.
+WORKLOAD_ROWS = (576, 592, 704, 128, 256)
 
 
 @pytest.fixture
@@ -621,8 +669,8 @@ class TestRowBlocks:
         assert_bits_at_each_count(cpus, lambda: _ffn(x, p), ffn_unsplit(x, p), pooled=True)
 
     @pytest.mark.parametrize("x_shape, w_shape", [
-        ((255, 256), (256, 256)),      # one row under two 128-row blocks
-        ((256, 256), (256, 248)),      # 256 * 256 * 248 MACs, under _SPLIT_MACS
+        ((127, 256), (256, 256)),      # one row under two 64-row blocks
+        ((128, 256), (256, 248)),      # 128 * 256 * 248 MACs, under _SPLIT_MACS
         ((592, 256), (256, 2308)),     # a column count that is not a multiple of 8
         ((3, 592, 256), (256, 256)),   # a batched x
         ((592, 256), (3, 256, 256)),   # a batched weight
@@ -642,7 +690,7 @@ class TestRowBlocks:
         x, w = rng.normal(size=(256, 576)), rng.normal(size=(576, 2308))
         assert_bits_at_each_count(cpus, lambda: rowwise(matmul, x, w), matmul(x, w), pooled=False)
 
-    @pytest.mark.parametrize("rows", [256, 257, 263, 383, 592, 704, 1001])
+    @pytest.mark.parametrize("rows", [128, 200, 256, 257, 263, 383, 592, 704, 1001])
     def test_blocks_are_multiples_of_8_rows_in_order(self, cpus, rows):
         x = make_rng(rows).normal(size=(rows, 256))
         x[:, 0] = np.arange(rows)  # a block's first row names where it starts
@@ -655,6 +703,43 @@ class TestRowBlocks:
             assert out.tobytes() == x.tobytes()
             assert_blocks_in_order(blocks, rows)
             assert len(blocks) == min(n, rows // tensors._BLOCK_ROWS)
+
+    @pytest.mark.parametrize("size, count, bounds", [
+        (128, 2, [0, 64, 128]),         # a video_long text projection at 2 CPUs
+        (128, 4, [0, 64, 128]),         # two 64-row blocks at most
+        (200, 3, [0, 64, 128, 200]),    # multiples of 8 but the last
+    ])
+    def test_split_bounds(self, cpus, size, count, bounds):
+        cpus(count)
+        blocks = tensors._split(size, tensors._BLOCK_ROWS, tensors._SPLIT_MACS)
+        assert [(s.start, s.stop) for s in blocks] == list(zip(bounds, bounds[1:]))
+        assert tensors._split(size, tensors._BLOCK_ROWS, tensors._SPLIT_MACS - 1) == [slice(0, size)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_attn_conditioner_query_and_output_bits(self, cpus, monkeypatch, dtype):
+        """cond_attn at 128 text rows over V=576, C=256: its q and o
+        projections run as two 64-row blocks from 2 CPUs on, its k and v
+        projections as 576-row blocks, and the output keeps the bits of
+        every product run whole."""
+        from featmod import conditioning
+        from featmod.conditioning import AttnCondParams, cond_attn
+
+        rng = make_rng(12)
+        t, v = rng.normal(size=(128, 256)).astype(dtype), rng.normal(size=(576, 256)).astype(dtype)
+        p = AttnCondParams.init(rng, 256, heads=8, std=0.05)
+        p = replace(p, **{w: getattr(p, w).astype(dtype) for w in ("wq", "wk", "wv", "wo")})
+        cpus(1)
+        gate = tensors._SPLIT_MACS
+        monkeypatch.setattr(tensors, "_SPLIT_MACS", float("inf"))
+        expected = cond_attn(t, v, p)
+        monkeypatch.setattr(tensors, "_SPLIT_MACS", gate)
+        rows = []
+        monkeypatch.setattr(conditioning, "matmul", lambda a, b, **kw: rows.append(len(a)) or matmul(a, b, **kw))
+        assert_bits_at_each_count(cpus, lambda: cond_attn(t, v, p), expected, pooled=True)
+        cpus(2)
+        rows.clear()
+        cond_attn(t, v, p)
+        assert sorted(rows) == [64, 64, 64, 64, 288, 288, 288, 288]
 
     def test_blocks_write_into_one_output(self, cpus):
         rng = make_rng(10)
@@ -821,16 +906,20 @@ class TestColumnBlocks:
 class TestAttentionBlocks:
     """attend's (query tile, head group) blocks on the pool keep the bits of
     the serial loop: causal V+T self-attention and text-over-visual
-    cross-attention at the workloads' 8 heads of 32 channels."""
+    cross-attention at the workloads' 8 heads of 32 channels. `pooled` is
+    True, False, or the one dtype whose head groups split the call."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n, m, causal, pooled", [
-        (592, 592, True, True),     # image336 incontext
-        (704, 704, True, True),     # video_long incontext
-        (256, 256, True, True),     # the fewest causal queries that split
-        (128, 128, True, False),    # video_long text: one tile, under _SPLIT_MACS
-        (128, 576, False, True),    # video_long conditioner and insert
-        (16, 576, False, False),    # image336 conditioner and insert
+        (592, 592, True, True),         # image336 incontext
+        (704, 704, True, True),         # video_long incontext
+        (256, 256, True, True),         # two causal tiles
+        # video_long text: one tile at 2^23 MACs, two groups of 4 heads in
+        # float64; the 8 heads of float32 logits fit one group, one block
+        (128, 128, True, "float64"),
+        (120, 120, True, False),        # a causal tile under _SPLIT_MACS
+        (128, 576, False, True),        # video_long conditioner and insert
+        (16, 576, False, False),        # image336 conditioner and insert
     ])
     def test_bits(self, cpus, n, m, causal, pooled, dtype):
         rng = make_rng(n + m)
@@ -838,6 +927,7 @@ class TestAttentionBlocks:
         k, v = (rng.normal(size=(8, m, 32)).astype(dtype) for _ in range(2))
         cpus(1)
         expected = attend(q, k, v, causal)
+        pooled = pooled is True or pooled == np.dtype(dtype).name
         with checks_at_boundaries():
             assert_bits_at_each_count(cpus, lambda: attend(q, k, v, causal), expected, pooled)
 
