@@ -25,9 +25,9 @@ Self-attention, the attn conditioner and the insert's cross-attention all
 score through ``tensors.attend``, so every attention in the stack runs the
 same tiled head-group loop. The block's row-wise products (the attention
 projections, the FFN and the incontext connector) run through
-``tensors.rowwise``, so a sequence of 128 rows or more, the V+T sequence of
-incontext or 128 text tokens, splits them into row blocks on the tensors
-thread pool.
+``tensors.rowwise``, so at one BLAS thread a sequence of 128 rows or more,
+the V+T sequence of incontext or 128 text tokens, splits them into row
+blocks on the tensors thread pool.
 
 Weight draws are keyed by (seed, block index, component) so the base weights
 of every paradigm built from one seed are bit-identical; paradigm extras

@@ -39,8 +39,6 @@ numpy-style: (..., m, k) @ (..., k, n) and (..., C, L) signals against
 (..., C, K) kernels, so multi-head attention is one batched product and a
 stack of perturbed copies runs in one call. ``matmul``'s inner and batch axes
 are checked by numpy's ``@`` before it computes; a mismatch raises ShapeError.
-A float product whose inner dimension is 1, the mlp token mix's outer
-product, runs as a broadcast multiply instead, with the bits of ``@``.
 
 ``attend`` is the one attention kernel: the model's causal self-attention,
 the attn conditioner and the crossattn insert all run through it. It scores
@@ -72,23 +70,24 @@ the earliest failing block once every thread has stopped.
 
 The split rule. Row and column blocks are the two outer partitions of one
 product (Goto & van de Geijn, 2008), and ``_split`` cuts both. A call
-under _SPLIT_MACS (2^23), a call on a pool thread, and a call too short for
-two blocks of the least length (_BLOCK_ROWS = 64 rows; _BLOCK_COLS columns
-and _BLOCK_MACS MACs) run as one plain call on the caller's thread; any
-other has one block per usable CPU, at most as many as fit the least
-length, each but the last a multiple of 8 rows or columns long, so no block
-is a 1-row matrix-vector product. ``attend`` sends its blocks to the pool
-under the same _SPLIT_MACS gate. At C=256 the gate and the 64-row least
-take every product of 128 rows or more: a 128-row forward's Q/K/V/O
-projections (2^23 MACs each) and FFN run as two 64-row blocks and its
-causal self-attention as two head groups, and so do the attn conditioner's
-and crossattn insert's 128-row products, while the 16 text rows of an
-image336 forward run whole. The token-mix tiles are cut by _BLOCK_BYTES
-instead, and go to the pool whenever there are two or more (see
-conditioning.cond_mlp). A desk-sized forward, a gradient check and the
-op-walk fall under every gate and make one tile, so they never start the
-pool. Each thread holds at most one _BLOCK_BYTES block, an attention
-logits group or a token-mix tile.
+under _SPLIT_MACS (2^23), a call on a pool thread, a call while numpy's
+OpenBLAS runs more than one thread or a count featmod cannot read, and a
+call too short for two blocks of the least length (_BLOCK_ROWS = 64 rows;
+_BLOCK_COLS columns and _BLOCK_MACS MACs) run as one plain call on the
+caller's thread; any other has one block per usable CPU, at most as many
+as fit the least length, each but the last a multiple of 8 rows or columns
+long, so no block is a 1-row matrix-vector product. ``attend`` sends its
+blocks to the pool under the same rule (``_pooled``). At one BLAS thread
+and C=256 the gate and the 64-row least take every product of 128 rows or
+more: a 128-row forward's Q/K/V/O projections (2^23 MACs each) and FFN run
+as two 64-row blocks and its causal self-attention as two head groups, and
+so do the attn conditioner's and crossattn insert's 128-row products, while
+the 16 text rows of an image336 forward run whole. The token-mix tiles are
+cut by _BLOCK_BYTES instead, and go to the pool whenever there are two or
+more, whatever BLAS runs (see conditioning.cond_mlp). A desk-sized
+forward, a gradient check and the op-walk fall under every gate and make
+one tile, so they never start the pool. Each thread holds at most one
+_BLOCK_BYTES block, an attention logits group or a token-mix tile.
 
 A block is the same product on fewer rows or columns, so outputs, errors
 and counted MACs are the same for any thread count, and the outputs bit
@@ -108,11 +107,11 @@ changed bits:
   in 32 blocks of 680-688 columns; hence the least width;
 * both, under OpenBLAS's own threads, which split each product's rows:
   (256, 576) @ (576, 577) whole and in two column blocks differ in column
-  576 from row 128 on. matmul_cols therefore splits only while numpy's
-  OpenBLAS reports one thread (read through ctypes), and any run that must
-  keep its bits should keep BLAS at one thread (OPENBLAS_NUM_THREADS=1 and
-  the like), since those threads change the bits of some whole products
-  too.
+  576 from row 128 on. Nothing splits unless numpy's OpenBLAS reports one
+  thread (read through ctypes), which also keeps pool threads from each
+  running BLAS's threads on the same cores, and any run that must keep its
+  bits should keep BLAS at one thread (OPENBLAS_NUM_THREADS=1 and the
+  like), since those threads change the bits of some whole products too.
 """
 
 from __future__ import annotations
@@ -336,12 +335,20 @@ def _with_errstate(err: dict, run) -> None:
         run()
 
 
+def _pooled(macs: int) -> bool:
+    """Whether a call of `macs` MACs may send blocks to the pool: it reaches
+    _SPLIT_MACS, runs off the pool's threads, and numpy's OpenBLAS reports
+    one thread, since pool threads each running BLAS's threads would
+    oversubscribe the cores."""
+    return macs >= _SPLIT_MACS and not _IN_POOL_WORK.get() and _blas_threads() == 1
+
+
 def _split(size: int, least: int, macs: int) -> list[slice]:
     """Blocks of range(size) for a call of `macs` MACs, in order: one per
     usable CPU, `least` long at least, each but the last a multiple of 8
-    long; one whole block under _SPLIT_MACS, on a pool thread or when
-    range(size) holds fewer than two blocks of `least`."""
-    if macs < _SPLIT_MACS or size < 2 * least or _IN_POOL_WORK.get():
+    long; one whole block when range(size) holds fewer than two blocks of
+    `least` or the call is not _pooled."""
+    if size < 2 * least or not _pooled(macs):
         return [slice(0, size)]
     blocks = min(_usable_cpus(), size // least)
     bounds = [size * i // blocks // 8 * 8 for i in range(blocks)] + [size]
@@ -380,8 +387,8 @@ def rowwise(fn: Callable[..., np.ndarray], x: np.ndarray, *operands: np.ndarray)
     operands' result type; a call that does not split is the plain
     fn(x, *operands). Only a 2-D x of two _BLOCK_ROWS blocks or more (128
     rows) whose weights are 2-D with a multiple of 8 columns splits, and
-    only once rows times the weights' entries reach _SPLIT_MACS (see the
-    module docstring)."""
+    only once rows times the weights' entries reach _SPLIT_MACS and BLAS
+    runs one thread (see the module docstring)."""
     rows = len(x)
     if rows < 2 * _BLOCK_ROWS:  # most calls: nothing more to check
         return fn(x, *operands)
@@ -398,16 +405,16 @@ def rowwise(fn: Callable[..., np.ndarray], x: np.ndarray, *operands: np.ndarray)
 
 def matmul_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """matmul(a, b) for 2-D operands, as column blocks of b, each written
-    into its columns of one output, while BLAS runs one thread; blocks have
-    at least _BLOCK_COLS columns and _BLOCK_MACS MACs (see the module
-    docstring). A call that does not split is the plain matmul(a, b)."""
+    into its columns of one output; blocks have at least _BLOCK_COLS columns
+    and _BLOCK_MACS MACs (see the module docstring). A call that does not
+    split is the plain matmul(a, b)."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         return matmul(a, b)
     (m, k), n = a.shape, b.shape[1]
     # the fewest columns, a multiple of 8, that hold _BLOCK_MACS
     width = max(_BLOCK_COLS, -(-_BLOCK_MACS // (8 * max(m * k, 1))) * 8)
     cols = _split(n, width, m * k * n)
-    if len(cols) < 2 or _blas_threads() != 1:
+    if len(cols) < 2:
         return matmul(a, b)
     out = np.empty((m, n), np.result_type(a, b))
     _in_threads(lambda s: matmul(a, b[:, s], out=out[:, s]), cols)
@@ -425,18 +432,11 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul expects operands of at least 2-D, got {a.shape} @ {b.shape}")
-    k = a.shape[-1]
     try:
-        if k == 1 == b.shape[-2] and a.dtype.kind == b.dtype.kind == "f":
-            # An outer product, which BLAS runs at about 0.3 GMAC/s. BLAS sums
-            # from +0, so + 0.0 gives an exact -0 product its sign: the bits of a @ b.
-            out = np.multiply(a, b, out=out)
-            out += 0.0
-        else:
-            out = a @ b if out is None else np.matmul(a, b, out=out)
+        out = a @ b if out is None else np.matmul(a, b, out=out)
     except ValueError:
         raise ShapeError(f"matmul operands do not match: {a.shape} @ {b.shape}") from None
-    _record_macs(out.size * k)
+    _record_macs(out.size * a.shape[-1])
     return out
 
 
@@ -594,8 +594,8 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool) -> np.ndar
     batched matmul runs one BLAS call per head on the same operands and the
     rest is elementwise or per row, so any grouping gives the same bits.
     The (tile, head group) blocks are independent, each writing its own
-    slice of the context, so they run on the pool when n * m query-key
-    pairs per head would take _SPLIT_MACS; smaller calls run them inline.
+    slice of the context, so they run on the pool when the call is _pooled
+    at n * m query-key pairs per head; other calls run them inline.
     """
     heads, n, dk = q.shape[-3:]
     batch = q.shape[:-3]
@@ -608,13 +608,14 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool) -> np.ndar
     scale = 1.0 / math.sqrt(dk)
     # n * m query-key pairs per head at most; causal tiles score fewer
     macs = math.prod(batch) * heads * n * k.shape[-2] * (dk + v.shape[-1])
+    pooled = _pooled(macs)
     blocks = []
     for a in range(0, n, _QUERY_TILE if causal else max(n, 1)):
         b = min(a + _QUERY_TILE, n) if causal else n
         keys = b if causal else k.shape[-2]
         group = max(1, _BLOCK_BYTES // ((b - a) * keys * q.itemsize))
         for g in range(0, heads, group):
-            if macs < _SPLIT_MACS:
+            if not pooled:
                 _score(q, k, v, ctx, scale, causal, a, b, keys, slice(g, g + group))
             else:
                 blocks.append((a, b, keys, slice(g, g + group)))

@@ -132,6 +132,7 @@ def hot_paths():
     return run
 
 
+@pytest.mark.usefixtures("one_blas_thread")  # nothing splits under more
 def test_hot_paths_never_call_numpy_python_wrappers(monkeypatch):
     monkeypatch.setattr(tensors, "_usable_cpus", lambda: 2)  # pool work runs on a pool thread too
     run = hot_paths()
@@ -142,6 +143,7 @@ def test_hot_paths_never_call_numpy_python_wrappers(monkeypatch):
     assert tensors._pool is not None
 
 
+@pytest.mark.usefixtures("one_blas_thread")  # nothing splits under more
 def test_desk_paths_start_no_pool(monkeypatch):
     """Every desk forward, the diagnosis, the gradient checks and the op-walk
     run their blocks inline, under the pool's size threshold."""
@@ -162,6 +164,7 @@ def hand_offs_at_2_cpus(monkeypatch) -> list[int]:
     return calls
 
 
+@pytest.mark.usefixtures("one_blas_thread")  # nothing splits under more
 def test_the_hot_path_incontext_forward_uses_the_pool(monkeypatch):
     """Its attention blocks and its connector, projection and FFN row blocks
     each reach the pool, so the wrapper check above sees them on a thread."""
@@ -171,12 +174,15 @@ def test_the_hot_path_incontext_forward_uses_the_pool(monkeypatch):
     assert len(calls) == 7 and min(calls) >= 2  # connector, q, k, v, attention, o, FFN
 
 
-@pytest.mark.parametrize("tokens, hand_offs", [(128, 6), (16, 0)])
-def test_base_forward_hand_offs_per_block(tokens, hand_offs, monkeypatch):
+@pytest.mark.usefixtures("one_blas_thread")  # nothing splits under more
+@pytest.mark.parametrize("tokens, blas_threads, hand_offs", [(128, 1, 6), (16, 1, 0), (128, 2, 0)])
+def test_base_forward_hand_offs_per_block(tokens, blas_threads, hand_offs, monkeypatch):
     """At C=256 and 2 CPUs each block of a 128-token base forward hands its
     q, k, v, attention, o and FFN to the pool, each at 2^23 MACs or more;
-    a 16-token one runs whole."""
+    a 16-token one runs whole, and so does a 128-token one under two BLAS
+    threads, which each pool thread would run as well."""
     calls = hand_offs_at_2_cpus(monkeypatch)
+    monkeypatch.setattr(tensors, "_blas_threads", lambda: blas_threads)
     model = init_model(ModelConfig(L=2, C=256, h=8, d_ff=1024, paradigm="base", seed=8))
     forward(model, make_rng(8).normal(size=(tokens, 256)))
     assert calls == [2] * 2 * hand_offs

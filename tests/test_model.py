@@ -392,6 +392,7 @@ class TestForwardsOnThePool:
             out = forward(model, t_emb, None if paradigm == "base" else visual).tobytes()
         return hashlib.sha256(out).hexdigest()
 
+    @pytest.mark.usefixtures("one_blas_thread")  # rows and attention split only there
     @pytest.mark.parametrize("variant, tokens", [
         ("incontext", 16), ("incontext", 128), ("fmi_attn", 128), ("crossattn", 128), ("base", 128),
         ("diagnose", 128),

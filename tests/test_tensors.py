@@ -139,52 +139,6 @@ class TestMatmul:
                 matmul(np.zeros(a_shape), np.zeros(b_shape))
             assert counter.macs == 0
 
-    @pytest.mark.parametrize("dtypes", [
-        (np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float32),
-    ])
-    @pytest.mark.parametrize("a_shape, b_shape", [
-        ((7, 1), (1, 9)),
-        ((3, 7, 1), (1, 9)),            # a batched a
-        ((7, 1), (2, 1, 9)),            # a batched b
-        ((2, 1, 7, 1), (3, 1, 9)),      # batch axes that broadcast
-        ((1, 1), (1, 1)),
-        ((0, 1), (1, 9)),               # a 0-row operand
-        ((7, 1), (1, 0)),
-    ])
-    def test_inner_dimension_1_bits(self, a_shape, b_shape, dtypes):
-        """An outer product, run off BLAS, has the bits of np.matmul, also
-        where an exact product is -0, which BLAS, summing from +0, turns
-        into +0; its MACs are m * n per batch entry."""
-        rng = make_rng(a_shape[-2] + b_shape[-1])
-        a, b = rng.normal(size=a_shape).astype(dtypes[0]), rng.normal(size=b_shape).astype(dtypes[1])
-        a.reshape(-1)[::3], a.reshape(-1)[1::3], b.reshape(-1)[::2] = 0.0, -0.0, -0.0
-        expected = np.matmul(a, b)
-        with count_macs() as counter:
-            got = matmul(a, b)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        bits = np.uint64 if got.itemsize == 8 else np.uint32
-        assert np.array_equal(got.view(bits), expected.view(bits))
-        assert counter.macs == expected.size
-
-    def test_inner_dimension_1_into_a_view(self):
-        rng = make_rng(13)
-        a, b = rng.normal(size=(7, 1)), rng.normal(size=(1, 9))
-        a[::2] = -0.0
-        base = np.full((9, 12), np.nan)
-        out = base[1:8, 2:11]
-        assert matmul(a, b, out=out) is out
-        assert np.array_equal(out.view(np.uint64), np.matmul(a, b).view(np.uint64))
-        assert np.isnan(base[0]).all() and np.isnan(base[:, :2]).all() and np.isnan(base[:, 11:]).all()
-
-    @pytest.mark.parametrize("a_shape, b_shape", [
-        ((3, 1), (3, 4)),               # a bare multiply would broadcast it to (3, 4)
-        ((2, 3, 1), (3, 1, 4)),         # batch axes that do not broadcast
-    ])
-    def test_inner_dimension_1_mismatch_is_shape_error(self, a_shape, b_shape):
-        with count_macs() as counter, pytest.raises(ShapeError):
-            matmul(np.ones(a_shape), np.ones(b_shape))
-        assert counter.macs == 0
-
     def test_associativity(self):
         rng = make_rng(1)
         for _ in range(8):
@@ -646,6 +600,7 @@ def ffn_unsplit(x, p):
     return matmul(gelu(z, out=z), p.w2) + p.b2
 
 
+@pytest.mark.usefixtures("one_blas_thread")  # blocks split only there
 class TestRowBlocks:
     """Every shape family tensors.rowwise splits keeps the bits of the
     unsplit products: C=256 projections and the C=256, d_ff=1024 FFN."""
@@ -683,6 +638,18 @@ class TestRowBlocks:
         assert_bits_at_each_count(cpus, run, matmul(x, w), pooled=False)
         assert calls == [x_shape] * len(CPU_COUNTS)
 
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_more_or_unknown_blas_threads_run_whole(self, cpus, monkeypatch, threads):
+        """A 128-row projection at 2^23 MACs: each pool thread's block would
+        run on BLAS's two threads as well, more threads than cores."""
+        monkeypatch.setattr(tensors, "_blas_threads", lambda: threads)
+        rng = make_rng(14)
+        x, w = rng.normal(size=(128, 256)), rng.normal(size=(256, 256))
+        calls = []
+        run = lambda: rowwise(lambda rows, w, **kw: calls.append(rows.shape) or matmul(rows, w, **kw), x, w)  # noqa: E731
+        assert_bits_at_each_count(cpus, run, matmul(x, w), pooled=False)
+        assert calls == [x.shape] * len(CPU_COUNTS)
+
     def test_the_mlp_visual_term_family_is_never_split(self, cpus):
         """(C, V) @ (V, (V+1)*token_exp) at C=256, V=576: its 2308 columns
         are not a multiple of 8, so it runs whole."""
@@ -690,8 +657,13 @@ class TestRowBlocks:
         x, w = rng.normal(size=(256, 576)), rng.normal(size=(576, 2308))
         assert_bits_at_each_count(cpus, lambda: rowwise(matmul, x, w), matmul(x, w), pooled=False)
 
-    @pytest.mark.parametrize("rows", [128, 200, 256, 257, 263, 383, 592, 704, 1001])
-    def test_blocks_are_multiples_of_8_rows_in_order(self, cpus, rows):
+    @pytest.mark.parametrize("rows, bounds", [
+        (128, {2: [0, 64, 128], 4: [0, 64, 128]}),  # a video_long text projection, two blocks at most
+        (200, {3: [0, 64, 128, 200]}),              # multiples of 8 but the last
+        (256, {}), (257, {}), (263, {}), (383, {}), (592, {}), (704, {}), (1001, {}),
+    ])
+    def test_blocks_are_multiples_of_8_rows_in_order(self, cpus, rows, bounds):
+        """`bounds` gives the exact block bounds at some CPU counts."""
         x = make_rng(rows).normal(size=(rows, 256))
         x[:, 0] = np.arange(rows)  # a block's first row names where it starts
         w = np.eye(256)
@@ -703,17 +675,10 @@ class TestRowBlocks:
             assert out.tobytes() == x.tobytes()
             assert_blocks_in_order(blocks, rows)
             assert len(blocks) == min(n, rows // tensors._BLOCK_ROWS)
-
-    @pytest.mark.parametrize("size, count, bounds", [
-        (128, 2, [0, 64, 128]),         # a video_long text projection at 2 CPUs
-        (128, 4, [0, 64, 128]),         # two 64-row blocks at most
-        (200, 3, [0, 64, 128, 200]),    # multiples of 8 but the last
-    ])
-    def test_split_bounds(self, cpus, size, count, bounds):
-        cpus(count)
-        blocks = tensors._split(size, tensors._BLOCK_ROWS, tensors._SPLIT_MACS)
-        assert [(s.start, s.stop) for s in blocks] == list(zip(bounds, bounds[1:]))
-        assert tensors._split(size, tensors._BLOCK_ROWS, tensors._SPLIT_MACS - 1) == [slice(0, size)]
+            if n in bounds:
+                assert sorted(start for start, _ in blocks) + [rows] == bounds[n]
+            # one MAC under the gate: one block
+            assert tensors._split(rows, tensors._BLOCK_ROWS, tensors._SPLIT_MACS - 1) == [slice(0, rows)]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_attn_conditioner_query_and_output_bits(self, cpus, monkeypatch, dtype):
@@ -903,6 +868,7 @@ class TestColumnBlocks:
         assert_blocks_write_into_one_output(cpus, lambda: matmul_cols(a, b))
 
 
+@pytest.mark.usefixtures("one_blas_thread")  # blocks split only there
 class TestAttentionBlocks:
     """attend's (query tile, head group) blocks on the pool keep the bits of
     the serial loop: causal V+T self-attention and text-over-visual
@@ -931,6 +897,15 @@ class TestAttentionBlocks:
         with checks_at_boundaries():
             assert_bits_at_each_count(cpus, lambda: attend(q, k, v, causal), expected, pooled)
 
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_more_or_unknown_blas_threads_run_inline(self, cpus, monkeypatch, threads):
+        monkeypatch.setattr(tensors, "_blas_threads", lambda: threads)
+        rng = make_rng(15)
+        q, k, v = (rng.normal(size=(8, 592, 32)) for _ in range(3))
+        cpus(1)
+        expected = attend(q, k, v, True)
+        assert_bits_at_each_count(cpus, lambda: attend(q, k, v, True), expected, pooled=False)
+
     def test_nan_in_a_late_block_raises_the_earliest(self, cpus, monkeypatch):
         rng = make_rng(3)
         q, k, v = (rng.normal(size=(8, 592, 32)) for _ in range(3))
@@ -952,6 +927,7 @@ class TestAttentionBlocks:
             attend(q, k, v, False)
 
 
+@pytest.mark.usefixtures("one_blas_thread")  # row, attention and column blocks split only there
 class TestInThreads:
     def test_nested_call_runs_inline_on_its_thread(self):
         """With 2 CPUs the pool has one thread; an item that called the pool
@@ -1040,13 +1016,13 @@ class TestInThreads:
         return note, names
 
     @pytest.mark.parametrize("kind", ["attention", "rows", "columns", "tiles"])
-    def test_one_thread_per_cpu_and_block(self, cpus, kind, monkeypatch, request):
+    def test_one_thread_per_cpu_and_block(self, cpus, kind, monkeypatch):
         """min(CPUs, blocks) threads run the blocks, counted by thread name,
         and one block never starts the pool, for each kind of block: the 30
         (query tile, head group) blocks of a causal 592-query attention and
         the one of a one-head cross-attention; the row blocks of a 592-row
         product, rows // _BLOCK_ROWS at most; the column blocks of a
-        4612-column product under one BLAS thread, columns // 256 at most,
+        4612-column product, columns // 256 at most,
         and the one of a 511-column product; and the 15 token-mix tiles of
         a 5-token, 20-channel mix under a 1-byte budget, one tile under the
         default budget."""
@@ -1069,7 +1045,6 @@ class TestInThreads:
             x, w = rng.normal(size=(592, 256)), np.eye(256)
             run, blocks, run_one = lambda: rowwise(noted(matmul), x, w), 592 // tensors._BLOCK_ROWS, None
         elif kind == "columns":
-            request.getfixturevalue("one_blas_thread")  # matmul_cols splits only there
             a, b = visual_operands(64, 1152, 4612)
             one = visual_operands(256, 576, 511)
             monkeypatch.setattr(tensors, "matmul", noted(matmul))
